@@ -235,8 +235,7 @@ def cmd_quartic_check32(args) -> int:
 
 def cmd_sym_h(args) -> int:
     rep = _rep_from_args(args)
-    mode = "float" if args.float else "exact"
-    rpt = SY.h_kernel(rep, mode=mode)
+    rpt = SY.h_kernel(rep)
     pred = None
     if rep.mults:
         pred = SY.predict(rep.p, rep.q, rep.mults)
@@ -474,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sym = groups.add_parser("sym").add_subparsers(dest="cmd", required=True)
     s = sym.add_parser("h")
     _add_common(s, rep_arg=True)
-    s.add_argument("--exact", action="store_true", default=True)
-    s.add_argument("--float", action="store_true")
     s.set_defaults(fn=cmd_sym_h)
     s = sym.add_parser("g")
     _add_common(s, rep_arg=True)

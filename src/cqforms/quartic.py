@@ -18,7 +18,6 @@ import numpy as np
 
 from .repkit import CliffordRep, InvalidInputError
 from .rng import integer_points
-from .spmat import perm_sign_of
 
 # degeneracy table: the quartic vanishes identically exactly at these
 # (p, q, m) triples (up to p <-> q) and for split-signature rank-2 modules
@@ -61,19 +60,19 @@ def quad_form_terms(s: np.ndarray) -> dict[tuple[int, int], int]:
     return terms
 
 
-def quadratic_map(rep: CliffordRep, w) -> list:
-    """Q(w) = (S_1[w], ..., S_{p+q}[w]), exact for integral/rational w."""
+def _column(rep: CliffordRep, w) -> np.ndarray:
+    """One point as an (m, 1) object array, keeping Python ints and Fractions."""
     w = list(w)
     if len(w) != rep.m:
         raise InvalidInputError(f"w must have length {rep.m}")
-    out = []
-    for s in rep.basis:
-        perm, sign = perm_sign_of(s)
-        sw = [0] * rep.m
-        for a in range(rep.m):
-            sw[int(perm[a])] += int(sign[a]) * w[a]
-        out.append(sum(x * y for x, y in zip(w, sw)))
-    return out
+    col = np.empty((rep.m, 1), dtype=object)
+    col[:, 0] = w
+    return col
+
+
+def quadratic_map(rep: CliffordRep, w) -> list:
+    """Q(w) = (S_1[w], ..., S_{p+q}[w]), exact for integral/rational w."""
+    return rep.forms(_column(rep, w))[:, 0].tolist()
 
 
 @dataclass
@@ -127,19 +126,9 @@ def grad_quartic(rep, w) -> list:
     """
     if isinstance(rep, QuarticForm):
         rep = rep.rep
-    w = list(w)
-    if len(w) != rep.m:
-        raise InvalidInputError(f"w must have length {rep.m}")
-    out = [0] * rep.m
-    for eps, s in zip(rep.eps, rep.basis):
-        perm, sign = perm_sign_of(s)
-        sw = [0] * rep.m
-        for a in range(rep.m):
-            sw[int(perm[a])] += int(sign[a]) * w[a]
-        siw = sum(x * y for x, y in zip(w, sw))
-        for a in range(rep.m):
-            out[a] += 4 * eps * siw * sw[a]
-    return out
+    vals, images = rep.forms(_column(rep, w), images=True)
+    coef = np.array([4 * e * v for e, v in zip(rep.eps, vals[:, 0].tolist())], dtype=object)
+    return (coef @ images[:, :, 0].astype(object)).tolist()
 
 
 def is_degenerate(rep: CliffordRep) -> tuple[bool, bool]:
@@ -310,9 +299,9 @@ def check_32_identity(k: int, points: int = 30, seed: int = 2024) -> bool:
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
-    base = split32_basis()
-    eps = (1, 1, 1, -1, -1)
-    m = 8 * k
+    eye = np.eye(k, dtype=np.int64)
+    rep = CliffordRep(3, 2, (k,), tuple(np.kron(eye, s) for s in split32_basis()), 8 * k)
+    m = rep.m
     jk = np.zeros((2 * k, 2 * k), dtype=np.int64)
     for c in range(k):
         jk[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = _J
@@ -320,16 +309,9 @@ def check_32_identity(k: int, points: int = 30, seed: int = 2024) -> bool:
     j2[0:2, 0:2] = _J
     j2[2:4, 2:4] = _J
     pts = list(integer_points(seed, points, m, low=-9, high=9)) + [[0] * m]
-    for w in pts:
-        fval = 0
-        for e, s in zip(eps, base):
-            tot = 0
-            for c in range(k):
-                wc = w[8 * c : 8 * c + 8]
-                tot += sum(
-                    wc[a] * int(s[a, b]) * wc[b] for a in range(8) for b in range(8) if s[a, b]
-                )
-            fval += e * tot * tot
+    qvals = rep.forms(np.array(pts, dtype=np.int64).T).T.tolist()
+    for w, qv in zip(pts, qvals):
+        fval = sum(e * x * x for e, x in zip(rep.eps, qv))
         wmat = [[0] * (2 * k) for _ in range(4)]
         for c in range(k):
             for r in range(4):

@@ -22,7 +22,7 @@ Kronecker product is reducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -298,13 +298,40 @@ def irrep_basis(p: int, q: int, class_index: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CliffordRep:
-    """A C_p (x) C_q module with symmetric signed-permutation basis matrices."""
+    """A C_p (x) C_q module with symmetric signed-permutation basis matrices.
+
+    The constructor validates the basis (p + q matrices, each an m x m signed
+    permutation) and stores it once more as ``perm`` and ``sign`` arrays of
+    shape (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  Relations between
+    the matrices are not checked here; ``verify_relations`` reports them.
+    """
 
     p: int
     q: int
     mults: tuple[int, ...]
     basis: tuple[np.ndarray, ...]
     m: int
+    perm: np.ndarray = field(init=False, repr=False, compare=False)
+    sign: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.p < 0 or self.q < 0 or self.n < 1 or len(self.basis) != self.n:
+            raise InvalidInputError(
+                f"(p, q) = ({self.p}, {self.q}) needs p + q >= 1 basis matrices,"
+                f" got {len(self.basis)}"
+            )
+        try:
+            if any(np.shape(s) != (self.m, self.m) for s in self.basis):
+                raise ValueError
+            perm, sign = perm_sign_of(np.stack(self.basis))
+        except ValueError:
+            raise InvalidInputError(
+                f"every basis matrix must be an {self.m} x {self.m} signed permutation"
+            ) from None
+        perm.setflags(write=False)
+        sign.setflags(write=False)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def n(self) -> int:
@@ -313,6 +340,33 @@ class CliffordRep:
     @property
     def eps(self) -> tuple[int, ...]:
         return tuple(1 if i < self.p else -1 for i in range(self.n))
+
+    def forms(self, w, images: bool = False):
+        """S_i[w] = sum_a sign[i, a] w_a w_{perm[i, a]} for every generator i
+        and every column w of the coordinate-major (m, count) array ``w``.
+
+        Returns the (n, count) array of values; with ``images`` also the
+        (n, m, count) array of the vectors S_i w, scattered as
+        (S_i w)[perm[i]] = sign[i] w, which holds for any signed permutation.
+        Float arrays are evaluated in float64.  Integer arrays are evaluated
+        in int64 when m max|w|^2 < 2^63 and as Python ints (object dtype)
+        otherwise; object arrays (Python ints or Fractions) stay object.
+        """
+        w = np.asarray(w)
+        if w.dtype.kind == "f":
+            w = w.astype(np.float64, copy=False)
+        elif w.dtype != object:
+            big = int(np.abs(w).max(initial=0))  # |S_i[w]| <= m max|w|^2
+            w = w.astype(np.int64 if self.m * big * big < 2**63 else object, copy=False)
+        vals = np.empty((self.n, w.shape[1]), dtype=w.dtype)
+        sw = np.empty((self.n,) + w.shape, dtype=w.dtype) if images else None
+        for i, (perm, sign) in enumerate(zip(self.perm, self.sign)):
+            prod = sign[:, None] * w
+            if images:
+                sw[i][perm] = prod
+            prod *= w[perm]
+            vals[i] = _column_sums(prod)
+        return (vals, sw) if images else vals
 
     def __eq__(self, other):
         return (
@@ -323,6 +377,27 @@ class CliffordRep:
 
     def __hash__(self):
         return hash((self.p, self.q, self.mults, self.m))
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0, added in numpy's pairwise order for a contiguous axis.
+
+    Float S_i[w] then round exactly as the row sums of a (count, m) array
+    do.  On a degenerate module F(w) is pure rounding noise, so this keeps
+    Monte Carlo estimates there independent of the sample layout.
+    """
+    m = len(a)
+    if m < 8:
+        return a.sum(axis=0)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _column_sums(a[:half]) + _column_sums(a[half:])
+    full = m - m % 8
+    r = a[:full].reshape((full // 8, 8) + a.shape[1:]).sum(axis=0)
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in a[full:]:
+        out = out + row
+    return out
 
 
 def rep_build(p: int, q: int, mults) -> CliffordRep:
@@ -552,15 +627,18 @@ def rep_to_json(rep: CliffordRep) -> str:
 
 
 def rep_from_json(text: str) -> CliffordRep:
-    data = json.loads(text)
-    basis = tuple(np.array(b, dtype=np.int64) for b in data["basis"])
-    rep = CliffordRep(
-        int(data["p"]), int(data["q"]), tuple(int(k) for k in data["mults"]), basis, int(data["m"])
-    )
-    for s in rep.basis:
-        if s.shape != (rep.m, rep.m):
-            raise InvalidInputError("basis matrix shape mismatch")
-    return rep
+    try:
+        data = json.loads(text)
+        basis = tuple(np.array(b, dtype=np.int64) for b in data["basis"])
+        return CliffordRep(
+            int(data["p"]),
+            int(data["q"]),
+            tuple(int(k) for k in data["mults"]),
+            basis,
+            int(data["m"]),
+        )
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed module JSON: {exc}") from exc
 
 
 def rep_to_text(rep: CliffordRep) -> str:
@@ -573,17 +651,20 @@ def rep_to_text(rep: CliffordRep) -> str:
 
 
 def rep_from_text(text: str, p: int, q: int, mults=None) -> CliffordRep:
-    chunks = [c for c in text.strip().split("\n\n")]
-    header = chunks[0].split("\n")
-    m = int(header[0])
-    rows = header[1:]
-    mats = []
-    first = [list(map(int, r.split())) for r in rows]
-    mats.append(np.array(first, dtype=np.int64))
-    for chunk in chunks[1:]:
-        mats.append(
-            np.array([list(map(int, r.split())) for r in chunk.split("\n")], dtype=np.int64)
-        )
-    if mults is None:
-        mults = ()
-    return CliffordRep(p, q, tuple(mults), tuple(mats), m)
+    try:
+        chunks = [c for c in text.strip().split("\n\n")]
+        header = chunks[0].split("\n")
+        m = int(header[0])
+        rows = header[1:]
+        mats = []
+        first = [list(map(int, r.split())) for r in rows]
+        mats.append(np.array(first, dtype=np.int64))
+        for chunk in chunks[1:]:
+            mats.append(
+                np.array([list(map(int, r.split())) for r in chunk.split("\n")], dtype=np.int64)
+            )
+        if mults is None:
+            mults = ()
+        return CliffordRep(p, q, tuple(mults), tuple(mats), m)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed module text: {exc}") from exc

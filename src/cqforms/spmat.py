@@ -34,24 +34,29 @@ def kron_word(word: str) -> np.ndarray:
 
 
 def is_signed_permutation(mat: np.ndarray) -> bool:
+    """Is ``mat``, or every matrix of a stack of shape (..., m, m), a signed
+    permutation?"""
     a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         return False
     absa = np.abs(a)
     return (
         bool(np.all((a == 0) | (a == 1) | (a == -1)))
-        and bool(np.all(absa.sum(axis=0) == 1))
-        and bool(np.all(absa.sum(axis=1) == 1))
+        and bool(np.all(absa.sum(axis=-2) == 1))
+        and bool(np.all(absa.sum(axis=-1) == 1))
     )
 
 
 def perm_sign_of(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose a signed permutation ``S`` as ``S e_a = sign[a] e_perm[a]``."""
+    """Decompose a signed permutation ``S`` as ``S e_a = sign[a] e_perm[a]``.
+
+    A stack of shape (..., m, m) gives ``perm`` and ``sign`` of shape (..., m).
+    """
     a = np.asarray(mat, dtype=np.int64)
     if not is_signed_permutation(a):
         raise ValueError("matrix is not a signed permutation")
-    perm = np.abs(a).argmax(axis=0)
-    sign = a[perm, np.arange(a.shape[0])]
+    perm = np.abs(a).argmax(axis=-2)
+    sign = np.take_along_axis(a, perm[..., None, :], axis=-2)[..., 0, :]
     return perm, sign
 
 

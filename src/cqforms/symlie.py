@@ -25,7 +25,7 @@ import numpy as np
 from .quartic import expected_degenerate, is_pure
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import stream
-from .spmat import SectorDecomposition, perm_sign_of, rational_nullspace
+from .spmat import SectorDecomposition, rational_nullspace
 
 
 class UnstableDimensionError(RuntimeError):
@@ -54,63 +54,31 @@ class KernelReport:
 
 def _h_generators(rep: CliffordRep):
     """X -> -S_i X^T S_i as signed permutations of matrix-entry indices."""
-    m = rep.m
-    perms = np.empty((rep.n, m * m), dtype=np.int64)
-    signs = np.empty((rep.n, m * m), dtype=np.int64)
-    a_idx, b_idx = np.divmod(np.arange(m * m), m)
-    for i, s in enumerate(rep.basis):
-        perm, sign = perm_sign_of(s)
-        perms[i] = perm[b_idx] * m + perm[a_idx]
-        signs[i] = -sign[a_idx] * sign[b_idx]
+    a_idx, b_idx = np.divmod(np.arange(rep.m * rep.m), rep.m)
+    perms = rep.perm[:, b_idx] * rep.m + rep.perm[:, a_idx]
+    signs = -rep.sign[:, a_idx] * rep.sign[:, b_idx]
     return perms, signs
 
 
-def h_kernel(rep: CliffordRep, mode: str = "exact") -> KernelReport:
+def h_kernel(rep: CliffordRep) -> KernelReport:
     """Common solution space of the n orthogonality constraints.
 
-    Exact mode decomposes the constraints into signed orbits of matrix
-    entries; the basis consists of {-1, 0, 1} matrices and satisfies the
-    constraints identically.
+    The constraints are decomposed into signed orbits of matrix entries; the
+    basis consists of {-1, 0, 1} matrices and satisfies the constraints
+    identically.
     """
     m = rep.m
-    if mode == "exact":
-        if m > 32:
-            raise ExactBudgetError("exact h refused for m > 32; use mode='float'")
-        perms, signs = _h_generators(rep)
-        dec = SectorDecomposition(perms, signs)
-        basis = []
-        for vec in dec.fixed_space():
-            x = np.zeros((m, m), dtype=np.int64)
-            for u, s in vec.items():
-                x[u // m, u % m] = s
-            basis.append(x)
-        for x in basis:  # exactness guarantee
-            for s in rep.basis:
-                assert not np.any(x.T @ s + s @ x)
-        return KernelReport(len(basis), basis, "exact", 0.0)
-    if mode != "float":
-        raise InvalidInputError("mode must be 'exact' or 'float'")
-    rows = np.zeros((rep.n * m * m, m * m))
-    for i, s in enumerate(rep.basis):
-        rows[i * m * m : (i + 1) * m * m] = _orth_constraint_block(s.astype(float))
-    sv = np.linalg.svd(rows, compute_uv=False)
-    tol = FLOAT_RANK_TOL * (sv[0] if len(sv) else 1.0)
-    rank = int((sv > tol).sum())
-    return KernelReport(m * m - rank, None, "float-svd", float(sv[-1] if len(sv) else 0.0))
-
-
-def _orth_constraint_block(s: np.ndarray) -> np.ndarray:
-    """Rows of the linear map X -> X^T S + S X on vec(X) (row-major).
-
-    With K the commutation matrix (vec(X^T) = K vec(X)), the map is
-    (I (x) S^T) K + (S (x) I).
-    """
-    m = s.shape[0]
-    eye = np.eye(m)
-    k = np.zeros((m * m, m * m))
-    a_idx, b_idx = np.divmod(np.arange(m * m), m)
-    k[np.arange(m * m), b_idx * m + a_idx] = 1.0
-    return np.kron(eye, s.T) @ k + np.kron(s, eye)
+    dec = SectorDecomposition(*_h_generators(rep))
+    basis = []
+    for vec in dec.fixed_space():
+        x = np.zeros((m, m), dtype=np.int64)
+        for u, s in vec.items():
+            x[u // m, u % m] = s
+        basis.append(x)
+    for x in basis:  # exactness guarantee
+        for s in rep.basis:
+            assert not np.any(x.T @ s + s @ x)
+    return KernelReport(len(basis), basis, "exact", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,34 +88,24 @@ def _orth_constraint_block(s: np.ndarray) -> np.ndarray:
 
 def _g_generators(rep: CliffordRep):
     """X -> S_j X S_j as signed permutations of matrix-entry indices."""
-    m = rep.m
-    perms = np.empty((rep.n, m * m), dtype=np.int64)
-    signs = np.empty((rep.n, m * m), dtype=np.int64)
-    a_idx, b_idx = np.divmod(np.arange(m * m), m)
-    for j, s in enumerate(rep.basis):
-        perm, sign = perm_sign_of(s)
-        perms[j] = perm[a_idx] * m + perm[b_idx]
-        signs[j] = sign[a_idx] * sign[b_idx]
+    a_idx, b_idx = np.divmod(np.arange(rep.m * rep.m), rep.m)
+    perms = rep.perm[:, a_idx] * rep.m + rep.perm[:, b_idx]
+    signs = rep.sign[:, a_idx] * rep.sign[:, b_idx]
     return perms, signs
 
 
 def _sample_w(rep: CliffordRep, seed: int, batch: int, count: int) -> np.ndarray:
+    """``count`` integer sample points as the columns of an (m, count) array."""
     gen = stream(seed, batch)
-    return gen.integers(-9, 10, size=(count, rep.m))
+    return np.ascontiguousarray(gen.integers(-9, 10, size=(count, rep.m)).T)
 
 
 def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
     """One row per sample w: entries grad_a(w) w_b on unknown X_ab."""
-    m = rep.m
-    n = rep.n
-    ws = w.astype(np.int64)
-    grad = np.zeros_like(ws)
-    for eps, s in zip(rep.eps, rep.basis):
-        sw = ws @ s.T
-        si = (ws * sw).sum(axis=1)
-        grad += eps * si[:, None] * sw
-    rows = grad[:, :, None] * ws[:, None, :]
-    return rows.reshape(w.shape[0], m * m)
+    # the (n, m, count) images are freed before the (count, m^2) rows exist
+    grad = sum(e * v * img for e, v, img in zip(rep.eps, *rep.forms(w, images=True)))
+    rows = grad.T[:, :, None] * w.T[:, None, :]
+    return rows.reshape(w.shape[1], rep.m * rep.m)
 
 
 def _sector_nullity(a_int: np.ndarray, sectors, mode: str):
@@ -227,19 +185,20 @@ def g_kernel_dim(
 
 
 def g_contains(rep: CliffordRep, x: np.ndarray, trials: int = 24, seed: int = 11) -> bool:
-    """Exact membership test of an integer matrix in g (sampled identity)."""
+    """Exact membership test of an integer matrix in g (sampled identity).
+
+    At each sample w, sum_i eps_i S_i[w] 2 (S_i w) . (X w) must vanish.
+    """
     gen = stream(seed, 3)
-    for w in gen.integers(-9, 10, size=(trials, rep.m)):
-        w = [int(c) for c in w]
-        xw = [sum(int(x[a, b]) * w[b] for b in range(rep.m)) for a in range(rep.m)]
-        total = 0
-        for eps, s in zip(rep.eps, rep.basis):
-            sw = [sum(int(s[a, b]) * w[b] for b in range(rep.m)) for a in range(rep.m)]
-            si = sum(a * b for a, b in zip(w, sw))
-            total += eps * si * 2 * sum(a * b for a, b in zip(sw, xw))
-        if total != 0:
-            return False
-    return True
+    w = gen.integers(-9, 10, size=(trials, rep.m)).T
+    vals, images = rep.forms(w, images=True)
+    x = np.asarray(x)
+    # |total| <= 2 n (m 9^2)(m 9)(m 9 max|X|); beyond int64 use Python ints
+    if x.dtype == object or 2 * rep.n * rep.m**3 * 9**4 * int(np.abs(x).max()) >= 2**63:
+        x, w, vals = x.astype(object), w.astype(object), vals.astype(object)
+    dots = (images * (x @ w)).sum(axis=1)
+    total = (np.array(rep.eps)[:, None] * vals * 2 * dots).sum(axis=0)
+    return not np.any(total)
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +207,32 @@ def g_contains(rep: CliffordRep, x: np.ndarray, trials: int = 24, seed: int = 11
 
 
 def _sharp_generators(rep: CliffordRep):
-    """(X_1..X_n) -> (c_ij S_j X_i S_j) on symmetric-pair unknowns."""
+    """(X_1..X_n) -> (c_ij S_j X_i S_j) on symmetric-pair unknowns.
+
+    Unknown i * npairs + t is entry (pa[t], pb[t]), pa <= pb, of X_i.
+    """
     m, n = rep.m, rep.n
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    pair_index = {ab: t for t, ab in enumerate(pairs)}
-    npairs = len(pairs)
-    nunk = n * npairs
-    perms = np.empty((n, nunk), dtype=np.int64)
-    signs = np.empty((n, nunk), dtype=np.int64)
-    for j, s in enumerate(rep.basis):
-        perm, sign = perm_sign_of(s)
-        for i in range(n):
-            cij = 1 if i == j else -rep.eps[i] * rep.eps[j]
-            for t, (a, b) in enumerate(pairs):
-                ra, rb = int(perm[a]), int(perm[b])
-                key = (ra, rb) if ra <= rb else (rb, ra)
-                perms[j, i * npairs + t] = i * npairs + pair_index[key]
-                signs[j, i * npairs + t] = cij * int(sign[a]) * int(sign[b])
-    return perms, signs, pairs
+    pa, pb = np.triu_indices(m)
+    npairs = len(pa)
+    pair_index = np.empty((m, m), dtype=np.int64)
+    pair_index[pa, pb] = pair_index[pb, pa] = np.arange(npairs)
+    eps = np.array(rep.eps)
+    cij = -np.outer(eps, eps)
+    np.fill_diagonal(cij, 1)
+    target = pair_index[rep.perm[:, pa], rep.perm[:, pb]]
+    pair_sign = rep.sign[:, pa] * rep.sign[:, pb]
+    perms = np.arange(n)[None, :, None] * npairs + target[:, None, :]
+    signs = cij[:, :, None] * pair_sign[:, None, :]
+    return perms.reshape(n, n * npairs), signs.reshape(n, n * npairs), (pa, pb)
 
 
 def _sharp_constraint_matrix(rep: CliffordRep, w: np.ndarray, pairs) -> np.ndarray:
     """Rows of sum_i S_i[w] X_i[w] = 0 on the (i, pair) unknowns."""
-    ws = w.astype(np.int64)
-    count = w.shape[0]
-    q = np.empty((count, rep.n), dtype=np.int64)
-    for i, s in enumerate(rep.basis):
-        q[:, i] = (ws * (ws @ s.T)).sum(axis=1)
-    pa = np.array([a for a, b in pairs])
-    pb = np.array([b for a, b in pairs])
-    mults = np.where(pa == pb, 1, 2)
-    pairvals = ws[:, pa] * ws[:, pb] * mults
-    rows = q[:, :, None] * pairvals[:, None, :]
-    return rows.reshape(count, rep.n * len(pairs))
+    pa, pb = pairs
+    count = w.shape[1]
+    pairvals = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
+    rows = rep.forms(w).T[:, :, None] * pairvals.T[:, None, :]
+    return rows.reshape(count, rep.n * len(pa))
 
 
 def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
@@ -295,7 +247,7 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 
 
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
-    m, n = rep.m, rep.n
+    n = rep.n
     perms, signs, pairs = _sharp_generators(rep)
     sectors = list(SectorDecomposition(perms, signs).sectors().items())
     max_dim = max(len(cols) for _, cols in sectors)
@@ -348,10 +300,6 @@ def expected_sharp(p: int, q: int, mults) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _alg(name: str, dim: int) -> tuple[str, int]:
-    return name, dim
-
-
 def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
     """Name and real dimension of h from the structure table."""
     cat = irrep_catalog(p, q)
@@ -360,43 +308,35 @@ def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
     if shape == "(T,T')":
         (k,) = ks
         return {
-            ("R", "C"): _alg(f"so({k},C)", k * (k - 1)),
-            ("C", "R"): _alg(f"sp({k},R)", k * (2 * k + 1)),
-            ("C", "H"): _alg(f"so*({2 * k})", k * (2 * k - 1)),
-            ("H", "C"): _alg(f"sp({k},C)", 2 * k * (2 * k + 1)),
+            ("R", "C"): (f"so({k},C)", k * (k - 1)),
+            ("C", "R"): (f"sp({k},R)", k * (2 * k + 1)),
+            ("C", "H"): (f"so*({2 * k})", k * (2 * k - 1)),
+            ("H", "C"): (f"sp({k},C)", 2 * k * (2 * k + 1)),
         }[(field, even)]
     if shape == "(T,2T')":
         (k,) = ks
         if field == "R":
-            return _alg(f"gl({k},R)", k * k)
-        return _alg(f"gl({k},H)", 4 * k * k)
+            return f"gl({k},R)", k * k
+        return f"gl({k},H)", 4 * k * k
     if shape == "(2T,T')":
         k1, k2 = ks
         kk = k1 + k2
         if field == "R":
-            return _alg(f"so({k1},{k2})", kk * (kk - 1) // 2)
+            return f"so({k1},{k2})", kk * (kk - 1) // 2
         if field == "C":
-            return _alg(f"u({k1},{k2})", kk * kk)
-        return _alg(f"sp({k1},{k2})", kk * (2 * kk + 1))
+            return f"u({k1},{k2})", kk * kk
+        return f"sp({k1},{k2})", kk * (2 * kk + 1)
     if shape == "(2T,2T')":
         k1, k2 = ks
         if even == "R":
-            return _alg(
-                f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
-            )
-        return _alg(
-            f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
-        )
+            return f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
+        return f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
     k1, k2, k3, k4 = ks
     if field == "R":
         ka, kb = k1 + k2, k3 + k4
-        return _alg(
-            f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
-        )
+        return f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
     ka, kb = k1 + k2, k3 + k4
-    return _alg(
-        f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
-    )
+    return f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
 
 
 def pure_over_c(p: int, q: int, mults) -> bool:

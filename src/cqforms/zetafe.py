@@ -28,7 +28,7 @@ import numpy as np
 from .quartic import expand_coeffs
 from .repkit import CliffordRep, InvalidInputError
 from .rng import MC_CHUNK, stream
-from .spmat import int_det, symmetric_signature
+from .spmat import int_det, sp_det
 
 
 class PoleError(ValueError):
@@ -142,13 +142,14 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     """
     if expand_coeffs(rep).is_zero:
         raise InvalidInputError("signature constants need a nondegenerate module")
-    comps = components(rep.p, rep.q)
     labels, sigs, gammas = [], [], []
-    for label, v in comps:
-        sv = sum(int(c) * s for c, s in zip(v, rep.basis))
-        plus, minus = symmetric_signature(sv.tolist())
-        if plus + minus != rep.m:
-            raise AssertionError("S(v) singular at a component representative")
+    for label, v in components(rep.p, rep.q):
+        # v = c e_i, so S(v) = c S_i is a symmetric signed-permutation
+        # involution; its eigenvalues are +-1 and its trace fixes the split
+        (i,) = np.flatnonzero(v)
+        fixed = rep.perm[i] == np.arange(rep.m)
+        trace = v[i] * int(rep.sign[i][fixed].sum())
+        plus, minus = (rep.m + trace) // 2, (rep.m - trace) // 2
         labels.append(label)
         sigs.append((plus, minus))
         gammas.append(eof(Fraction(plus - minus, 8)))
@@ -156,15 +157,9 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     for lab, got, want in zip(labels, gammas, expected):
         if want is not None and abs(got - want) > 1e-12:
             raise AssertionError(f"gamma mismatch on component {lab}: {got} vs {want}")
-    alpha = sp_sign_det(rep.basis[0])
+    alpha = sp_det(rep.basis[0])
     beta = (-1) ** (rep.q + 1)
     return SignatureConstants(labels, sigs, gammas, alpha, beta)
-
-
-def sp_sign_det(s: np.ndarray) -> int:
-    from .spmat import sp_det
-
-    return sp_det(s)
 
 
 def _closed_form_gammas(rep: CliffordRep, labels):
@@ -175,7 +170,7 @@ def _closed_form_gammas(rep: CliffordRep, labels):
     cat = irrep_catalog(p, q)
     out = []
     if (p, q) == (1, 0):
-        kp = sum(k for k, tw in zip(rep.mults, _e1_signs(cat)) if tw == 1) * cat.dim
+        kp = rep.mults[0] * cat.dim  # class 0 is the generator acting by +1
         km = m - kp
         for lab in labels:
             sgn = 1 if lab == "+" else -1
@@ -208,12 +203,6 @@ def _closed_form_gammas(rep: CliffordRep, labels):
                 out.append(eof(Fraction(sgn * d * (kp - km), 8)))
         return out
     return [1.0 for _ in labels]
-
-
-def _e1_signs(cat):
-    """Sign by which the single generator acts in each (1, 0) class."""
-    # classes of the rank-one algebra are the two sign characters
-    return (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +476,18 @@ def zeta_quadratic_closed(p: int, q: int, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _component_mask(rep: CliffordRep, w: np.ndarray, fvals: np.ndarray, component: str):
+def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, component: str):
+    """Samples in ``component``, from F and the (n, count) S_i[w] values."""
     if component == "+":
         return fvals > 0
     if component == "-":
         return fvals < 0
     if rep.q == 1 and component in ("-+", "--"):
-        s_last = rep.basis[rep.n - 1]
-        coord = ((w @ s_last.T) * w).sum(axis=1)
+        coord = qvals[rep.n - 1]
         mask = fvals < 0
         return mask & (coord > 0 if component == "-+" else coord < 0)
     if (rep.p, rep.q) == (1, 1):
-        s1 = rep.basis[0]
-        s2 = rep.basis[1]
-        c1 = ((w @ s1.T) * w).sum(axis=1)
-        c2 = ((w @ s2.T) * w).sum(axis=1)
+        c1, c2 = qvals[0], qvals[1]
         if component == "++":
             return (fvals > 0) & (c1 > 0)
         if component == "+-":
@@ -527,7 +513,6 @@ def zeta_quartic_mc(
     if s.real < 0:
         warnings.warn("Re(s) < 0: integrand unbounded near the zero set", RuntimeWarning)
     m = rep.m
-    basis_f = [b.astype(np.float64) for b in rep.basis]
     total = 0.0 + 0.0j
     total_sq = 0.0
     done = 0
@@ -536,13 +521,12 @@ def zeta_quartic_mc(
     while done < samples:
         count = min(MC_CHUNK, samples - done)
         gen = stream(seed, chunk_idx)
-        w = gen.standard_normal((count, m)) * scale
+        w = np.ascontiguousarray((gen.standard_normal((count, m)) * scale).T)
+        qvals = rep.forms(w)
         fvals = np.zeros(count)
-        for eps, b in zip(rep.eps, basis_f):
-            sw = w @ b.T
-            si = (w * sw).sum(axis=1)
-            fvals += eps * si * si
-        mask = _component_mask(rep, w, fvals, component)
+        for e, v in zip(rep.eps, qvals):
+            fvals += e * v * v
+        mask = _component_mask(rep, qvals, fvals, component)
         vals = np.zeros(count, dtype=complex)
         nz = mask & (fvals != 0)
         vals[nz] = np.exp(s * np.log(np.abs(fvals[nz])))

@@ -128,3 +128,34 @@ def test_usage_errors_exit_2(capsys):
     assert main(["nonsense"]) == 2
     assert main(["zeta", "gamma", "--p", "2", "--q", "1", "--m", "8",
                  "--s", "0.3", "--formula", "quartic"]) == 2  # excluded case
+
+
+_SQUARE = [[1, 0], [0, -1]]
+MALFORMED_FILES = {
+    "not-signed-permutation": json.dumps(
+        {"p": 2, "q": 0, "mults": [1], "m": 2, "basis": [_SQUARE, [[1, 1], [1, 0]]]}
+    ),
+    "too-few-matrices": json.dumps({"p": 2, "q": 0, "mults": [1], "m": 2, "basis": [_SQUARE]}),
+    "invalid-json": '{"p": 2, "q": 0, "basis": [',
+    "missing-basis": json.dumps({"p": 2, "q": 0, "mults": [1], "m": 2}),
+}
+MODULE_COMMANDS = [
+    ["rep", "verify"],
+    ["quartic", "eval", "--w", "1,2"],
+    ["sym", "h"],
+    ["sym", "g"],
+    ["zeta", "mc", "--component", "+", "--s", "1", "--samples", "100"],
+]
+
+
+@pytest.mark.parametrize("command", MODULE_COMMANDS, ids=lambda c: " ".join(c[:2]))
+@pytest.mark.parametrize("problem", sorted(MALFORMED_FILES))
+def test_malformed_module_file_exits_2(tmp_path, capsys, problem, command):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_FILES[problem])
+    argv = command[:2] + [str(path)] + command[2:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,9 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cqforms.quartic import quadratic_map
 from cqforms.repkit import (
+    CliffordRep,
     InvalidInputError,
     UnsupportedError,
     canonicalize,
@@ -20,7 +23,7 @@ from cqforms.repkit import (
     swap_pq,
     verify_relations,
 )
-from cqforms.spmat import is_signed_permutation
+from cqforms.spmat import is_signed_permutation, kron_word
 
 
 def assert_anticommuting_family(fam):
@@ -228,3 +231,114 @@ def test_unit_multiplicity_reps_verify_up_to_rank_12():
                 rep = rep_build(p, q, mults)
                 assert rep.m == cat.dim
                 assert verify_relations(rep).ok, (p, q, mults)
+
+
+# ---------------------------------------------------------------------------
+# The S_i[w] kernel against a dense Python-number oracle
+# ---------------------------------------------------------------------------
+
+
+def _dense_form(s, w):
+    """w^T S w by a dense double loop over Python numbers."""
+    m = len(w)
+    return sum(w[a] * int(s[a, b]) * w[b] for a in range(m) for b in range(m))
+
+
+def _dense_image(s, w):
+    return [sum(int(s[a, b]) * w[b] for b in range(len(w))) for a in range(len(w))]
+
+
+def _columns(w):
+    return [list(col) for col in w.T.tolist()]
+
+
+def test_forms_int64_branch():
+    rep = rep_build(5, 2, (0, 1))
+    w = np.random.default_rng(1).integers(-50, 51, size=(rep.m, 40))
+    vals, images = rep.forms(w, images=True)
+    assert vals.dtype == np.int64 and images.dtype == np.int64
+    for i, s in enumerate(rep.basis):
+        for k, col in enumerate(_columns(w)):
+            assert vals[i, k] == _dense_form(s, col)
+            assert images[i, :, k].tolist() == _dense_image(s, col)
+
+
+def test_forms_object_branch_where_int64_would_wrap():
+    # entries of 2^31 at m = 32: m max|w|^2 = 2^67, so int64 would wrap
+    rep = rep_build(1, 0, (32, 0))  # S_1 = identity, S_1[w] = |w|^2
+    rep62 = rep_build(6, 2, (1,))
+    signs = np.random.default_rng(2).choice([-1, 1], size=(32, 6))
+    w = (signs * 2**31).astype(object)
+    w[:, 0] = 2**31
+    for r in (rep, rep62):
+        vals = r.forms(w)
+        assert vals.dtype == object
+        want = [[_dense_form(s, col) for col in _columns(w)] for s in r.basis]
+        assert vals.tolist() == want
+    assert rep.forms(w)[0, 0] == 32 * 2**62 >= 2**63
+
+
+def test_quadratic_map_fraction_input():
+    rep = rep_build(3, 2, (1,))
+    w = [Fraction(k - 3, k + 2) for k in range(rep.m)]
+    got = quadratic_map(rep, w)
+    assert got == [_dense_form(s, w) for s in rep.basis]
+    assert all(isinstance(v, Fraction) for v in got)
+
+
+def test_forms_float_branch():
+    rep = rep_build(6, 2, (1,))
+    w = np.random.default_rng(3).standard_normal((rep.m, 12))
+    vals = rep.forms(w)
+    assert vals.dtype == np.float64
+    for i, s in enumerate(rep.basis):
+        for k, col in enumerate(_columns(w)):
+            want = float(_dense_form(s, [Fraction(x) for x in col]))
+            assert abs(vals[i, k] - want) <= 1e-12 * max(1.0, abs(want))
+        _assert_row_sum_rounding(rep, w)
+
+
+def _assert_row_sum_rounding(rep, w):
+    # float sums round exactly as the row sums of the (count, m) layout do
+    wc = np.ascontiguousarray(w.T)
+    for s, vals in zip(rep.basis, rep.forms(w)):
+        assert np.array_equal(vals, (wc * (wc @ s.T.astype(float))).sum(axis=1))
+
+
+def test_forms_float_rounding_beyond_128_coordinates():
+    s = kron_word("XZ1XZX1Z")  # a symmetric signed-permutation involution
+    rep = CliffordRep(1, 0, (), (s,), 256)
+    _assert_row_sum_rounding(rep, np.random.default_rng(5).standard_normal((256, 64)))
+
+
+def test_forms_scatter_on_non_symmetric_signed_permutation():
+    rng = np.random.default_rng(4)
+    m = 12
+    s = np.zeros((m, m), dtype=np.int64)
+    s[rng.permutation(m), np.arange(m)] = rng.choice([-1, 1], size=m)
+    assert not np.array_equal(s, s.T)
+    rep = CliffordRep(1, 0, (), (s,), m)
+    w = rng.integers(-9, 10, size=(m, 7))
+    vals, images = rep.forms(w, images=True)
+    assert np.array_equal(images[0], s @ w)
+    assert vals[0].tolist() == [_dense_form(s, col) for col in _columns(w)]
+
+
+@pytest.mark.parametrize(
+    "basis, m",
+    [
+        ((np.eye(2, dtype=np.int64),), 2),  # fewer than p + q matrices
+        ((np.eye(2, dtype=np.int64), np.ones((2, 2), dtype=np.int64)), 2),
+        ((np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)), 2),
+    ],
+)
+def test_clifford_rep_rejects_malformed_basis(basis, m):
+    with pytest.raises(InvalidInputError):
+        CliffordRep(2, 0, (1,), basis, m)
+
+
+def test_rep_from_text_rejects_malformed_text():
+    with pytest.raises(InvalidInputError):
+        rep_from_text("2\n1 0\n0 x\n", 1, 0)
+    with pytest.raises(InvalidInputError):
+        rep_from_text("2\n1 0\n0 1\n", 2, 0)

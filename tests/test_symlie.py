@@ -33,19 +33,39 @@ def test_h_kernel_matches_table(pq, mults, dim, name):
             assert not np.any(x.T @ s + s @ x)
 
 
+def _h_dim_float(rep):
+    """Float oracle for dim h: SVD rank of the dense m^2 x m^2 system
+    X -> X^T S_i + S_i X, i.e. (I (x) S^T) K + (S (x) I) with K the
+    commutation matrix.  Practical for m <= 16 only."""
+    m = rep.m
+    eye = np.eye(m)
+    k = np.zeros((m * m, m * m))
+    a_idx, b_idx = np.divmod(np.arange(m * m), m)
+    k[np.arange(m * m), b_idx * m + a_idx] = 1.0
+    rows = np.vstack(
+        [np.kron(eye, s.T.astype(float)) @ k + np.kron(s.astype(float), eye) for s in rep.basis]
+    )
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return m * m - int((sv > SY.FLOAT_RANK_TOL * sv[0]).sum())
+
+
 def test_h_float_agrees_with_exact():
-    rep = rep_build(3, 2, (2,))
-    exact = SY.h_kernel(rep, mode="exact")
-    flt = SY.h_kernel(rep, mode="float")
-    assert exact.dimension == flt.dimension
-    assert flt.method == "float-svd"
+    for pq, mults in [((3, 2), (2,)), ((5, 1), (1, 0, 0, 0)), ((2, 2), (2,))]:
+        rep = rep_build(*pq, mults)
+        assert rep.m <= 16
+        assert SY.h_kernel(rep).dimension == _h_dim_float(rep)
 
 
 def test_h_exact_budget_error():
-    rep = rep_build(10, 1, (1, 0))
-    (SY.h_kernel(rep, mode="exact"))  # m = 32 allowed
+    # exact h has no size cap: m = 64 runs and matches the structure table
+    rep = rep_build(10, 1, (2, 0))
+    assert rep.m == 64
+    report = SY.h_kernel(rep)
+    assert report.method == "exact"
+    assert report.dimension == SY.predict(10, 1, (2, 0)).h_dim
+    # exact g is still refused above m = 16
     with pytest.raises(SY.ExactBudgetError):
-        SY.g_kernel_dim(rep, mode="exact")
+        SY.g_kernel_dim(rep_build(10, 1, (1, 0)), mode="exact")
 
 
 G_CASES = [

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from cqforms import zetafe as Z
+from cqforms.quartic import expected_degenerate
 from cqforms.repkit import rep_build
 from cqforms.rng import complex_s_samples
+from cqforms.spmat import symmetric_signature
+from cqforms.suite import enumerate_cases
 
 
 # ---------------------------------------------------------------------- gamma
@@ -75,6 +78,22 @@ def test_gamma_constants_lorentz_case():
     assert abs(c.gamma_by_label("+") - 1) < 1e-12
     assert abs(c.gamma_by_label("-+") - 1j) < 1e-12
     assert abs(c.gamma_by_label("--") + 1j) < 1e-12
+
+
+def test_gamma_signatures_match_exact_elimination():
+    # the trace shortcut against Fraction elimination on S(v) itself
+    checked = 0
+    for p, q, mults in enumerate_cases(max_pq=6, max_m=16):
+        if expected_degenerate(p, q, mults):
+            continue
+        rep = rep_build(p, q, mults)
+        want = [
+            symmetric_signature(sum(c * s for c, s in zip(v, rep.basis)).tolist())
+            for _, v in Z.components(p, q)
+        ]
+        assert Z.gamma_constants(rep).signatures == want, (p, q, mults)
+        checked += len(want)
+    assert checked > 100
 
 
 def test_gamma_constants_reject_degenerate():
