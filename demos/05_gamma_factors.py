@@ -48,7 +48,7 @@ print(f"quadratic gamma matrix at s = {s} (labels {gq2.labels}):")
 print(np.array_str(gq2.values, precision=4))
 
 closed = gamma_quartic(3, 2, 16, s)
-pulled = gamma_pullback(rep32, s)
+pulled = gamma_pullback(consts, s)
 print(f"\nclosed quartic gamma at s = {s}:")
 print(np.array_str(closed.values, precision=6))
 rel = np.max(np.abs(closed.values - pulled.values)) / np.max(np.abs(closed.values))

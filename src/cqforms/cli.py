@@ -313,7 +313,7 @@ def cmd_zeta_gamma(args) -> int:
         g = Z.gamma_quartic(args.p, args.q, args.m, s)
     else:
         mults = args.mult or _default_mults(args.p, args.q, args.m)
-        g = Z.gamma_pullback(rep_build(args.p, args.q, mults), s)
+        g = Z.gamma_pullback(Z.gamma_constants(rep_build(args.p, args.q, mults)), s)
     _emit(_gamma_payload(g) | {"s": s}, args)
     return 0
 
@@ -338,7 +338,7 @@ def cmd_zeta_pullback(args) -> int:
     s = _parse_complex(args.s)
     rep = rep_build(args.p, args.q, args.mult)
     gq = Z.gamma_quartic(args.p, args.q, rep.m, s)
-    gp = Z.gamma_pullback(rep, s)
+    gp = Z.gamma_pullback(Z.gamma_constants(rep), s)
     scale = float(np.max(np.abs(gq.values)))
     err = float(np.max(np.abs(gq.values - gp.values))) / scale
     ok = err < args.tol

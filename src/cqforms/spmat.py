@@ -294,13 +294,18 @@ class SectorDecomposition:
         characters an orbit admits equals the orbit length, so columns over
         all sectors sum to the total dimension.
         """
+        # par[x] is the parity of the bitmask x, for every x < 2^r
+        par = np.zeros(1, dtype=np.int64)
+        for _ in range(self.r):
+            par = np.concatenate([par, par ^ 1])
         sector_cols: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         total = 0
         for word, stab in self._orbits:
             # Solve chi . mask = b over F2.  pivots[bit] = (mask, b) with
-            # `bit` the lowest set bit of mask and masks fully reduced.
+            # `bit` the lowest set bit of mask and masks fully reduced, so a
+            # pivot mask holds no other pivot bit.
             pivots: dict[int, tuple[int, int]] = {}
-            for mask, s in stab:
+            for mask, s in dict.fromkeys(stab):  # a repeat reduces to 0 = 0
                 b = 0 if s == 1 else 1
                 m = mask
                 for bit, (pm, pb) in pivots.items():
@@ -318,38 +323,25 @@ class SectorDecomposition:
                         pivots[bit] = (pm ^ m, pb ^ b)
                 pivots[low] = (m, b)
             free = [j for j in range(self.r) if j not in pivots]
+            # every admissible character: free bits counted up by t, each
+            # pivot bit fixed by the free bits of its relation
+            t = np.arange(1 << len(free), dtype=np.int64)
+            chi = np.zeros_like(t)
+            for k, j in enumerate(free):
+                chi |= (t >> k & 1) << j
+            for bit, (pm, pb) in pivots.items():
+                chi |= (pb ^ par[pm & ~(1 << bit) & chi]) << bit
             items = list(word.items())
             umask = np.array([u for u, _ in items], dtype=np.int64)
             wmask = np.array([w for _, (w, _) in items], dtype=np.int64)
             wsign = np.array([s for _, (_, s) in items], dtype=np.int64)
-            for t in range(1 << len(free)):
-                chi = 0
-                for k, j in enumerate(free):
-                    if t >> k & 1:
-                        chi |= 1 << j
-                for bit, (pm, pb) in pivots.items():
-                    val = pb ^ _parity(pm & ~(1 << bit) & chi)
-                    if val:
-                        chi |= 1 << bit
-                coefs = wsign * (1 - 2 * _parity_vec(wmask & chi))
-                sector_cols.setdefault(chi, []).append((umask, coefs))
-                total += 1
+            coefs = wsign * (1 - 2 * par[wmask[None, :] & chi[:, None]])
+            for c, row in zip(chi.tolist(), coefs):
+                sector_cols.setdefault(c, []).append((umask, row))
+            total += len(chi)
         if total != self.n:
             raise AssertionError("sector dimensions do not sum to the space")
         return sector_cols
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
-def _parity_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    x = x.copy()
-    while np.any(x):
-        out ^= x & 1
-        x >>= 1
-    return out
 
 
 def rational_nullspace(rows: Sequence[Sequence], ncols: int):

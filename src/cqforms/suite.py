@@ -159,7 +159,7 @@ def check_gamma_consistency(p, q, mults, seed=0, count=20, tol=1e-10) -> tuple[b
     worst = 0.0
     for s in complex_s_samples(seed + 53, count):
         gq = Z.gamma_quartic(p, q, rep.m, s)
-        gp = Z.gamma_pullback(rep, s)
+        gp = Z.gamma_pullback(consts, s)
         scale = np.max(np.abs(gq.values))
         worst = max(worst, float(np.max(np.abs(gq.values - gp.values)) / scale))
     if worst >= tol:
@@ -236,7 +236,7 @@ def run_suite(
             if name == "gamma" and not gamma_applicable(p, q, mults):
                 continue
             fn = CHECKS[name]
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 if name in _SEEDED:
                     ok, detail = fn(p, q, mults, seed=seed)
@@ -244,6 +244,6 @@ def run_suite(
                     ok, detail = fn(p, q, mults)
             except Exception as exc:  # a crash is a failure, not an abort
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
-            rows.append(SuiteRow(cid, name, ok, time.time() - t0, detail))
+            rows.append(SuiteRow(cid, name, ok, time.perf_counter() - t0, detail))
     rows.sort(key=lambda r: (r.case, r.check))
     return rows

@@ -108,28 +108,43 @@ def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
     return rows.reshape(w.shape[1], rep.m * rep.m)
 
 
-def _sector_nullity(a_int: np.ndarray, sectors, mode: str):
+def _sector_gathers(sectors):
+    """Each sector's columns as one gather: (chi, cols, idx, coef, starts),
+    with ``idx``/``coef`` the columns' indices and coefficients concatenated
+    and ``starts`` the offset of each column in them."""
+    out = []
+    for chi, cols in sectors:
+        sizes = [len(idxs) for idxs, _ in cols]
+        starts = np.cumsum([0] + sizes[:-1])
+        idx = np.concatenate([idxs for idxs, _ in cols])
+        coef = np.concatenate([coefs for _, coefs in cols])
+        out.append((chi, cols, idx, coef, starts))
+    return out
+
+
+def _sector_matrix(a_int: np.ndarray, idx, coef, starts) -> np.ndarray:
+    """The sampled system restricted to one sector, column j being
+    ``a_int[:, idxs_j] @ coefs_j``; integer sums, so exact."""
+    return np.add.reduceat(a_int[:, idx] * coef, starts, axis=1)
+
+
+def _sector_nullity(a_int: np.ndarray, gathers, mode: str):
     """Total kernel dimension of the sampled system, sector by sector."""
     total = 0
     residual = 0.0
     per_sector = []
     basis_cols = []
-    af = a_int.astype(float)
     scale = max(1.0, float(np.abs(a_int).max(initial=0)))
-    for chi, cols in sectors:
-        mat = np.stack(
-            [af[:, idxs] @ coefs.astype(float) for idxs, coefs in cols], axis=1
-        )
+    for chi, cols, idx, coef, starts in gathers:
+        mat = _sector_matrix(a_int, idx, coef, starts)
         dim = len(cols)
         if mode == "exact":
-            amat = np.stack(
-                [a_int[:, idxs] @ coefs for idxs, coefs in cols], axis=1
-            )
-            null = rational_nullspace(amat.tolist(), dim)
+            null = rational_nullspace(mat.tolist(), dim)
             nullity = len(null)
             basis_cols.append((chi, cols, null))
         else:
-            sv = np.linalg.svd(mat, compute_uv=False)
+            # entries are integers far below 2^53: the float copy is exact
+            sv = np.linalg.svd(mat.astype(float), compute_uv=False)
             smax = sv[0] if len(sv) else 0.0
             nullity = int((sv <= FLOAT_RANK_TOL * max(smax, 1.0)).sum()) + max(
                 0, dim - len(sv)
@@ -158,12 +173,12 @@ def g_kernel_dim(
     if mode == "exact" and m > 16:
         raise ExactBudgetError("exact g refused for m > 16; use mode='float'")
     perms, signs = _g_generators(rep)
-    sectors = list(SectorDecomposition(perms, signs).sectors().items())
+    gathers = _sector_gathers(SectorDecomposition(perms, signs).sectors().items())
     results = []
     for batch in (1, 2):
         w = _sample_w(rep, seed, batch, samples)
         a = _g_constraint_matrix(rep, w)
-        results.append(_sector_nullity(a, sectors, mode))
+        results.append(_sector_nullity(a, gathers, mode))
     if results[0][:2] != results[1][:2]:
         raise UnstableDimensionError(
             f"g dimension unstable: {results[0][0]} vs {results[1][0]}"
@@ -249,14 +264,14 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     n = rep.n
     perms, signs, pairs = _sharp_generators(rep)
-    sectors = list(SectorDecomposition(perms, signs).sectors().items())
-    max_dim = max(len(cols) for _, cols in sectors)
+    gathers = _sector_gathers(SectorDecomposition(perms, signs).sectors().items())
+    max_dim = max(len(cols) for _, cols, *_ in gathers)
     count = max_dim + 64
     dims = []
     for batch in (1, 2):
         w = _sample_w(rep, seed, 10 + batch, count)
         a = _sharp_constraint_matrix(rep, w, pairs)
-        total, per_sector, _, _ = _sector_nullity(a, sectors, "float")
+        total, per_sector, _, _ = _sector_nullity(a, gathers, "float")
         dims.append((total, per_sector))
     if dims[0] != dims[1]:
         raise UnstableDimensionError(f"sharp dimension unstable: {dims[0][0]} vs {dims[1][0]}")

@@ -129,6 +129,9 @@ class SignatureConstants:
     gammas: list[complex]
     alpha: int
     beta: int
+    p: int
+    q: int
+    m: int
 
     def gamma_by_label(self, label: str) -> complex:
         return self.gammas[self.labels.index(label)]
@@ -159,7 +162,7 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
             raise AssertionError(f"gamma mismatch on component {lab}: {got} vs {want}")
     alpha = sp_det(rep.basis[0])
     beta = (-1) ** (rep.q + 1)
-    return SignatureConstants(labels, sigs, gammas, alpha, beta)
+    return SignatureConstants(labels, sigs, gammas, alpha, beta, rep.p, rep.q, rep.m)
 
 
 def _closed_form_gammas(rep: CliffordRep, labels):
@@ -323,18 +326,19 @@ def gamma_quartic(p: int, q: int, m: int, s: complex) -> GammaMatrix:
     return GammaMatrix(["+", "-"], pref * sin(cmath.pi * s) * mat, "quartic-closed")
 
 
-def gamma_pullback(rep: CliffordRep, s: complex) -> GammaMatrix:
+def gamma_pullback(consts: SignatureConstants, s: complex) -> GammaMatrix:
     """Gamma matrix of the quartic from the composition formula.
 
     Twisted product of two quadratic gamma matrices at s and s+(m-2n)/4,
     with the component-wise eighth-root constants and the power of two
     2^{4s + m/2} in front.  For the Lorentz line and the definite line the
     pullback is assembled from the lumped quadratic matrices and is flagged
-    unvalidated (no closed form covers those cases).
+    unvalidated (no closed form covers those cases).  ``consts`` is
+    ``gamma_constants(rep)`` of the module.
     """
     s = complex(s)
-    p, q, m, n = rep.p, rep.q, rep.m, rep.n
-    consts = gamma_constants(rep)
+    p, q, m = consts.p, consts.q, consts.m
+    n = p + q
     g1 = gamma_quadratic(p, q, s)
     g2 = gamma_quadratic(p, q, s + (m - 2 * n) / 4)
     labels = g1.labels
@@ -509,6 +513,8 @@ def zeta_quartic_mc(
     always uses the stream keyed (seed, c), so totals do not depend on how
     chunks are scheduled.
     """
+    if samples < 1:
+        raise InvalidInputError("need at least one sample")
     s = complex(s)
     if s.real < 0:
         warnings.warn("Re(s) < 0: integrand unbounded near the zero set", RuntimeWarning)

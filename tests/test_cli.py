@@ -159,3 +159,14 @@ def test_malformed_module_file_exits_2(tmp_path, capsys, problem, command):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_zeta_mc_non_positive_samples_exits_2(capsys, samples):
+    argv = ["zeta", "mc", "--p", "3", "--q", "0", "--mult", "1", "--samples", samples,
+            "--component", "+", "--s", "0.3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqforms import symlie as SY
+from cqforms.repkit import rep_build
 from cqforms.spmat import (
     SectorDecomposition,
     int_det,
@@ -14,6 +16,7 @@ from cqforms.spmat import (
     sp_det,
     symmetric_signature,
 )
+from cqforms.suite import enumerate_cases
 
 
 def random_signed_perm(rng, n):
@@ -131,3 +134,79 @@ def test_rational_nullspace_small():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
+
+
+def _sectors_bit_loop(dec):
+    """Reference copy of the per-character, per-bit sector construction:
+    characters built one at a time, parities by a Python bit loop."""
+
+    def parity(x):
+        return bin(x).count("1") & 1
+
+    def parity_vec(x):
+        out = np.zeros_like(x)
+        x = x.copy()
+        while np.any(x):
+            out ^= x & 1
+            x >>= 1
+        return out
+
+    sector_cols = {}
+    for word, stab in dec._orbits:
+        pivots = {}
+        for mask, s in stab:
+            b = 0 if s == 1 else 1
+            m = mask
+            for bit, (pm, pb) in pivots.items():
+                if m >> bit & 1:
+                    m ^= pm
+                    b ^= pb
+            if m == 0:
+                assert b == 0
+                continue
+            low = (m & -m).bit_length() - 1
+            for bit in list(pivots):
+                pm, pb = pivots[bit]
+                if pm >> low & 1:
+                    pivots[bit] = (pm ^ m, pb ^ b)
+            pivots[low] = (m, b)
+        free = [j for j in range(dec.r) if j not in pivots]
+        items = list(word.items())
+        umask = np.array([u for u, _ in items], dtype=np.int64)
+        wmask = np.array([w for _, (w, _) in items], dtype=np.int64)
+        wsign = np.array([s for _, (_, s) in items], dtype=np.int64)
+        for t in range(1 << len(free)):
+            chi = 0
+            for k, j in enumerate(free):
+                if t >> k & 1:
+                    chi |= 1 << j
+            for bit, (pm, pb) in pivots.items():
+                if pb ^ parity(pm & ~(1 << bit) & chi):
+                    chi |= 1 << bit
+            coefs = wsign * (1 - 2 * parity_vec(wmask & chi))
+            sector_cols.setdefault(chi, []).append((umask, coefs))
+    return sector_cols
+
+
+def _generator_families():
+    for p, q, mults in enumerate_cases(max_pq=6, max_m=16) + [(6, 2, (1,))]:
+        rep = rep_build(p, q, mults)
+        for family in (SY._g_generators, SY._sharp_generators, SY._h_generators):
+            perms, signs = family(rep)[:2]
+            yield f"({p},{q})x{mults} {family.__name__}", perms, signs
+
+
+def test_sectors_match_bit_loop_reference():
+    count = 0
+    for label, perms, signs in _generator_families():
+        dec = SectorDecomposition(perms, signs)
+        got, want = dec.sectors(), _sectors_bit_loop(dec)
+        assert list(got) == list(want), label  # same keys in the same order
+        assert all(type(chi) is int for chi in got), label
+        for chi in want:
+            assert len(got[chi]) == len(want[chi]), (label, chi)
+            for (gi, gc), (wi, wc) in zip(got[chi], want[chi]):
+                assert gi.dtype == wi.dtype and np.array_equal(gi, wi), (label, chi)
+                assert gc.dtype == wc.dtype and np.array_equal(gc, wc), (label, chi)
+        count += 1
+    assert count > 100

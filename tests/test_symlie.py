@@ -3,6 +3,8 @@ import pytest
 
 from cqforms import symlie as SY
 from cqforms.repkit import rep_build
+from cqforms.spmat import SectorDecomposition, rational_nullspace
+from cqforms.suite import enumerate_cases
 
 
 H_CASES = [
@@ -171,3 +173,75 @@ def test_classification_status_table():
     assert SY.classification_status(10, 64) == "generic"
     assert SY.classification_status(2, 2, pure=True) == "degenerate"
     assert SY.classification_status(2, 2, pure=False) == "generic"
+
+
+# ---------------------------------------------------------------------------
+# Whole-sector gathers against the per-column assembly they replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_column(a, cols):
+    """Reference sector matrix: one column ``a[:, idxs] @ coefs`` per orbit."""
+    return np.stack([a[:, idxs] @ coefs for idxs, coefs in cols], axis=1)
+
+
+def _sampled_systems(rep):
+    """(sectors, batch-1 matrix) of the g and the sharp system."""
+    g_sectors = SectorDecomposition(*SY._g_generators(rep)).sectors()
+    g_rows = SY._g_constraint_matrix(rep, SY._sample_w(rep, 0, 1, rep.m * rep.m + 64))
+    perms, signs, pairs = SY._sharp_generators(rep)
+    sharp_sectors = SectorDecomposition(perms, signs).sectors()
+    count = max(len(cols) for cols in sharp_sectors.values()) + 64
+    sharp_rows = SY._sharp_constraint_matrix(rep, SY._sample_w(rep, 0, 11, count), pairs)
+    return [(g_sectors, g_rows), (sharp_sectors, sharp_rows)]
+
+
+SMALL_CASES = enumerate_cases(max_pq=6, max_m=16)
+
+
+def test_sector_matrices_match_per_column_assembly():
+    for p, q, mults in SMALL_CASES:
+        rep = rep_build(p, q, mults)
+        assert rep.m <= 16
+        for sectors, a in _sampled_systems(rep):
+            af = a.astype(float)
+            for chi, cols, idx, coef, starts in SY._sector_gathers(sectors.items()):
+                got = SY._sector_matrix(a, idx, coef, starts)
+                want = _per_column(a, cols)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (p, q, mults, chi)
+                # the float SVD input: bit-identical to the old float product
+                want_f = np.stack([af[:, i] @ c.astype(float) for i, c in cols], axis=1)
+                got_f = got.astype(float)
+                assert got_f.tobytes() == want_f.tobytes(), (p, q, mults, chi)
+
+
+def _g_exact_reference(rep, seed):
+    """Exact g from batch 1, per-column sector matrices and the same basis
+    reconstruction as ``g_kernel_dim``."""
+    m = rep.m
+    sectors = SectorDecomposition(*SY._g_generators(rep)).sectors()
+    a = SY._g_constraint_matrix(rep, SY._sample_w(rep, seed, 1, m * m + 64))
+    basis = []
+    for cols in sectors.values():
+        for vec in rational_nullspace(_per_column(a, cols).tolist(), len(cols)):
+            x = np.zeros(m * m, dtype=object)
+            for coord, (idxs, coefs) in zip(vec, cols):
+                if coord:
+                    for u, c in zip(idxs, coefs):
+                        x[u] += coord * int(c)
+            basis.append(x.reshape(m, m))
+    return basis
+
+
+def test_exact_g_matches_per_column_reference():
+    # exact g over all m = 16 modules takes minutes; there the identical
+    # integer sector matrices above already fix the Fraction elimination
+    cases = [c for c in SMALL_CASES if rep_build(*c).m <= 8]
+    assert len(cases) >= 20
+    for p, q, mults in cases:
+        rep = rep_build(p, q, mults)
+        got = SY.g_kernel_dim(rep, seed=0, mode="exact")
+        want = _g_exact_reference(rep, 0)
+        assert got.dimension == len(want), (p, q, mults)
+        for x, y in zip(got.basis, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (p, q, mults)

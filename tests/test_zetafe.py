@@ -166,20 +166,21 @@ PULLBACK_CASES = [
 @pytest.mark.parametrize("pq,mults", PULLBACK_CASES)
 def test_pullback_equals_closed_form(pq, mults):
     rep = rep_build(*pq, mults)
+    consts = Z.gamma_constants(rep)
     for s in complex_s_samples(31, 5):
         gq = Z.gamma_quartic(rep.p, rep.q, rep.m, s)
-        gp = Z.gamma_pullback(rep, s)
+        gp = Z.gamma_pullback(consts, s)
         scale = np.max(np.abs(gq.values))
         assert np.max(np.abs(gq.values - gp.values)) / scale < 1e-10
 
 
 def test_pullback_unvalidated_cases_labelled():
-    g = Z.gamma_pullback(rep_build(1, 1, (1, 0, 1, 0)), 0.3)
+    g = Z.gamma_pullback(Z.gamma_constants(rep_build(1, 1, (1, 0, 1, 0))), 0.3)
     assert not g.validated
-    g = Z.gamma_pullback(rep_build(1, 0, (2, 0)), 0.3)
+    g = Z.gamma_pullback(Z.gamma_constants(rep_build(1, 0, (2, 0))), 0.3)
     assert not g.validated
     # (2, 1) is outside the closed forms but the pullback is computable
-    g = Z.gamma_pullback(rep_build(2, 1, (2, 1)), 0.3)
+    g = Z.gamma_pullback(Z.gamma_constants(rep_build(2, 1, (2, 1))), 0.3)
     assert g.values.shape == (3, 3) and g.validated
 
 
