@@ -105,6 +105,8 @@ def _load_rep(path: str):
 def _rep_from_args(args):
     if getattr(args, "rep", None):
         return _load_rep(args.rep)
+    if args.p is None or args.q is None or args.mult is None:
+        raise InvalidInputError("give a module file or --p, --q and --mult")
     return rep_build(args.p, args.q, args.mult)
 
 

@@ -246,102 +246,117 @@ class SectorDecomposition:
                 raise ValueError(f"generator {j} does not square to +1")
         self.perms = perms
         self.signs = signs
-        self._orbits = self._compute_orbits()
+        self._compute_orbits()
 
     def _compute_orbits(self):
-        """BFS each orbit, recording coset words and stabilizer relations."""
+        """Orbits, coset words and stabilizer relations as whole arrays.
+
+        With g_w the product of the generators whose bits are set in w, every
+        index u ends with ``g_word[u] e_base[u] = sign[u] e_u`` and ``base[u]``
+        the least index of its orbit.  Pass j extends this from the group of
+        generators 0..j-1 to generator j: as the generators commute, the orbit
+        of u grows by the orbit of ``perms[j, u]``, whose least index is
+        already known.
+        """
         n, r = self.n, self.r
-        seen = np.zeros(n, dtype=bool)
-        orbits = []
-        for start in range(n):
-            if seen[start]:
+        base = np.arange(n)
+        word = np.zeros(n, dtype=np.int64)
+        sign = np.ones(n, dtype=np.int64)
+        for j in range(r):
+            p = self.perms[j]
+            move = base[p] < base
+            v = p[move]  # v itself does not move: base[perms[j, v]] > base[v]
+            base[move] = base[v]
+            word[move] = word[v] ^ (1 << j)
+            sign[move] = sign[v] * self.signs[j, v]
+        # orbits in order of their least index, each an ascending index array
+        order = np.argsort(base, kind="stable")
+        step = np.r_[False, np.diff(base[order]) != 0]
+        orbit = np.empty(n, dtype=np.int64)
+        orbit[order] = np.cumsum(step)
+        self.orbits = np.split(order, np.flatnonzero(step))
+        self.word, self.sign = word, sign
+        # g_j e_u = signs[j, u] e_v gives the relation g_{word[u]^word[v]^(1<<j)}
+        # e_base = sign[u] signs[j, u] sign[v] e_base, packed as
+        # mask << 1 | (sign < 0) below the orbit number and deduplicated
+        v = self.perms
+        mask = word ^ word[v] ^ (np.int64(1) << np.arange(r, dtype=np.int64))[:, None]
+        key = np.unique((orbit << (r + 1)) | (mask << 1) | (sign * self.signs * sign[v] < 0))
+        rel = key & ((1 << (r + 1)) - 1)
+        keep = rel != 0  # 0 = 0 relations say nothing
+        cut = np.searchsorted(key[keep] >> (r + 1), np.arange(len(self.orbits) + 1))
+        rel = rel[keep].tolist()
+        # per orbit, the sorted packed relations fixing its least index
+        self.relations = [tuple(rel[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+
+    def fixed_space(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Basis of the common +1 eigenspace, one (indices, signs) vector per
+        orbit all of whose stabilizer relations carry the sign +1."""
+        return [
+            (idxs, self.sign[idxs])
+            for idxs, rels in zip(self.orbits, self.relations)
+            if not any(rel & 1 for rel in rels)
+        ]
+
+    def _characters(self, rels: tuple[int, ...], par: np.ndarray) -> np.ndarray:
+        """Every character chi with chi . mask = (sign < 0) over F2 for the
+        packed relations ``rels``, as an int64 array."""
+        # pivots[bit] = (mask, b) with `bit` the lowest set bit of mask and
+        # masks fully reduced, so a pivot mask holds no other pivot bit
+        pivots: dict[int, tuple[int, int]] = {}
+        for rel in rels:
+            m, b = rel >> 1, rel & 1
+            for bit, (pm, pb) in pivots.items():
+                if m >> bit & 1:
+                    m ^= pm
+                    b ^= pb
+            if m == 0:
+                if b != 0:
+                    raise AssertionError("inconsistent orbit sign relations")
                 continue
-            word = {start: (0, 1)}  # index -> (group word bitmask, sign)
-            stab = []  # (bitmask, sign) relations fixing the base point
-            queue = [start]
-            seen[start] = True
-            while queue:
-                u = queue.pop()
-                wu, su = word[u]
-                for j in range(r):
-                    v = int(self.perms[j, u])
-                    sv = su * int(self.signs[j, u])
-                    wv = wu ^ (1 << j)
-                    if v in word:
-                        w0, s0 = word[v]
-                        stab.append((wv ^ w0, sv * s0))
-                    else:
-                        word[v] = (wv, sv)
-                        seen[v] = True
-                        queue.append(v)
-            orbits.append((word, stab))
-        return orbits
+            low = (m & -m).bit_length() - 1
+            for bit in list(pivots):
+                pm, pb = pivots[bit]
+                if pm >> low & 1:
+                    pivots[bit] = (pm ^ m, pb ^ b)
+            pivots[low] = (m, b)
+        free = [j for j in range(self.r) if j not in pivots]
+        # free bits counted up by t, each pivot bit fixed by the free bits of
+        # its relation
+        t = np.arange(1 << len(free), dtype=np.int64)
+        chi = np.zeros_like(t)
+        for k, j in enumerate(free):
+            chi |= (t >> k & 1) << j
+        for bit, (pm, pb) in pivots.items():
+            chi |= (pb ^ par[pm & ~(1 << bit) & chi]) << bit
+        return chi
 
-    def fixed_space(self) -> list[dict[int, int]]:
-        """Basis of the common +1 eigenspace, one sign vector per good orbit."""
-        out = []
-        for word, stab in self._orbits:
-            if all(s == 1 for _, s in stab):
-                out.append({u: s for u, (w, s) in word.items()})
-        return out
+    def sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """All joint sign sectors, as one block ``(idxs, chi, coefs)`` per orbit.
 
-    def sectors(self) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-        """All joint sign sectors, keyed by character bitmask.
-
-        Character bit ``j`` set means generator ``j`` acts by -1 on the
-        sector.  Each orbit compatible with a character contributes one
-        basis column, given as (indices, +-1 coefficients); the number of
-        characters an orbit admits equals the orbit length, so columns over
-        all sectors sum to the total dimension.
+        ``idxs`` is the orbit's ascending index array; the orbit admits one
+        character per index, ``chi[k]`` (bit ``j`` set means generator ``j``
+        acts by -1), and row ``k`` of the int64 matrix ``coefs`` holds the +-1
+        entries of its ``chi[k]`` eigenvector on ``idxs``.  Orbits come in
+        order of their least index and the characters of a stabilizer
+        relation set in a fixed order, so a sector's columns are its orbits
+        in order.
         """
         # par[x] is the parity of the bitmask x, for every x < 2^r
         par = np.zeros(1, dtype=np.int64)
         for _ in range(self.r):
             par = np.concatenate([par, par ^ 1])
-        sector_cols: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        total = 0
-        for word, stab in self._orbits:
-            # Solve chi . mask = b over F2.  pivots[bit] = (mask, b) with
-            # `bit` the lowest set bit of mask and masks fully reduced, so a
-            # pivot mask holds no other pivot bit.
-            pivots: dict[int, tuple[int, int]] = {}
-            for mask, s in dict.fromkeys(stab):  # a repeat reduces to 0 = 0
-                b = 0 if s == 1 else 1
-                m = mask
-                for bit, (pm, pb) in pivots.items():
-                    if m >> bit & 1:
-                        m ^= pm
-                        b ^= pb
-                if m == 0:
-                    if b != 0:
-                        raise AssertionError("inconsistent orbit sign relations")
-                    continue
-                low = (m & -m).bit_length() - 1
-                for bit in list(pivots):
-                    pm, pb = pivots[bit]
-                    if pm >> low & 1:
-                        pivots[bit] = (pm ^ m, pb ^ b)
-                pivots[low] = (m, b)
-            free = [j for j in range(self.r) if j not in pivots]
-            # every admissible character: free bits counted up by t, each
-            # pivot bit fixed by the free bits of its relation
-            t = np.arange(1 << len(free), dtype=np.int64)
-            chi = np.zeros_like(t)
-            for k, j in enumerate(free):
-                chi |= (t >> k & 1) << j
-            for bit, (pm, pb) in pivots.items():
-                chi |= (pb ^ par[pm & ~(1 << bit) & chi]) << bit
-            items = list(word.items())
-            umask = np.array([u for u, _ in items], dtype=np.int64)
-            wmask = np.array([w for _, (w, _) in items], dtype=np.int64)
-            wsign = np.array([s for _, (_, s) in items], dtype=np.int64)
-            coefs = wsign * (1 - 2 * par[wmask[None, :] & chi[:, None]])
-            for c, row in zip(chi.tolist(), coefs):
-                sector_cols.setdefault(c, []).append((umask, row))
-            total += len(chi)
-        if total != self.n:
-            raise AssertionError("sector dimensions do not sum to the space")
-        return sector_cols
+        chars: dict[tuple[int, ...], np.ndarray] = {}
+        blocks = []
+        for idxs, rels in zip(self.orbits, self.relations):
+            chi = chars.get(rels)
+            if chi is None:
+                chi = chars[rels] = self._characters(rels, par)
+            if len(chi) != len(idxs):
+                raise AssertionError("orbit characters do not match the orbit length")
+            coefs = self.sign[idxs] * (1 - 2 * par[self.word[idxs] & chi[:, None]])
+            blocks.append((idxs, chi, coefs))
+        return blocks
 
 
 def rational_nullspace(rows: Sequence[Sequence], ncols: int):

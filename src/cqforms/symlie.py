@@ -45,6 +45,7 @@ class KernelReport:
     basis: list[np.ndarray] | None  # None means dimension-only (float mode)
     method: str
     residual: float
+    per_sector: dict[int, int] | None = None  # nullity by character bitmask (g only)
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +71,14 @@ def h_kernel(rep: CliffordRep) -> KernelReport:
     m = rep.m
     dec = SectorDecomposition(*_h_generators(rep))
     basis = []
-    for vec in dec.fixed_space():
-        x = np.zeros((m, m), dtype=np.int64)
-        for u, s in vec.items():
-            x[u // m, u % m] = s
-        basis.append(x)
+    for idxs, signs in dec.fixed_space():
+        x = np.zeros(m * m, dtype=np.int64)
+        x[idxs] = signs
+        basis.append(x.reshape(m, m))
     for x in basis:  # exactness guarantee
         for s in rep.basis:
-            assert not np.any(x.T @ s + s @ x)
+            if np.any(x.T @ s + s @ x):
+                raise AssertionError("h basis element violates X^T S_i + S_i X = 0")
     return KernelReport(len(basis), basis, "exact", 0.0)
 
 
@@ -101,58 +102,68 @@ def _sample_w(rep: CliffordRep, seed: int, batch: int, count: int) -> np.ndarray
 
 
 def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
-    """One row per sample w: entries grad_a(w) w_b on unknown X_ab."""
+    """One row per sample w: entries grad_a(w) w_b on unknown X_ab, as float64
+    (every entry is an integer far below 2^53, so exact)."""
     # the (n, m, count) images are freed before the (count, m^2) rows exist
     grad = sum(e * v * img for e, v, img in zip(rep.eps, *rep.forms(w, images=True)))
-    rows = grad.T[:, :, None] * w.T[:, None, :]
+    rows = grad.T.astype(float)[:, :, None] * w.T[:, None, :]
     return rows.reshape(w.shape[1], rep.m * rep.m)
 
 
-def _sector_gathers(sectors):
-    """Each sector's columns as one gather: (chi, cols, idx, coef, starts),
-    with ``idx``/``coef`` the columns' indices and coefficients concatenated
-    and ``starts`` the offset of each column in them."""
-    out = []
-    for chi, cols in sectors:
-        sizes = [len(idxs) for idxs, _ in cols]
-        starts = np.cumsum([0] + sizes[:-1])
-        idx = np.concatenate([idxs for idxs, _ in cols])
-        coef = np.concatenate([coefs for _, coefs in cols])
-        out.append((chi, cols, idx, coef, starts))
-    return out
+def _sector_columns(blocks):
+    """Each sector as ``(chi, pos)``, in order of first appearance: after
+    ``_orbit_transform``, column ``pos[t]`` of the system is the sector's
+    column from the t-th orbit that admits ``chi``."""
+    chi = np.concatenate([c for _, c, _ in blocks])
+    pos = np.concatenate([idxs for idxs, _, _ in blocks])
+    keys, first, inv = np.unique(chi, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.argsort(by_first)[inv]  # each entry's sector, numbered by first appearance
+    cols = np.split(pos[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
+    return list(zip(keys[by_first].tolist(), cols))
 
 
-def _sector_matrix(a_int: np.ndarray, idx, coef, starts) -> np.ndarray:
-    """The sampled system restricted to one sector, column j being
-    ``a_int[:, idxs_j] @ coefs_j``; integer sums, so exact."""
-    return np.add.reduceat(a_int[:, idx] * coef, starts, axis=1)
+def _orbit_transform(a: np.ndarray, blocks) -> float:
+    """Overwrite the float64 integer system ``a`` in place so that column
+    ``idxs[k]`` of each orbit block becomes ``a[:, idxs] @ coefs[k]``, the
+    orbit's column for character ``chi[k]``.  Returns max|a| from before.
+
+    Float sums of integers are exact, in any order, while they stay below
+    2^53; that bound is checked first.
+    """
+    amax = float(max(a.max(), -a.min()))
+    if amax * max(len(idxs) for idxs, _, _ in blocks) >= 2**53:
+        raise OverflowError("sampled system too large for exact float64 sector sums")
+    for idxs, _, coefs in blocks:
+        a[:, idxs] = a[:, idxs] @ coefs.T
+    return amax
 
 
-def _sector_nullity(a_int: np.ndarray, gathers, mode: str):
-    """Total kernel dimension of the sampled system, sector by sector."""
+def _sector_nullity(a: np.ndarray, blocks, sectors, mode: str):
+    """Total kernel dimension of the sampled float64 system ``a``, sector by
+    sector.  Consumes ``a``: the orbit transform overwrites it in place."""
+    scale = max(1.0, _orbit_transform(a, blocks))
     total = 0
     residual = 0.0
-    per_sector = []
+    per_sector = {}
     basis_cols = []
-    scale = max(1.0, float(np.abs(a_int).max(initial=0)))
-    for chi, cols, idx, coef, starts in gathers:
-        mat = _sector_matrix(a_int, idx, coef, starts)
-        dim = len(cols)
+    for chi, pos in sectors:
+        mat = a[:, pos]
+        dim = len(pos)
         if mode == "exact":
-            null = rational_nullspace(mat.tolist(), dim)
+            null = rational_nullspace(mat.astype(np.int64).tolist(), dim)
             nullity = len(null)
-            basis_cols.append((chi, cols, null))
+            basis_cols.append((pos, null))
         else:
-            # entries are integers far below 2^53: the float copy is exact
-            sv = np.linalg.svd(mat.astype(float), compute_uv=False)
+            sv = np.linalg.svd(mat, compute_uv=False)
             smax = sv[0] if len(sv) else 0.0
             nullity = int((sv <= FLOAT_RANK_TOL * max(smax, 1.0)).sum()) + max(
                 0, dim - len(sv)
             )
             if len(sv) and nullity:
-                residual = max(residual, float(sv[-1]) / max(scale, 1.0))
+                residual = max(residual, float(sv[-1]) / scale)
         total += nullity
-        per_sector.append(nullity)
+        per_sector[chi] = nullity
     return total, per_sector, residual, basis_cols
 
 
@@ -172,31 +183,33 @@ def g_kernel_dim(
         raise InvalidInputError("need at least m^2 + 64 samples")
     if mode == "exact" and m > 16:
         raise ExactBudgetError("exact g refused for m > 16; use mode='float'")
-    perms, signs = _g_generators(rep)
-    gathers = _sector_gathers(SectorDecomposition(perms, signs).sectors().items())
-    results = []
-    for batch in (1, 2):
-        w = _sample_w(rep, seed, batch, samples)
-        a = _g_constraint_matrix(rep, w)
-        results.append(_sector_nullity(a, gathers, mode))
+    blocks = SectorDecomposition(*_g_generators(rep)).sectors()
+    sectors = _sector_columns(blocks)
+    # each batch's system is released before the next one is built
+    results = [
+        _sector_nullity(
+            _g_constraint_matrix(rep, _sample_w(rep, seed, batch, samples)), blocks, sectors, mode
+        )
+        for batch in (1, 2)
+    ]
     if results[0][:2] != results[1][:2]:
         raise UnstableDimensionError(
             f"g dimension unstable: {results[0][0]} vs {results[1][0]}"
         )
-    total, _, residual, basis_cols = results[0]
-    basis = None
-    if mode == "exact":
-        basis = []
-        for chi, cols, null in basis_cols:
-            for vec in null:
-                x = np.zeros(m * m, dtype=object)
-                for coord, (idxs, coefs) in zip(vec, cols):
-                    if coord:
-                        for u, c in zip(idxs, coefs):
-                            x[u] += coord * int(c)
-                basis.append(x.reshape(m, m))
-        return KernelReport(total, basis, "exact", 0.0)
-    return KernelReport(total, None, "float-svd", residual)
+    total, per_sector, residual, basis_cols = results[0]
+    if mode != "exact":
+        return KernelReport(total, None, "float-svd", residual, per_sector)
+    # back from sector coordinates y to entries x: x[idxs] = coefs^T y[idxs]
+    basis = []
+    for pos, null in basis_cols:
+        for vec in null:
+            y = np.zeros(m * m, dtype=object)
+            y[pos] = vec
+            x = np.zeros(m * m, dtype=object)
+            for idxs, _, coefs in blocks:
+                x[idxs] = coefs.T @ y[idxs]
+            basis.append(x.reshape(m, m))
+    return KernelReport(total, basis, "exact", 0.0, per_sector)
 
 
 def g_contains(rep: CliffordRep, x: np.ndarray, trials: int = 24, seed: int = 11) -> bool:
@@ -242,11 +255,12 @@ def _sharp_generators(rep: CliffordRep):
 
 
 def _sharp_constraint_matrix(rep: CliffordRep, w: np.ndarray, pairs) -> np.ndarray:
-    """Rows of sum_i S_i[w] X_i[w] = 0 on the (i, pair) unknowns."""
+    """Rows of sum_i S_i[w] X_i[w] = 0 on the (i, pair) unknowns, as float64
+    (exact integers, as in ``_g_constraint_matrix``)."""
     pa, pb = pairs
     count = w.shape[1]
     pairvals = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
-    rows = rep.forms(w).T[:, :, None] * pairvals.T[:, None, :]
+    rows = rep.forms(w).T.astype(float)[:, :, None] * pairvals.T[:, None, :]
     return rows.reshape(count, rep.n * len(pa))
 
 
@@ -264,15 +278,17 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     n = rep.n
     perms, signs, pairs = _sharp_generators(rep)
-    gathers = _sector_gathers(SectorDecomposition(perms, signs).sectors().items())
-    max_dim = max(len(cols) for _, cols, *_ in gathers)
-    count = max_dim + 64
-    dims = []
-    for batch in (1, 2):
-        w = _sample_w(rep, seed, 10 + batch, count)
-        a = _sharp_constraint_matrix(rep, w, pairs)
-        total, per_sector, _, _ = _sector_nullity(a, gathers, "float")
-        dims.append((total, per_sector))
+    blocks = SectorDecomposition(perms, signs).sectors()
+    sectors = _sector_columns(blocks)
+    count = max(len(pos) for _, pos in sectors) + 64
+    # each batch's system is released before the next one is built
+    dims = [
+        _sector_nullity(
+            _sharp_constraint_matrix(rep, _sample_w(rep, seed, 10 + batch, count), pairs),
+            blocks, sectors, "float",
+        )[:2]
+        for batch in (1, 2)
+    ]
     if dims[0] != dims[1]:
         raise UnstableDimensionError(f"sharp dimension unstable: {dims[0][0]} vs {dims[1][0]}")
     return dims[0][0], n * (n - 1) // 2

@@ -170,3 +170,25 @@ def test_zeta_mc_non_positive_samples_exits_2(capsys, samples):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+MODULE_ARG_COMMANDS = [
+    ["quartic", "coeffs"],
+    ["quartic", "eval", "--w", "1,2"],
+    ["quartic", "grad", "--w", "1,2"],
+    ["quartic", "homaloidal"],
+    ["quartic", "square-detect"],
+    ["sym", "h", "--p", "3", "--q", "0"],
+    ["sym", "g", "--q", "0", "--mult", "1"],
+    ["sym", "sharp", "--p", "3", "--mult", "1"],
+    ["zeta", "mc", "--component", "+", "--s", "0.3"],
+]
+
+
+@pytest.mark.parametrize("command", MODULE_ARG_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_module_command_without_module_exits_2(capsys, command):
+    # neither a module file nor all of --p, --q and --mult
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: give a module file or --p, --q and --mult"]

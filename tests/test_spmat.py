@@ -107,13 +107,15 @@ def test_sector_decomposition_partitions_space():
         perms.append(p)
         signs.append(s)
     dec = SectorDecomposition(np.array(perms), np.array(signs))
-    sectors = dec.sectors()
-    assert sum(len(cols) for cols in sectors.values()) == n
-    # sector columns are joint eigenvectors
-    for chi, cols in sectors.items():
-        for idxs, coefs in cols:
+    blocks = dec.sectors()
+    # the orbits partition the index set, and each admits one character per index
+    assert np.array_equal(np.sort(np.concatenate([idxs for idxs, _, _ in blocks])), np.arange(n))
+    assert all(len(chi) == len(idxs) == len(set(chi.tolist())) for idxs, chi, _ in blocks)
+    # coefficient rows are joint eigenvectors
+    for idxs, chis, coefs in blocks:
+        for chi, row in zip(chis.tolist(), coefs):
             v = np.zeros(n)
-            v[idxs] = coefs
+            v[idxs] = row
             for j, mat in enumerate(mats):
                 want = -v if (chi >> j) & 1 else v
                 assert np.allclose(mat @ v, want)
@@ -126,7 +128,8 @@ def test_fixed_space_is_common_fixed():
     dec = SectorDecomposition(np.array(perms), np.array(signs))
     vecs = dec.fixed_space()
     assert len(vecs) == 1  # only e_0 is fixed by both sign patterns
-    assert set(vecs[0]) == {0}
+    idxs, signs = vecs[0]
+    assert idxs.tolist() == [0] and signs.tolist() == [1]
 
 
 def test_rational_nullspace_small():
@@ -136,9 +139,42 @@ def test_rational_nullspace_small():
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
 
 
-def _sectors_bit_loop(dec):
-    """Reference copy of the per-character, per-bit sector construction:
-    characters built one at a time, parities by a Python bit loop."""
+def _orbits_bfs(dec):
+    """Reference copy of the per-index BFS: each orbit as (word, stab), with
+    word mapping index -> (group word bitmask, sign) in discovery order and
+    stab the (bitmask, sign) relations fixing the start point."""
+    n, r = dec.n, dec.r
+    seen = np.zeros(n, dtype=bool)
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        word = {start: (0, 1)}
+        stab = []
+        queue = [start]
+        seen[start] = True
+        while queue:
+            u = queue.pop()
+            wu, su = word[u]
+            for j in range(r):
+                v = int(dec.perms[j, u])
+                sv = su * int(dec.signs[j, u])
+                wv = wu ^ (1 << j)
+                if v in word:
+                    w0, s0 = word[v]
+                    stab.append((wv ^ w0, sv * s0))
+                else:
+                    word[v] = (wv, sv)
+                    seen[v] = True
+                    queue.append(v)
+        orbits.append((word, stab))
+    return orbits
+
+
+def _sectors_bit_loop(orbits, r):
+    """Reference copy of the per-character, per-bit sector construction on
+    BFS orbits: characters built one at a time, parities by a Python bit
+    loop.  Returns {chi: [(indices, coefs)]} with one column per orbit."""
 
     def parity(x):
         return bin(x).count("1") & 1
@@ -152,7 +188,7 @@ def _sectors_bit_loop(dec):
         return out
 
     sector_cols = {}
-    for word, stab in dec._orbits:
+    for word, stab in orbits:
         pivots = {}
         for mask, s in stab:
             b = 0 if s == 1 else 1
@@ -170,7 +206,7 @@ def _sectors_bit_loop(dec):
                 if pm >> low & 1:
                     pivots[bit] = (pm ^ m, pb ^ b)
             pivots[low] = (m, b)
-        free = [j for j in range(dec.r) if j not in pivots]
+        free = [j for j in range(r) if j not in pivots]
         items = list(word.items())
         umask = np.array([u for u, _ in items], dtype=np.int64)
         wmask = np.array([w for _, (w, _) in items], dtype=np.int64)
@@ -200,13 +236,30 @@ def test_sectors_match_bit_loop_reference():
     count = 0
     for label, perms, signs in _generator_families():
         dec = SectorDecomposition(perms, signs)
-        got, want = dec.sectors(), _sectors_bit_loop(dec)
+        orbits = _orbits_bfs(dec)
+        # same orbits in the same order, as ascending index arrays
+        assert [o.tolist() for o in dec.orbits] == [sorted(w) for w, _ in orbits], label
+        # same common fixed space
+        want_fixed = [w for w, stab in orbits if all(s == 1 for _, s in stab)]
+        got_fixed = dec.fixed_space()
+        assert len(got_fixed) == len(want_fixed), label
+        for (idxs, sgn), word in zip(got_fixed, want_fixed):
+            assert {u: s for u, s in zip(idxs.tolist(), sgn.tolist())} == {
+                u: s for u, (_, s) in word.items()
+            }, label
+        # the per-orbit blocks regrouped by character
+        got = {}
+        for idxs, chis, coefs in dec.sectors():
+            assert idxs.dtype == chis.dtype == coefs.dtype == np.int64, label
+            for chi, row in zip(chis.tolist(), coefs):
+                got.setdefault(chi, []).append((idxs, row))
+        want = _sectors_bit_loop(orbits, dec.r)
         assert list(got) == list(want), label  # same keys in the same order
-        assert all(type(chi) is int for chi in got), label
         for chi in want:
             assert len(got[chi]) == len(want[chi]), (label, chi)
             for (gi, gc), (wi, wc) in zip(got[chi], want[chi]):
-                assert gi.dtype == wi.dtype and np.array_equal(gi, wi), (label, chi)
-                assert gc.dtype == wc.dtype and np.array_equal(gc, wc), (label, chi)
+                order = np.argsort(wi)
+                assert np.array_equal(gi, wi[order]), (label, chi)
+                assert np.array_equal(gc, wc[order]), (label, chi)
         count += 1
     assert count > 100

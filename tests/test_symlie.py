@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,8 +181,17 @@ def test_classification_status_table():
 
 
 # ---------------------------------------------------------------------------
-# Whole-sector gathers against the per-column assembly they replaced
+# Sector matrices of the orbit transform against per-column assembly
 # ---------------------------------------------------------------------------
+
+
+def _columns(blocks):
+    """{chi: [(idxs, coefs)]}: each sector's columns, one per orbit, in order."""
+    cols = {}
+    for idxs, chis, coefs in blocks:
+        for chi, row in zip(chis.tolist(), coefs):
+            cols.setdefault(chi, []).append((idxs, row))
+    return cols
 
 
 def _per_column(a, cols):
@@ -186,14 +200,14 @@ def _per_column(a, cols):
 
 
 def _sampled_systems(rep):
-    """(sectors, batch-1 matrix) of the g and the sharp system."""
-    g_sectors = SectorDecomposition(*SY._g_generators(rep)).sectors()
+    """(sector blocks, batch-1 float64 system) of the g and the sharp system."""
+    g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
     g_rows = SY._g_constraint_matrix(rep, SY._sample_w(rep, 0, 1, rep.m * rep.m + 64))
     perms, signs, pairs = SY._sharp_generators(rep)
-    sharp_sectors = SectorDecomposition(perms, signs).sectors()
-    count = max(len(cols) for cols in sharp_sectors.values()) + 64
+    sharp_blocks = SectorDecomposition(perms, signs).sectors()
+    count = max(len(cols) for cols in _columns(sharp_blocks).values()) + 64
     sharp_rows = SY._sharp_constraint_matrix(rep, SY._sample_w(rep, 0, 11, count), pairs)
-    return [(g_sectors, g_rows), (sharp_sectors, sharp_rows)]
+    return [(g_blocks, g_rows), (sharp_blocks, sharp_rows)]
 
 
 SMALL_CASES = enumerate_cases(max_pq=6, max_m=16)
@@ -203,26 +217,78 @@ def test_sector_matrices_match_per_column_assembly():
     for p, q, mults in SMALL_CASES:
         rep = rep_build(p, q, mults)
         assert rep.m <= 16
-        for sectors, a in _sampled_systems(rep):
-            af = a.astype(float)
-            for chi, cols, idx, coef, starts in SY._sector_gathers(sectors.items()):
-                got = SY._sector_matrix(a, idx, coef, starts)
-                want = _per_column(a, cols)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (p, q, mults, chi)
-                # the float SVD input: bit-identical to the old float product
-                want_f = np.stack([af[:, i] @ c.astype(float) for i, c in cols], axis=1)
-                got_f = got.astype(float)
-                assert got_f.tobytes() == want_f.tobytes(), (p, q, mults, chi)
+        for blocks, a in _sampled_systems(rep):
+            assert a.dtype == np.float64
+            a_int = a.astype(np.int64)
+            assert np.array_equal(a_int, a)  # the system holds integers
+            want = {chi: _per_column(a_int, cols) for chi, cols in _columns(blocks).items()}
+            sectors = SY._sector_columns(blocks)
+            assert [chi for chi, _ in sectors] == list(want)
+            SY._orbit_transform(a, blocks)
+            for chi, pos in sectors:
+                got = a[:, pos]
+                assert np.array_equal(got.astype(np.int64), want[chi]), (p, q, mults, chi)
+                # the float SVD input: bit-identical to the converted integer
+                # matrix, so no -0.0 either
+                assert got.tobytes() == want[chi].astype(float).tobytes(), (p, q, mults, chi)
+
+
+def test_orbit_transform_refuses_inexact_float_sums():
+    # one orbit of length 2, e_0 <-> e_1: characters 0 and 1, sums of 2 entries
+    blocks = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
+    sectors = SY._sector_columns(blocks)
+    ok = np.full((3, 2), 2.0**52 - 1)
+    total, per_sector, _, _ = SY._sector_nullity(ok, blocks, sectors, "float")
+    assert total == 1 and per_sector == {0: 0, 1: 1}
+    assert ok[:, 0].tolist() == [2.0**53 - 2] * 3 and not ok[:, 1].any()
+    for big in (2.0**52, -(2.0**52)):
+        a = np.ones((3, 2))
+        a[1, 0] = big
+        with pytest.raises(OverflowError):
+            SY._orbit_transform(a, blocks)
+
+
+def test_g_per_sector_nullities_sum_to_dimension():
+    for pq, mults in [((3, 2), (2,)), ((7, 0), (1,)), ((2, 0), (2,))]:
+        rep = rep_build(*pq, mults)
+        report = SY.g_kernel_dim(rep, seed=1)
+        assert report.per_sector, pq
+        assert sum(report.per_sector.values()) == report.dimension
+        n_sectors = len(SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors()))
+        assert len(report.per_sector) == n_sectors
+    exact = SY.g_kernel_dim(rep_build(2, 0, (2,)), seed=5, mode="exact")
+    assert sum(exact.per_sector.values()) == exact.dimension == 3
+
+
+def test_h_exactness_check_survives_python_O():
+    # a wrong basis vector must be refused even with assertions compiled out
+    script = (
+        "import numpy as np\n"
+        "from cqforms import spmat, symlie\n"
+        "from cqforms.repkit import rep_build\n"
+        "spmat.SectorDecomposition.fixed_space = lambda self: [(np.array([0]), np.array([1]))]\n"
+        "try:\n"
+        "    symlie.h_kernel(rep_build(3, 2, (1,)))\n"
+        "except AssertionError:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(SY.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
 
 
 def _g_exact_reference(rep, seed):
     """Exact g from batch 1, per-column sector matrices and the same basis
     reconstruction as ``g_kernel_dim``."""
     m = rep.m
-    sectors = SectorDecomposition(*SY._g_generators(rep)).sectors()
-    a = SY._g_constraint_matrix(rep, SY._sample_w(rep, seed, 1, m * m + 64))
+    blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
+    a = SY._g_constraint_matrix(rep, SY._sample_w(rep, seed, 1, m * m + 64)).astype(np.int64)
     basis = []
-    for cols in sectors.values():
+    for cols in _columns(blocks).values():
         for vec in rational_nullspace(_per_column(a, cols).tolist(), len(cols)):
             x = np.zeros(m * m, dtype=object)
             for coord, (idxs, coefs) in zip(vec, cols):
