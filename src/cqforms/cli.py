@@ -40,7 +40,7 @@ from .suite import run_suite
 SCHEMA = 1
 
 
-def _parse_mults(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
@@ -186,15 +186,13 @@ def cmd_quartic_coeffs(args) -> int:
 
 def cmd_quartic_eval(args) -> int:
     rep = _rep_from_args(args)
-    w = [int(x) for x in args.w.split(",")]
-    _emit({"value": Q.eval_quartic(rep, w)}, args)
+    _emit({"value": Q.eval_quartic(rep, args.w)}, args)
     return 0
 
 
 def cmd_quartic_grad(args) -> int:
     rep = _rep_from_args(args)
-    w = [int(x) for x in args.w.split(",")]
-    _emit({"gradient": Q.grad_quartic(rep, w)}, args)
+    _emit({"gradient": Q.grad_quartic(rep, args.w)}, args)
     return 0
 
 
@@ -257,7 +255,7 @@ def cmd_sym_h(args) -> int:
 
 def cmd_sym_g(args) -> int:
     rep = _rep_from_args(args)
-    rpt = SY.g_kernel_dim(rep, samples=args.samples, seed=args.seed, mode=args.mode)
+    rpt = SY.g_kernel_dim(rep, seed=args.seed, mode=args.mode)
     pred = SY.predict(rep.p, rep.q, rep.mults) if rep.mults else None
     want = pred.g_dim if pred else None
     _emit(
@@ -312,6 +310,8 @@ def cmd_zeta_gamma(args) -> int:
     if args.formula == "quadratic":
         g = Z.gamma_quadratic(args.p, args.q, s)
     elif args.formula == "quartic":
+        if args.m is None:
+            raise InvalidInputError("--formula quartic needs --m")
         g = Z.gamma_quartic(args.p, args.q, args.m, s)
     else:
         mults = args.mult or _default_mults(args.p, args.q, args.m)
@@ -421,7 +421,7 @@ def _add_common(sub, rep_arg=False, pq=False, mult=False):
         sub.add_argument("--p", type=int)
         sub.add_argument("--q", type=int)
     if mult or rep_arg:
-        sub.add_argument("--mult", type=_parse_mults)
+        sub.add_argument("--mult", type=_int_list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = rep.add_parser("build")
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--q", type=int, required=True)
-    b.add_argument("--mult", type=_parse_mults, required=True)
+    b.add_argument("--mult", type=_int_list, required=True)
     b.set_defaults(fn=cmd_rep_build)
     v = rep.add_parser("verify")
     v.add_argument("rep")
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("eval", cmd_quartic_eval), ("grad", cmd_quartic_grad)):
         s = qt.add_parser(name)
         _add_common(s, rep_arg=True)
-        s.add_argument("--w", required=True, help="comma separated integer point")
+        s.add_argument("--w", type=_int_list, required=True, help="comma separated integer point")
         s.set_defaults(fn=fn)
     s = qt.add_parser("homaloidal")
     _add_common(s, rep_arg=True)
@@ -478,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sym_h)
     s = sym.add_parser("g")
     _add_common(s, rep_arg=True)
-    s.add_argument("--samples", type=int, default=None)
     s.add_argument("--mode", choices=("float", "exact"), default="float")
     s.set_defaults(fn=cmd_sym_g)
     s = sym.add_parser("sharp")
@@ -487,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sym.add_parser("predict")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_parse_mults, required=True)
+    s.add_argument("--mult", type=_int_list, required=True)
     s.set_defaults(fn=cmd_sym_predict)
 
     zt = groups.add_parser("zeta").add_subparsers(dest="cmd", required=True)
@@ -497,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int)
     s.add_argument("--s", required=True, help="complex, e.g. 0.4+0.2i")
     s.add_argument("--formula", choices=("quartic", "pullback", "quadratic"), required=True)
-    s.add_argument("--mult", type=_parse_mults)
+    s.add_argument("--mult", type=_int_list)
     s.set_defaults(fn=cmd_zeta_gamma)
     s = zt.add_parser("check-involution")
     s.add_argument("--p", type=int, required=True)
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = zt.add_parser("check-pullback")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_parse_mults, required=True)
+    s.add_argument("--mult", type=_int_list, required=True)
     s.add_argument("--s", required=True)
     s.add_argument("--tol", type=float, default=1e-10)
     s.set_defaults(fn=cmd_zeta_pullback)
@@ -529,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = groups.add_parser("classify")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_parse_mults, required=True)
+    s.add_argument("--mult", type=_int_list, required=True)
     s.add_argument("--explain", action="store_true")
     s.set_defaults(fn=cmd_classify)
 

@@ -37,6 +37,7 @@ class ExactBudgetError(ValueError):
 
 
 FLOAT_RANK_TOL = 1e-8
+_ROW_MARGIN = 64  # sampled rows per batch beyond the largest sector's columns
 
 
 @dataclass
@@ -103,7 +104,8 @@ def _sample_w(rep: CliffordRep, seed: int, batch: int, count: int) -> np.ndarray
 
 def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
     """One row per sample w: entries grad_a(w) w_b on unknown X_ab, as float64
-    (every entry is an integer far below 2^53, so exact)."""
+    (every entry is an integer far below 2^53, so exact) and F-ordered, since
+    the orbit transform and the sector gathers read whole columns."""
     # the (n, m, count) images are freed before the (count, m^2) rows exist
     grad = sum(e * v * img for e, v, img in zip(rep.eps, *rep.forms(w, images=True)))
     rows = grad.T.astype(float)[:, :, None] * w.T[:, None, :]
@@ -141,7 +143,8 @@ def _orbit_transform(a: np.ndarray, blocks) -> float:
 
 def _sector_nullity(a: np.ndarray, blocks, sectors, mode: str):
     """Total kernel dimension of the sampled float64 system ``a``, sector by
-    sector.  Consumes ``a``: the orbit transform overwrites it in place."""
+    sector; ``a`` has more rows than any sector has columns.  Consumes ``a``:
+    the orbit transform overwrites it in place."""
     scale = max(1.0, _orbit_transform(a, blocks))
     total = 0
     residual = 0.0
@@ -149,27 +152,46 @@ def _sector_nullity(a: np.ndarray, blocks, sectors, mode: str):
     basis_cols = []
     for chi, pos in sectors:
         mat = a[:, pos]
-        dim = len(pos)
         if mode == "exact":
-            null = rational_nullspace(mat.astype(np.int64).tolist(), dim)
+            null = rational_nullspace(mat.astype(np.int64).tolist(), len(pos))
             nullity = len(null)
             basis_cols.append((pos, null))
         else:
-            sv = np.linalg.svd(mat, compute_uv=False)
-            smax = sv[0] if len(sv) else 0.0
-            nullity = int((sv <= FLOAT_RANK_TOL * max(smax, 1.0)).sum()) + max(
-                0, dim - len(sv)
-            )
-            if len(sv) and nullity:
+            sv = np.linalg.svd(mat, compute_uv=False)  # one value per column
+            nullity = int((sv <= FLOAT_RANK_TOL * max(sv[0], 1.0)).sum())
+            if nullity:
                 residual = max(residual, float(sv[-1]) / scale)
         total += nullity
         per_sector[chi] = nullity
     return total, per_sector, residual, basis_cols
 
 
-def g_kernel_dim(
-    rep: CliffordRep, samples: int | None = None, seed: int = 0, mode: str = "float"
-) -> KernelReport:
+def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, name: str,
+                    mode: str = "float"):
+    """Sector blocks and batch-1 ``(total, per_sector, residual, basis_cols)``
+    of the sampled system ``rows(w)`` in the joint sign sectors of
+    ``(perms, signs)``.  Each of the two batches, keyed ``stream(seed, k)``
+    for k in ``streams``, has ``_ROW_MARGIN`` more rows than the largest
+    sector has columns: a nonzero constraint is a degree-4 polynomial in w
+    and vanishes at a point of {-9..9}^m with probability at most 4/19
+    (Schwartz-Zippel), so the margin over the unknowns is what counts, not
+    the row total.  The batches must agree on every sector's nullity."""
+    blocks = SectorDecomposition(perms, signs).sectors()
+    sectors = _sector_columns(blocks)
+    count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
+    # each batch's system is released before the next one is built
+    results = [
+        _sector_nullity(rows(_sample_w(rep, seed, k, count)), blocks, sectors, mode)
+        for k in streams
+    ]
+    if results[0][:2] != results[1][:2]:
+        raise UnstableDimensionError(
+            f"{name} dimension unstable: {results[0][0]} vs {results[1][0]}"
+        )
+    return blocks, results[0]
+
+
+def g_kernel_dim(rep: CliffordRep, *, seed: int = 0, mode: str = "float") -> KernelReport:
     """Dimension of the symmetry Lie algebra of the quartic.
 
     Each integer sample w imposes grad F(w) . (X w) = 0 on X; the joint
@@ -177,26 +199,11 @@ def g_kernel_dim(
     two disjoint batches must agree on every sector dimension.
     """
     m = rep.m
-    if samples is None:
-        samples = m * m + 64
-    if samples < m * m + 64:
-        raise InvalidInputError("need at least m^2 + 64 samples")
     if mode == "exact" and m > 16:
         raise ExactBudgetError("exact g refused for m > 16; use mode='float'")
-    blocks = SectorDecomposition(*_g_generators(rep)).sectors()
-    sectors = _sector_columns(blocks)
-    # each batch's system is released before the next one is built
-    results = [
-        _sector_nullity(
-            _g_constraint_matrix(rep, _sample_w(rep, seed, batch, samples)), blocks, sectors, mode
-        )
-        for batch in (1, 2)
-    ]
-    if results[0][:2] != results[1][:2]:
-        raise UnstableDimensionError(
-            f"g dimension unstable: {results[0][0]} vs {results[1][0]}"
-        )
-    total, per_sector, residual, basis_cols = results[0]
+    blocks, (total, per_sector, residual, basis_cols) = _sampled_kernel(
+        rep, *_g_generators(rep), lambda w: _g_constraint_matrix(rep, w), seed, (1, 2), "g", mode
+    )
     if mode != "exact":
         return KernelReport(total, None, "float-svd", residual, per_sector)
     # back from sector coordinates y to entries x: x[idxs] = coefs^T y[idxs]
@@ -256,7 +263,7 @@ def _sharp_generators(rep: CliffordRep):
 
 def _sharp_constraint_matrix(rep: CliffordRep, w: np.ndarray, pairs) -> np.ndarray:
     """Rows of sum_i S_i[w] X_i[w] = 0 on the (i, pair) unknowns, as float64
-    (exact integers, as in ``_g_constraint_matrix``)."""
+    (exact integers) and F-ordered, as in ``_g_constraint_matrix``."""
     pa, pb = pairs
     count = w.shape[1]
     pairvals = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
@@ -276,22 +283,13 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 
 
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
-    n = rep.n
+    """(solution dimension, n(n-1)/2 forced by the antisymmetric span)."""
     perms, signs, pairs = _sharp_generators(rep)
-    blocks = SectorDecomposition(perms, signs).sectors()
-    sectors = _sector_columns(blocks)
-    count = max(len(pos) for _, pos in sectors) + 64
-    # each batch's system is released before the next one is built
-    dims = [
-        _sector_nullity(
-            _sharp_constraint_matrix(rep, _sample_w(rep, seed, 10 + batch, count), pairs),
-            blocks, sectors, "float",
-        )[:2]
-        for batch in (1, 2)
-    ]
-    if dims[0] != dims[1]:
-        raise UnstableDimensionError(f"sharp dimension unstable: {dims[0][0]} vs {dims[1][0]}")
-    return dims[0][0], n * (n - 1) // 2
+    _, (dim, *_) = _sampled_kernel(
+        rep, perms, signs, lambda w: _sharp_constraint_matrix(rep, w, pairs), seed, (11, 12),
+        "sharp",
+    )
+    return dim, rep.n * (rep.n - 1) // 2
 
 
 def expected_sharp(p: int, q: int, mults) -> bool:

@@ -128,6 +128,14 @@ def test_usage_errors_exit_2(capsys):
     assert main(["nonsense"]) == 2
     assert main(["zeta", "gamma", "--p", "2", "--q", "1", "--m", "8",
                  "--s", "0.3", "--formula", "quartic"]) == 2  # excluded case
+    capsys.readouterr()
+    assert main(["zeta", "gamma", "--p", "4", "--q", "0",
+                 "--s", "0.3", "--formula", "quartic"]) == 2  # no --m
+    assert capsys.readouterr().err.splitlines() == ["error: --formula quartic needs --m"]
+    for cmd in ("eval", "grad"):  # a non-integer point entry
+        argv = ["quartic", cmd, "--p", "3", "--q", "0", "--mult", "1", "--w", "1,x,0,0"]
+        assert main(argv) == 2
+        assert "argument --w" in capsys.readouterr().err
 
 
 _SQUARE = [[1, 0], [0, -1]]
