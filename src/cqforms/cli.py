@@ -41,7 +41,10 @@ SCHEMA = 1
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}") from None
 
 
 def _parse_complex(text: str) -> complex:

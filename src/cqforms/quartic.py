@@ -48,13 +48,13 @@ SQUARE_TRIPLES = {
 }
 
 
-def quad_form_terms(s: np.ndarray) -> dict[tuple[int, int], int]:
-    """w^T S w as {(a, b): coeff} with a <= b (off-diagonal doubled)."""
-    terms: dict[tuple[int, int], int] = {}
-    m = s.shape[0]
+def quad_form_terms(s: list[list]) -> dict[tuple[int, int], object]:
+    """w^T S w as {(a, b): coeff}, a <= b (off-diagonal doubled); s[a][b] int or Fraction."""
+    terms: dict[tuple[int, int], object] = {}
+    m = len(s)
     for a in range(m):
         for b in range(a, m):
-            c = int(s[a, b])
+            c = s[a][b]
             if c:
                 terms[(a, b)] = c if a == b else 2 * c
     return terms
@@ -104,7 +104,7 @@ def expand_coeffs(rep: CliffordRep) -> QuarticForm:
     """Exact expansion of sum_i eps_i S_i[w]^2 into monomials."""
     coeffs: dict[tuple[int, int, int, int], int] = {}
     for eps, s in zip(rep.eps, rep.basis):
-        terms = list(quad_form_terms(s).items())
+        terms = list(quad_form_terms(s.tolist()).items())
         for t1, ((a, b), c1) in enumerate(terms):
             for (cc, dd), c2 in terms[t1:]:
                 key = tuple(sorted((a, b, cc, dd)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import symlie as SY
 from . import zetafe as Z
 from .classify import classify as classify_verdict
 from .classify import table1_lookup
-from .repkit import irrep_catalog, rep_build, spin_equivariance_check, verify_relations
+from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check, verify_relations
 from .rng import complex_s_samples, integer_points
 
 
@@ -50,68 +51,78 @@ def _case_id(p, q, mults) -> str:
     return f"({p},{q})x{','.join(map(str, mults))}"
 
 
-def check_relations(p, q, mults) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
+@dataclass(frozen=True)
+class Case:
+    """One module of the enumeration; each shared object is built on first use."""
+
+    p: int
+    q: int
+    mults: tuple
+    seed: int = 0
+
+    @cached_property
+    def rep(self):
+        return rep_build(self.p, self.q, self.mults)
+
+    @cached_property
+    def form(self):
+        return Q.expand_coeffs(self.rep)
+
+    @cached_property
+    def witness(self):
+        return None if self.form.is_zero else Q.square_detect(self.form)
+
+    @cached_property
+    def consts(self):
+        return Z.gamma_constants(self.rep)
+
+
+def check_relations(case) -> tuple[bool, str]:
+    rep = case.rep
     report = verify_relations(rep)
     if not report.ok:
         return False, str(report.failures)
     if not spin_equivariance_check(rep):
         return False, "spin equivariance identities failed"
     # the coefficient table and the matrix formula agree pointwise
-    form = Q.expand_coeffs(rep)
     for w in integer_points(83, 10, rep.m):
-        if form.eval(w) != Q.eval_quartic(rep, w):
+        if case.form.eval(w) != Q.eval_quartic(rep, w):
             return False, f"coefficient table disagrees with direct evaluation at {w}"
     return True, ""
 
 
-def check_degeneracy(p, q, mults) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    computed, expected = Q.is_degenerate(rep)
+def check_degeneracy(case) -> tuple[bool, str]:
+    computed = case.form.is_zero
+    expected = Q.expected_degenerate(case.p, case.q, case.mults)
     return computed == expected, f"computed={computed} expected={expected}"
 
 
-def check_square(p, q, mults) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    form = Q.expand_coeffs(rep)
-    if form.is_zero:
+def check_square(case) -> tuple[bool, str]:
+    if case.form.is_zero:
         return True, "degenerate, skipped"
-    witness = Q.square_detect(form)
-    expected = (p, q) == (1, 0) or (p, q, rep.m) in Q.SQUARE_TRIPLES
+    witness = case.witness
+    expected = (case.p, case.q) == (1, 0) or (case.p, case.q, case.rep.m) in Q.SQUARE_TRIPLES
     if (witness is not None) != expected:
         return False, f"witness={'yes' if witness else 'no'} expected={expected}"
     if witness is not None:
-        pairs = _mat_to_pairs(witness.mat)
+        pairs = Q.quad_form_terms(witness.mat)
         want = {k: witness.c * v for k, v in Q._poly_mul(pairs, pairs).items()}
-        if want != dict(form.coeffs):
+        if want != dict(case.form.coeffs):
             return False, "witness square does not reproduce the quartic"
     return True, ""
 
 
-def _mat_to_pairs(mat):
-    out = {}
-    m = len(mat)
-    for a in range(m):
-        for b in range(a, m):
-            v = mat[a][b] if a == b else 2 * mat[a][b]
-            if v:
-                out[(a, b)] = v
-    return out
+def check_homaloidal(case) -> tuple[bool, str]:
+    return Q.homaloidal_check(case.rep, 20, case.seed + 17), ""
 
 
-def check_homaloidal(p, q, mults, seed=0, trials=20) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    ok = Q.homaloidal_check(rep, trials, seed + 17)
-    return ok, ""
-
-
-def check_symmetry_dims(p, q, mults, seed=0) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    pred = SY.predict(p, q, mults)
+def check_symmetry_dims(case) -> tuple[bool, str]:
+    rep = case.rep
+    pred = SY.predict(case.p, case.q, case.mults)
     hk = SY.h_kernel(rep)
     if hk.dimension != pred.h_dim:
         return False, f"h: computed {hk.dimension}, predicted {pred.h_dim} ({pred.h_algebra})"
-    gk = SY.g_kernel_dim(rep, seed=seed + 29)
+    gk = SY.g_kernel_dim(rep, seed=case.seed + 29)
     if pred.degenerate:
         want = rep.m * rep.m
     elif pred.exceptional:
@@ -130,10 +141,9 @@ def check_symmetry_dims(p, q, mults, seed=0) -> tuple[bool, str]:
     return True, f"h={hk.dimension} g={gk.dimension}"
 
 
-def check_sharp(p, q, mults, seed=0) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    got = SY.sharp_check(rep, seed=seed + 41)
-    want = SY.expected_sharp(p, q, mults)
+def check_sharp(case) -> tuple[bool, str]:
+    got = SY.sharp_check(case.rep, seed=case.seed + 41)
+    want = SY.expected_sharp(case.p, case.q, case.mults)
     return got == want, f"computed={got} expected={want}"
 
 
@@ -151,50 +161,45 @@ def gamma_applicable(p, q, mults) -> bool:
     return True
 
 
-def check_gamma_consistency(p, q, mults, seed=0, count=20, tol=1e-10) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    consts = Z.gamma_constants(rep)
+def check_gamma_consistency(case) -> tuple[bool, str]:
+    p, q, m = case.p, case.q, case.rep.m
+    consts = case.consts
     if any(abs(g - 1) > 1e-12 for g in consts.gammas):
         return True, "twists not all 1, closed form not applicable"
     worst = 0.0
-    for s in complex_s_samples(seed + 53, count):
-        gq = Z.gamma_quartic(p, q, rep.m, s)
+    for s in complex_s_samples(case.seed + 53, 20):
+        gq = Z.gamma_quartic(p, q, m, s)
         gp = Z.gamma_pullback(consts, s)
         scale = np.max(np.abs(gq.values))
         worst = max(worst, float(np.max(np.abs(gq.values - gp.values)) / scale))
-    if worst >= tol:
+    if worst >= 1e-10:
         return False, f"pullback vs closed relative error {worst:.2e}"
     inv_bad = [
         s
-        for s in complex_s_samples(seed + 67, 10)
-        if not Z.fe_involution_check(p, q, rep.m, s, tol)
+        for s in complex_s_samples(case.seed + 67, 10)
+        if not Z.fe_involution_check(p, q, m, s, 1e-10)
     ]
     if inv_bad:
         return False, f"involution failed at {inv_bad[0]}"
     return True, f"max rel err {worst:.2e}"
 
 
-def check_constants(p, q, mults, seed=0) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    if Q.expected_degenerate(p, q, mults):
+def check_constants(case) -> tuple[bool, str]:
+    if Q.expected_degenerate(case.p, case.q, case.mults):
         return True, "degenerate, skipped"
-    Z.gamma_constants(rep)  # raises on closed-form mismatch
-    if not Z.det_sv_identity_check(rep, seed=seed + 71):
+    case.consts  # raises on closed-form mismatch
+    if not Z.det_sv_identity_check(case.rep, seed=case.seed + 71):
         return False, "det S(v) identity failed"
     return True, ""
 
 
-def check_classification(p, q, mults) -> tuple[bool, str]:
-    rep = rep_build(p, q, mults)
-    verdict = classify_verdict(p, q, mults)
-    form = Q.expand_coeffs(rep)
-    if verdict.degenerate != form.is_zero:
+def check_classification(case) -> tuple[bool, str]:
+    verdict = classify_verdict(case.p, case.q, case.mults)
+    if verdict.degenerate != case.form.is_zero:
         return False, "degenerate flag disagrees with computation"
-    if not form.is_zero:
-        has_witness = Q.square_detect(form) is not None
-        if verdict.square_of_quadratic != has_witness:
-            return False, "square flag disagrees with detection"
-    if verdict.prehomogeneous != (table1_lookup(p, q, mults) is not None):
+    if not case.form.is_zero and verdict.square_of_quadratic != (case.witness is not None):
+        return False, "square flag disagrees with detection"
+    if verdict.prehomogeneous != (table1_lookup(case.p, case.q, case.mults) is not None):
         return False, "prehomogeneous flag disagrees with the space catalog"
     flags = [verdict.degenerate, verdict.exceptional, verdict.generic]
     if sum(flags) != 1:
@@ -214,8 +219,6 @@ CHECKS = {
     "classification": check_classification,
 }
 
-_SEEDED = {"homaloidal", "symmetry-dims", "sharp", "gamma", "constants"}
-
 
 def run_suite(
     max_pq: int = 11,
@@ -224,24 +227,33 @@ def run_suite(
     checks=None,
     max_total_mult: int = 2,
 ) -> list[SuiteRow]:
-    if max_pq > 12 or max_m > 64:
-        from .repkit import InvalidInputError
+    """Run the named checks (all by default) on every enumerated case.
 
+    Each case is one ``Case`` shared by its checks and dropped before the
+    next case.  The module, quartic, square witness and gamma constants are
+    built lazily, so their cost is timed in the first check that reads them.
+    """
+    if max_pq > 12 or max_m > 64:
         raise InvalidInputError("suite bounds: max_pq <= 12, max_m <= 64")
     names = list(CHECKS) if checks is None else list(checks)
+    if not names:
+        raise InvalidInputError("no check to run")
+    for name in names:
+        if name not in CHECKS:
+            raise InvalidInputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    cases = enumerate_cases(max_pq, max_total_mult, max_m)
+    if not cases:
+        raise InvalidInputError(f"the bounds max_pq={max_pq}, max_m={max_m} enumerate no case")
     rows = []
-    for p, q, mults in enumerate_cases(max_pq, max_total_mult, max_m):
+    for p, q, mults in cases:
         cid = _case_id(p, q, mults)
+        case = Case(p, q, mults, seed)
         for name in names:
             if name == "gamma" and not gamma_applicable(p, q, mults):
                 continue
-            fn = CHECKS[name]
             t0 = time.perf_counter()
             try:
-                if name in _SEEDED:
-                    ok, detail = fn(p, q, mults, seed=seed)
-                else:
-                    ok, detail = fn(p, q, mults)
+                ok, detail = CHECKS[name](case)
             except Exception as exc:  # a crash is a failure, not an abort
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
             rows.append(SuiteRow(cid, name, ok, time.perf_counter() - t0, detail))

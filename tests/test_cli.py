@@ -135,7 +135,15 @@ def test_usage_errors_exit_2(capsys):
     for cmd in ("eval", "grad"):  # a non-integer point entry
         argv = ["quartic", cmd, "--p", "3", "--q", "0", "--mult", "1", "--w", "1,x,0,0"]
         assert main(argv) == 2
-        assert "argument --w" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --w" in err and "'1,x,0,0'" in err and "_int_list" not in err
+    assert main(["classify", "--p", "3", "--q", "0", "--mult", "1,y"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --mult" in err and "'1,y'" in err and "_int_list" not in err
+    assert main(["verify-all", "--max-pq", "0", "--max-m", "0"]) == 2  # checks nothing
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 _SQUARE = [[1, 0], [0, -1]]

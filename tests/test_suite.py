@@ -1,0 +1,68 @@
+"""The suite driver: input checks, one shared module per case, and rows that
+do not depend on which other checks ran."""
+
+from collections import Counter
+
+import pytest
+
+import cqforms.quartic
+import cqforms.suite
+import cqforms.zetafe
+from cqforms.repkit import InvalidInputError
+from cqforms.suite import CHECKS, enumerate_cases, run_suite
+
+
+def _key(rep):
+    return (rep.p, rep.q, tuple(rep.mults))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"checks": ["no-such-check"]},
+        {"checks": ["relations", "no-such-check"]},
+        {"checks": []},
+        {"max_pq": 0, "max_m": 0},
+        {"max_pq": 4, "max_m": 0},
+    ],
+    ids=["unknown", "unknown-among-known", "empty-checks", "no-case", "no-case-m"],
+)
+def test_run_suite_refuses_input_that_checks_nothing(kwargs):
+    with pytest.raises(InvalidInputError):
+        run_suite(**{"max_pq": 2, "max_m": 2, **kwargs})
+
+
+def test_one_module_per_case(monkeypatch):
+    counts = {name: Counter() for name in ("rep_build", "square_detect", "gamma_constants")}
+
+    def counted(name, fn, key):
+        def wrapper(*args, **kwargs):
+            counts[name][key(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cqforms.suite, "rep_build", counted(
+        "rep_build", cqforms.suite.rep_build, lambda p, q, mults: (p, q, tuple(mults))))
+    monkeypatch.setattr(cqforms.quartic, "square_detect", counted(
+        "square_detect", cqforms.quartic.square_detect, lambda form: _key(form.rep)))
+    monkeypatch.setattr(cqforms.zetafe, "gamma_constants", counted(
+        "gamma_constants", cqforms.zetafe.gamma_constants, _key))
+    rows = run_suite(max_pq=6, max_m=16)
+    assert all(r.ok for r in rows)
+    cases = enumerate_cases(max_pq=6, max_m=16)
+    assert counts["rep_build"] == Counter({(p, q, tuple(mults)): 1 for p, q, mults in cases})
+    for name in ("square_detect", "gamma_constants"):
+        assert counts[name] and max(counts[name].values()) == 1, name
+
+
+def _rows(**kwargs):
+    return [(r.case, r.check, r.ok, r.detail) for r in run_suite(max_pq=4, max_m=8, **kwargs)]
+
+
+def test_rows_do_not_depend_on_the_other_checks():
+    full = _rows()
+    assert {check for _, check, _, _ in full} == set(CHECKS)
+    for name in CHECKS:
+        assert _rows(checks=[name]) == [row for row in full if row[1] == name], name
+    assert _rows(checks=list(reversed(CHECKS))) == full
