@@ -14,6 +14,7 @@ unless --no-timestamp is given.  Exit status: 0 success / checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -427,6 +428,7 @@ def _add_common(sub, rep_arg=False, pq=False, mult=False):
         sub.add_argument("--mult", type=_int_list)
 
 
+@functools.cache  # parse_args keeps no state in the parser, so main() reuses one
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cqforms", description=__doc__)
     top.add_argument("--seed", type=int, default=0)

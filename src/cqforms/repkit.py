@@ -296,6 +296,10 @@ def irrep_basis(p: int, q: int, class_index: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+# entries per (m, n, cols) block of CliffordRep.forms: 256 KB of float64 stays in cache
+FORMS_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class CliffordRep:
     """A C_p (x) C_q module with symmetric signed-permutation basis matrices.
@@ -346,11 +350,18 @@ class CliffordRep:
         and every column w of the coordinate-major (m, count) array ``w``.
 
         Returns the (n, count) array of values; with ``images`` also the
-        (n, m, count) array of the vectors S_i w, scattered as
-        (S_i w)[perm[i]] = sign[i] w, which holds for any signed permutation.
+        (n, m, count) array of the vectors S_i w, given by
+        (S_i w)[perm[i]] = sign[i] w, which holds for any signed permutation,
+        and read through the inverse permutation in one gather.
         Float arrays are evaluated in float64.  Integer arrays are evaluated
         in int64 when m max|w|^2 < 2^63 and as Python ints (object dtype)
         otherwise; object arrays (Python ints or Fractions) stay object.
+
+        Columns are taken FORMS_BLOCK entries of (m, n, cols) at a time: one
+        contiguous copy of the block, one gather of sign[i, a] w_{perm[i, a]}
+        for all generators from the stacked [w; -w], one product with w_a and
+        one sum over a in ``_column_sums`` order.  Negation is exact, so the
+        float values do not depend on the block size or the input strides.
         """
         w = np.asarray(w)
         if w.dtype.kind == "f":
@@ -358,15 +369,22 @@ class CliffordRep:
         elif w.dtype != object:
             big = int(np.abs(w).max(initial=0))  # |S_i[w]| <= m max|w|^2
             w = w.astype(np.int64 if self.m * big * big < 2**63 else object, copy=False)
-        vals = np.empty((self.n, w.shape[1]), dtype=w.dtype)
-        sw = np.empty((self.n,) + w.shape, dtype=w.dtype) if images else None
-        for i, (perm, sign) in enumerate(zip(self.perm, self.sign)):
-            prod = sign[:, None] * w
-            if images:
-                sw[i][perm] = prod
-            prod *= w[perm]
-            vals[i] = _column_sums(prod)
-        return (vals, sw) if images else vals
+        n, m, count = self.n, self.m, w.shape[1]
+        vals = np.empty((n, count), dtype=w.dtype)
+        gather = (self.perm + m * (self.sign < 0)).T  # (m, n) rows of [w; -w]
+        step = max(1, FORMS_BLOCK // (m * n))
+        for c in range(0, count, step):
+            cols = slice(c, c + step)
+            blk = np.ascontiguousarray(w[:, cols])
+            prod = np.concatenate([blk, -blk])[gather]
+            prod *= blk[:, None]
+            vals[:, cols] = _column_sums(prod)
+        if not images:
+            return vals
+        rows = np.arange(n)[:, None]
+        inv = np.empty_like(self.perm)
+        inv[rows, self.perm] = np.arange(m)
+        return vals, np.concatenate([w, -w])[inv + m * (self.sign[rows, inv] < 0)]
 
     def __eq__(self, other):
         return (

@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quartic import expand_coeffs
+from .quartic import eval_quartic, expand_coeffs
 from .repkit import CliffordRep, InvalidInputError
-from .rng import MC_CHUNK, stream
+from .rng import MC_CHUNK, integer_points, stream
 from .spmat import int_det, sp_det
 
 
@@ -40,6 +40,7 @@ class UnsupportedCaseError(ValueError):
 
 
 POLE_RADIUS = 1e-8
+DEGENERACY_PROBES = 4  # integer points tried before gamma_constants expands the quartic
 
 # ---------------------------------------------------------------------------
 # Complex gamma: Lanczos approximation (g = 7, 9 coefficients), with the
@@ -141,9 +142,12 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     """Exact signature data of S(v) at the component representatives.
 
     Also evaluates the closed multiplicity formulas for the eighth-root
-    constants and asserts agreement with the computed signatures.
+    constants and asserts agreement with the computed signatures.  One
+    nonzero exact value of the quartic at a probe point certifies that the
+    module is nondegenerate; the full expansion runs only if every probe is 0.
     """
-    if expand_coeffs(rep).is_zero:
+    probes = integer_points(0, DEGENERACY_PROBES, rep.m)
+    if not any(eval_quartic(rep, w) for w in probes) and expand_coeffs(rep).is_zero:
         raise InvalidInputError("signature constants need a nondegenerate module")
     labels, sigs, gammas = [], [], []
     for label, v in components(rep.p, rep.q):
@@ -527,8 +531,9 @@ def zeta_quartic_mc(
     while done < samples:
         count = min(MC_CHUNK, samples - done)
         gen = stream(seed, chunk_idx)
-        w = np.ascontiguousarray((gen.standard_normal((count, m)) * scale).T)
-        qvals = rep.forms(w)
+        w = gen.standard_normal((count, m))
+        w *= scale
+        qvals = rep.forms(w.T)
         fvals = np.zeros(count)
         for e, v in zip(rep.eps, qvals):
             fvals += e * v * v

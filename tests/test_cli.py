@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cqforms.cli import main
+from cqforms import cli
+from cqforms.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -208,3 +209,41 @@ def test_module_command_without_module_exits_2(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: give a module file or --p, --q and --mult"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "2000-01-01T00:00:00")
+    out = str(tmp_path / "out.json")
+    mc = ["zeta", "mc", "--p", "3", "--q", "0", "--mult", "1", "--component", "+",
+          "--s", "0.3", "--samples", "500"]
+    coeffs = ["quartic", "coeffs", "--p", "1", "--q", "1", "--mult", "1,0,1,0"]
+    commands = [
+        mc + ["--seed", "7"],
+        mc,
+        ["--seed", "9"] + mc + ["--out", out],
+        mc + ["--no-timestamp"],
+        coeffs + ["--format", "csv"],
+        coeffs,
+        ["--no-timestamp"] + coeffs + ["--out", out],
+        coeffs,
+    ]
+
+    def run_one(argv):
+        code = main(argv)
+        text = None
+        if out in argv:
+            with open(out) as fh:
+                text = fh.read()
+            (tmp_path / "out.json").unlink()
+        return code, capsys.readouterr().out, text
+
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        alone.append(run_one(argv))
+    assert all(code == 0 for code, _, _ in alone)
+    # --seed, --no-timestamp and --format each change the output
+    assert alone[0] != alone[1] and alone[3] != alone[1] and alone[4] != alone[5]
+    back_to_back = [run_one(argv) for argv in commands]
+    assert back_to_back == alone

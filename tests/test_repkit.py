@@ -6,6 +6,7 @@ import pytest
 
 from cqforms.quartic import quadratic_map
 from cqforms.repkit import (
+    FORMS_BLOCK,
     CliffordRep,
     InvalidInputError,
     UnsupportedError,
@@ -322,6 +323,55 @@ def test_forms_scatter_on_non_symmetric_signed_permutation():
     vals, images = rep.forms(w, images=True)
     assert np.array_equal(images[0], s @ w)
     assert vals[0].tolist() == [_dense_form(s, col) for col in _columns(w)]
+
+
+def _same_output(a, b):
+    """Equal dtype, shape and bytes (or Python values for object arrays)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert a.tolist() == b.tolist()
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+def _inputs(rep, count, seed):
+    """(count, m) float64, int64 and object (Python int) arrays, each passed
+    as its strided .T."""
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-9, 10, size=(count, rep.m))
+    return rng.standard_normal((count, rep.m)).T, ints.T, ints.astype(object).T
+
+
+def _assert_layout_free(rep, w):
+    vals, images = rep.forms(w, images=True)
+    want_vals, want_images = rep.forms(np.ascontiguousarray(w), images=True)
+    _same_output(vals, want_vals)
+    _same_output(images, want_images)
+
+
+def test_forms_strided_input_matches_contiguous():
+    rep = rep_build(6, 2, (1,))
+    wf, wi, wo = _inputs(rep, 40, 6)
+    for w in (wf, wi, wo, wo / Fraction(7)):
+        assert not w.flags.c_contiguous
+        _assert_layout_free(rep, w)
+
+
+@pytest.mark.parametrize("args", [(6, 2, (1,)), (3, 1, (1, 1))])
+def test_forms_block_edges(args):
+    rep = rep_build(*args)
+    step = max(1, FORMS_BLOCK // (rep.m * rep.n))
+    for count in (1, step - 1, step, step + 1, 3 * step + 5):
+        wf, wi, wo = _inputs(rep, count, count)
+        for w in (wf, wi, wo):
+            _assert_layout_free(rep, w)
+        _assert_row_sum_rounding(rep, wf)
+        vals, images = rep.forms(wi, images=True)
+        for i, s in enumerate(rep.basis):  # exact in int64: S_i w and w . S_i w
+            assert np.array_equal(images[i], s @ wi)
+            assert np.array_equal(vals[i], (wi * (s @ wi)).sum(axis=0))
+        ovals, oimages = rep.forms(wo, images=True)
+        assert ovals.tolist() == vals.tolist() and oimages.tolist() == images.tolist()
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,21 @@ def test_gamma_constants_reject_degenerate():
         Z.gamma_constants(rep_build(2, 2, (1,)))
 
 
+def test_gamma_constants_expands_only_when_every_probe_is_zero(monkeypatch):
+    expanded = []
+    expand = Z.expand_coeffs
+    monkeypatch.setattr(Z, "expand_coeffs", lambda rep: expanded.append(rep) or expand(rep))
+    rep = rep_build(6, 2, (1,))
+    consts = Z.gamma_constants(rep)
+    assert expanded == []  # a nonzero probe value certifies nondegeneracy
+    with pytest.raises(Z.InvalidInputError):
+        Z.gamma_constants(rep_build(5, 1, (0, 0, 0, 1)))  # degenerate: every probe is 0
+    assert len(expanded) == 1
+    monkeypatch.setattr(Z, "eval_quartic", lambda rep, w: 0)
+    assert Z.gamma_constants(rep) == consts  # the expansion decides, and is nonzero
+    assert len(expanded) == 2
+
+
 def test_det_identity():
     for args in [(3, 2, (1,)), (1, 1, (1, 0, 1, 0)), (9, 1, (1, 1, 0, 0)), (1, 0, (2, 1))]:
         assert Z.det_sv_identity_check(rep_build(*args))
@@ -257,3 +272,19 @@ def test_mc_reproducible_and_stderr_scaling():
     big = Z.zeta_quartic_mc(rep, "+", 0.5, samples=200_000, seed=9)
     ratio = a.stderr / big.stderr
     assert 1.5 < ratio < 2.7  # ~2 expected from quadrupling the sample count
+
+
+@pytest.mark.parametrize(
+    "args, value, stderr",
+    [
+        # degenerate: F is pure float rounding noise, so this pins the rounding
+        ((5, 1, (0, 0, 0, 1)), "(-6.8673430631231005e-06+3.0347872261327866e-06j)",
+         "7.976917883838812e-08"),
+        ((6, 2, (1,)), "(1.5381838735349145+0.2868715767767214j)", "0.00427134419109752"),
+    ],
+)
+def test_mc_estimate_pinned(args, value, stderr):
+    # 20 000 samples: one full chunk and one partial chunk
+    est = Z.zeta_quartic_mc(rep_build(*args), "+", 0.3 + 0.1j, samples=20_000, seed=3)
+    assert repr(complex(est.value)) == value
+    assert repr(float(est.stderr)) == stderr
