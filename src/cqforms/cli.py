@@ -48,6 +48,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}") from None
 
 
+def _component(text: str) -> str:
+    """A component label with ``p`` for ``+`` and ``m`` for ``-``: argparse
+    takes a value that starts with ``-``, such as ``--`` or ``-+``, for an
+    option or the end of options."""
+    return text.translate(str.maketrans("pm", "+-"))
+
+
 def _parse_complex(text: str) -> complex:
     t = text.strip().replace(" ", "").replace("i", "j")
     try:
@@ -525,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_zeta_fe_quadratic)
     s = zt.add_parser("mc")
     _add_common(s, rep_arg=True)
-    s.add_argument("--component", required=True)
+    s.add_argument(
+        "--component", type=_component, required=True,
+        help="+, -, -+, --, ++ or +-, with p for + and m for - (mm is --)",
+    )
     s.add_argument("--s", required=True)
     s.add_argument("--samples", type=int, default=10**6)
     s.set_defaults(fn=cmd_zeta_mc)

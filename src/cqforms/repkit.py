@@ -565,23 +565,34 @@ def spin_equivariance_check(rep: CliffordRep) -> bool:
 
     For Y = S_i S_j the combination Y^T S_k + S_k Y must be 0 for k distinct
     from i, j, equal to 2 S_j for k = i, and to -2 eps_i eps_j S_i for k = j.
+
+    Checked on the signed permutations for every (i < j, k) at once: column a
+    of Y^T S_k + S_k Y is s1 e_p1 + s2 e_p2, which is 0 exactly when p1 = p2
+    and s1 = -s2, and 2 s e_p exactly when p1 = p2 = p and s1 = s2 = s.
     """
-    n = rep.n
-    eps = rep.eps
-    for i in range(n):
-        for j in range(i + 1, n):
-            y = rep.basis[i] @ rep.basis[j]
-            for k in range(n):
-                lhs = y.T @ rep.basis[k] + rep.basis[k] @ y
-                if k == i:
-                    want = 2 * rep.basis[j]
-                elif k == j:
-                    want = -2 * eps[i] * eps[j] * rep.basis[i]
-                else:
-                    want = np.zeros_like(lhs)
-                if not np.array_equal(lhs, want):
-                    return False
-    return True
+    perm, sign, eps = rep.perm, rep.sign, np.array(rep.eps)
+    i, j = np.triu_indices(rep.n, 1)
+    ij = np.arange(len(i))
+    # Y e_a = sy[a] e_py[a], so Y^T e_py[a] = sy[a] e_a
+    py = perm[i[:, None], perm[j]]
+    sy = sign[j] * sign[i[:, None], perm[j]]
+    pyt, syt = np.empty_like(py), np.empty_like(sy)
+    pyt[ij[:, None], py] = np.arange(rep.m)
+    syt[ij[:, None], py] = sy
+    # index (pair, k, a): Y^T S_k e_a = s1 e_p1 and S_k Y e_a = s2 e_p2
+    p1 = pyt[ij[:, None, None], perm]
+    s1 = sign * syt[ij[:, None, None], perm]
+    k = np.arange(rep.n)[:, None]
+    p2 = perm[k, py[:, None]]
+    s2 = sy[:, None] * sign[k, py[:, None]]
+    # the wanted column is 2 want e_wperm, with want = 0 for k not in {i, j}
+    want = np.zeros_like(s1)
+    want[ij, i] = sign[j]
+    want[ij, j] = -(eps[i] * eps[j])[:, None] * sign[i]
+    wperm = p1.copy()
+    wperm[ij, i] = perm[j]
+    wperm[ij, j] = perm[i]
+    return bool(np.all(p1 == p2) and np.all(s1 + s2 == 2 * want) and np.all(p1 == wperm))
 
 
 # ---------------------------------------------------------------------------

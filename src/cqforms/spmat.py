@@ -15,6 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# entries per slice of the whole-array sector steps: the characters' +-1
+# coefficients here, the stacked sector SVDs in symlie
+SECTOR_BLOCK = 1 << 15
+
 # 2x2 building blocks for Kronecker-product generator families.
 #   Z, X are symmetric involutions, T is skew with T^2 = -1.
 BLOCKS = {
@@ -284,52 +288,16 @@ class SectorDecomposition:
         key = np.unique((orbit << (r + 1)) | (mask << 1) | (sign * self.signs * sign[v] < 0))
         rel = key & ((1 << (r + 1)) - 1)
         keep = rel != 0  # 0 = 0 relations say nothing
-        cut = np.searchsorted(key[keep] >> (r + 1), np.arange(len(self.orbits) + 1))
-        rel = rel[keep].tolist()
-        # per orbit, the sorted packed relations fixing its least index
-        self.relations = [tuple(rel[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+        # orbit o is fixed by the sorted packed relations rel[cut[o]:cut[o + 1]]
+        self.rel = rel[keep]
+        self.cut = np.searchsorted(key[keep] >> (r + 1), np.arange(len(self.orbits) + 1))
 
     def fixed_space(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Basis of the common +1 eigenspace, one (indices, signs) vector per
         orbit all of whose stabilizer relations carry the sign +1."""
-        return [
-            (idxs, self.sign[idxs])
-            for idxs, rels in zip(self.orbits, self.relations)
-            if not any(rel & 1 for rel in rels)
-        ]
-
-    def _characters(self, rels: tuple[int, ...], par: np.ndarray) -> np.ndarray:
-        """Every character chi with chi . mask = (sign < 0) over F2 for the
-        packed relations ``rels``, as an int64 array."""
-        # pivots[bit] = (mask, b) with `bit` the lowest set bit of mask and
-        # masks fully reduced, so a pivot mask holds no other pivot bit
-        pivots: dict[int, tuple[int, int]] = {}
-        for rel in rels:
-            m, b = rel >> 1, rel & 1
-            for bit, (pm, pb) in pivots.items():
-                if m >> bit & 1:
-                    m ^= pm
-                    b ^= pb
-            if m == 0:
-                if b != 0:
-                    raise AssertionError("inconsistent orbit sign relations")
-                continue
-            low = (m & -m).bit_length() - 1
-            for bit in list(pivots):
-                pm, pb = pivots[bit]
-                if pm >> low & 1:
-                    pivots[bit] = (pm ^ m, pb ^ b)
-            pivots[low] = (m, b)
-        free = [j for j in range(self.r) if j not in pivots]
-        # free bits counted up by t, each pivot bit fixed by the free bits of
-        # its relation
-        t = np.arange(1 << len(free), dtype=np.int64)
-        chi = np.zeros_like(t)
-        for k, j in enumerate(free):
-            chi |= (t >> k & 1) << j
-        for bit, (pm, pb) in pivots.items():
-            chi |= (pb ^ par[pm & ~(1 << bit) & chi]) << bit
-        return chi
+        signed = np.zeros(len(self.orbits), dtype=bool)
+        signed[np.searchsorted(self.cut, np.flatnonzero(self.rel & 1), side="right") - 1] = True
+        return [(idxs, self.sign[idxs]) for idxs, odd in zip(self.orbits, signed) if not odd]
 
     def sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """All joint sign sectors, as one block ``(idxs, chi, coefs)`` per orbit.
@@ -338,25 +306,58 @@ class SectorDecomposition:
         character per index, ``chi[k]`` (bit ``j`` set means generator ``j``
         acts by -1), and row ``k`` of the int64 matrix ``coefs`` holds the +-1
         entries of its ``chi[k]`` eigenvector on ``idxs``.  Orbits come in
-        order of their least index and the characters of a stabilizer
-        relation set in a fixed order, so a sector's columns are its orbits
-        in order.
+        order of their least index and the characters of an orbit in
+        ascending order, so a sector's columns are its orbits in order.
+
+        The orbits of one length are solved together: every one of the 2^r
+        characters is tested against each distinct padded relation set, and
+        the coefficients are built ``SECTOR_BLOCK`` entries at a time.
         """
         # par[x] is the parity of the bitmask x, for every x < 2^r
         par = np.zeros(1, dtype=np.int64)
         for _ in range(self.r):
             par = np.concatenate([par, par ^ 1])
-        chars: dict[tuple[int, ...], np.ndarray] = {}
-        blocks = []
-        for idxs, rels in zip(self.orbits, self.relations):
-            chi = chars.get(rels)
-            if chi is None:
-                chi = chars[rels] = self._characters(rels, par)
-            if len(chi) != len(idxs):
-                raise AssertionError("orbit characters do not match the orbit length")
-            coefs = self.sign[idxs] * (1 - 2 * par[self.word[idxs] & chi[:, None]])
-            blocks.append((idxs, chi, coefs))
+        lengths = np.array([len(idxs) for idxs in self.orbits])
+        order = np.concatenate(self.orbits)
+        start = np.cumsum(lengths) - lengths
+        counts = np.diff(self.cut)
+        blocks = [None] * len(self.orbits)
+        for length in np.unique(lengths).tolist():
+            group = np.flatnonzero(lengths == length)
+            slot = np.arange(counts[group].max())
+            held = slot < counts[group, None]
+            rels = np.zeros(held.shape, dtype=np.int64)  # padded with 0 = 0
+            rels[held] = self.rel[(self.cut[group, None] + slot)[held]]
+            sets, which = np.unique(rels, axis=0, return_inverse=True)
+            chi = _admitted_characters(sets, length, par)[which.reshape(-1)]
+            step = max(1, SECTOR_BLOCK // (length * length))
+            for b in range(0, len(group), step):
+                part = group[b : b + step]
+                at = order[start[part, None, None] + np.arange(length)]
+                coefs = self.sign[at] * (1 - 2 * par[self.word[at] & chi[b : b + step, :, None]])
+                # each block owns its arrays, so no slice outlives its step
+                for o, c, k in zip(part.tolist(), chi[b : b + step], coefs):
+                    blocks[o] = (self.orbits[o], c.copy(), k.copy())
         return blocks
+
+
+def _admitted_characters(sets: np.ndarray, length: int, par: np.ndarray) -> np.ndarray:
+    """Row k: the ``length`` characters chi < 2^r with chi . mask = (sign < 0)
+    over F2 for every packed relation ``mask << 1 | (sign < 0)`` of
+    ``sets[k]``, a row padded with zeros; ``par`` is the parity table.
+
+    Every character is tested against every relation.  The admitted ones
+    come in ascending order, which is the order of their free bits counted
+    up: eliminating the relations with pivots on lowest set bits leaves a
+    free bit as the highest set bit of every difference of two of them.
+    """
+    every = np.arange(len(par), dtype=np.int64)
+    admit = np.ones((len(sets), len(every)), dtype=bool)
+    for rel in sets.T:
+        admit &= par[every & (rel[:, None] >> 1)] == (rel[:, None] & 1)
+    if np.any(admit.sum(axis=1) != length):
+        raise AssertionError("orbit characters do not match the orbit length")
+    return every[np.nonzero(admit)[1]].reshape(len(sets), length)
 
 
 def rational_nullspace(rows: Sequence[Sequence], ncols: int):

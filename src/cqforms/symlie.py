@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spmat
 from .quartic import expected_degenerate, is_pure
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import stream
@@ -144,26 +145,39 @@ def _orbit_transform(a: np.ndarray, blocks) -> float:
 def _sector_nullity(a: np.ndarray, blocks, sectors, mode: str):
     """Total kernel dimension of the sampled float64 system ``a``, sector by
     sector; ``a`` has more rows than any sector has columns.  Consumes ``a``:
-    the orbit transform overwrites it in place."""
+    the orbit transform overwrites it in place.
+
+    In float mode the sectors of one width c are ranked together: each slice
+    of at most ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one
+    batched SVD, which runs the same LAPACK call on the same data as a
+    single-matrix SVD, so every singular value is the same."""
     scale = max(1.0, _orbit_transform(a, blocks))
-    total = 0
+    nullity = np.zeros(len(sectors), dtype=np.int64)
     residual = 0.0
-    per_sector = {}
     basis_cols = []
-    for chi, pos in sectors:
-        mat = a[:, pos]
-        if mode == "exact":
-            null = rational_nullspace(mat.astype(np.int64).tolist(), len(pos))
-            nullity = len(null)
+    if mode == "exact":
+        for k, (_, pos) in enumerate(sectors):
+            null = rational_nullspace(a[:, pos].astype(np.int64).tolist(), len(pos))
+            nullity[k] = len(null)
             basis_cols.append((pos, null))
-        else:
-            sv = np.linalg.svd(mat, compute_uv=False)  # one value per column
-            nullity = int((sv <= FLOAT_RANK_TOL * max(sv[0], 1.0)).sum())
-            if nullity:
-                residual = max(residual, float(sv[-1]) / scale)
-        total += nullity
-        per_sector[chi] = nullity
-    return total, per_sector, residual, basis_cols
+    else:
+        width = np.array([len(pos) for _, pos in sectors])
+        flat = np.concatenate([pos for _, pos in sectors])
+        start = np.cumsum(width) - width
+        smallest = np.zeros(len(sectors))
+        cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
+        for c in np.unique(width).tolist():
+            nums = np.flatnonzero(width == c)
+            step = max(1, spmat.SECTOR_BLOCK // (a.shape[0] * c))
+            for b in range(0, len(nums), step):
+                part = nums[b : b + step]
+                stack = cols[flat[start[part, None] + np.arange(c)]].transpose(0, 2, 1)
+                sv = np.linalg.svd(stack, compute_uv=False)  # one row of c values per sector
+                nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
+                smallest[part] = sv[:, -1]
+        residual = float((smallest[nullity > 0] / scale).max(initial=0.0))
+    per_sector = dict(zip([chi for chi, _ in sectors], nullity.tolist()))
+    return int(nullity.sum()), per_sector, residual, basis_cols
 
 
 def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, name: str,
@@ -185,8 +199,15 @@ def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, na
         for k in streams
     ]
     if results[0][:2] != results[1][:2]:
+        (total1, by_chi1, *_), (total2, by_chi2, *_) = results
+        moved = ", ".join(
+            f"{chi}: {by_chi1[chi]} vs {by_chi2[chi]}"
+            for chi in by_chi1
+            if by_chi1[chi] != by_chi2[chi]
+        )
         raise UnstableDimensionError(
-            f"{name} dimension unstable: {results[0][0]} vs {results[1][0]}"
+            f"{name} dimension unstable: {total1} vs {total2}"
+            f" (nullity by character bitmask {moved})"
         )
     return blocks, results[0]
 

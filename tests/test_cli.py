@@ -4,6 +4,8 @@ import pytest
 
 from cqforms import cli
 from cqforms.cli import build_parser, main
+from cqforms.repkit import rep_build
+from cqforms.zetafe import zeta_quartic_mc
 
 
 def run(capsys, *argv):
@@ -247,3 +249,22 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert alone[0] != alone[1] and alone[3] != alone[1] and alone[4] != alone[5]
     back_to_back = [run_one(argv) for argv in commands]
     assert back_to_back == alone
+
+
+@pytest.mark.parametrize("spelled,label,mults", [
+    (["--component", "mm"], "--", "1,1"),
+    (["--component=mm"], "--", "1,1"),
+    (["--component", "mp"], "-+", "2,0"),
+    (["--component", "-"], "-", "2,0"),
+])
+def test_zeta_mc_components_starting_with_minus(capsys, spelled, label, mults):
+    # argparse takes "--" and "-+" for options, so p and m spell + and -
+    code, doc = run_json(
+        capsys, "zeta", "mc", "--p", "3", "--q", "1", "--mult", mults, *spelled,
+        "--s", "0.3", "--samples", "3000", "--seed", "4",
+    )
+    assert code == 0 and doc["component"] == label
+    rep = rep_build(3, 1, tuple(int(k) for k in mults.split(",")))
+    est = zeta_quartic_mc(rep, label, 0.3, samples=3000, seed=4)
+    assert complex(doc["value"]["re"], doc["value"]["im"]) == est.value
+    assert doc["stderr"] == est.stderr

@@ -148,6 +148,39 @@ def test_spin_equivariance():
         assert spin_equivariance_check(rep_build(p, q, mults))
 
 
+def _spin_equivariance_dense(rep):
+    """Reference: the identities as n^3 dense m x m matrix products."""
+    n, eps = rep.n, rep.eps
+    for i in range(n):
+        for j in range(i + 1, n):
+            y = rep.basis[i] @ rep.basis[j]
+            for k in range(n):
+                lhs = y.T @ rep.basis[k] + rep.basis[k] @ y
+                want = 0 * lhs
+                if k == i:
+                    want = 2 * rep.basis[j]
+                elif k == j:
+                    want = -2 * eps[i] * eps[j] * rep.basis[i]
+                if not np.array_equal(lhs, want):
+                    return False
+    return True
+
+
+def test_spin_equivariance_matches_dense_products():
+    from cqforms.suite import enumerate_cases
+
+    for p, q, mults in enumerate_cases(max_pq=6, max_m=16):
+        rep = rep_build(p, q, mults)
+        assert spin_equivariance_check(rep) and _spin_equivariance_dense(rep), (p, q, mults)
+    # one flipped sign: S_2 stays a signed permutation but breaks the identities
+    rep = rep_build(3, 2, (1,))
+    basis = [s.copy() for s in rep.basis]
+    basis[1][basis[1][:, 0] != 0, 0] *= -1
+    bad = CliffordRep(rep.p, rep.q, rep.mults, tuple(basis), rep.m)
+    assert not _spin_equivariance_dense(bad)
+    assert not spin_equivariance_check(bad)
+
+
 def test_swap_pq_negates_quartic():
     from cqforms.quartic import eval_quartic
 

@@ -7,6 +7,7 @@ from cqforms import symlie as SY
 from cqforms.repkit import rep_build
 from cqforms.spmat import (
     SectorDecomposition,
+    _admitted_characters,
     int_det,
     is_signed_permutation,
     kron_word,
@@ -263,3 +264,62 @@ def test_sectors_match_bit_loop_reference():
                 assert np.array_equal(gc, wc[order]), (label, chi)
         count += 1
     assert count > 100
+
+
+def _characters_by_elimination(rels, r):
+    """Reference copy of the per-relation-set F2 elimination: pivots on the
+    lowest set bits, fully reduced, then the free bits counted up."""
+    pivots = {}
+    for rel in rels:
+        m, b = rel >> 1, rel & 1
+        for bit, (pm, pb) in pivots.items():
+            if m >> bit & 1:
+                m ^= pm
+                b ^= pb
+        if m == 0:
+            assert b == 0
+            continue
+        low = (m & -m).bit_length() - 1
+        for bit in list(pivots):
+            pm, pb = pivots[bit]
+            if pm >> low & 1:
+                pivots[bit] = (pm ^ m, pb ^ b)
+        pivots[low] = (m, b)
+    free = [j for j in range(r) if j not in pivots]
+    chis = []
+    for t in range(1 << len(free)):
+        chi = sum(1 << j for k, j in enumerate(free) if t >> k & 1)
+        for bit, (pm, pb) in pivots.items():
+            chi |= (pb ^ bin(pm & ~(1 << bit) & chi).count("1") & 1) << bit
+        chis.append(chi)
+    return chis
+
+
+@st.composite
+def _relation_sets(draw):
+    """(r, packed relations): masks with signs read off one admitted
+    character, so the set is consistent, sorted and without 0 = 0."""
+    r = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(1, (1 << r) - 1), max_size=r + 2))
+    chi0 = draw(st.integers(0, (1 << r) - 1))
+    rels = sorted({mask << 1 | bin(mask & chi0).count("1") & 1 for mask in masks})
+    return r, rels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relation_sets(), st.integers(0, 3))
+def test_admitted_characters_match_elimination(case, pad):
+    r, rels = case
+    want = _characters_by_elimination(rels, r)
+    par = np.array([bin(x).count("1") & 1 for x in range(1 << r)], dtype=np.int64)
+    # the same set twice, padded with 0 = 0 relations as in a length group
+    sets = np.array([rels + [0] * pad, rels + [0] * pad], dtype=np.int64).reshape(2, -1)
+    got = _admitted_characters(sets, len(want), par)
+    assert got.dtype == np.int64
+    assert got.tolist() == [want, want]
+
+
+def test_inconsistent_relations_are_refused():
+    # chi . 01 = 0 and chi . 01 = 1 cannot both hold
+    with pytest.raises(AssertionError):
+        _admitted_characters(np.array([[0b010, 0b011]]), 2, np.array([0, 1, 1, 0]))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqforms import spmat
 from cqforms import symlie as SY
 from cqforms.repkit import rep_build
 from cqforms.spmat import SectorDecomposition, rational_nullspace
@@ -341,3 +342,96 @@ def test_exact_g_matches_per_column_reference():
         assert got.dimension == len(want), (p, q, mults)
         for x, y in zip(got.basis, want):
             assert x.dtype == y.dtype and np.array_equal(x, y), (p, q, mults)
+
+
+def _per_sector_svd(a, blocks, sectors):
+    """Reference float path: one ``np.linalg.svd`` per sector matrix."""
+    scale = max(1.0, SY._orbit_transform(a, blocks))
+    total, per_sector, residual = 0, {}, 0.0
+    for chi, pos in sectors:
+        sv = np.linalg.svd(a[:, pos], compute_uv=False)
+        nullity = int((sv <= SY.FLOAT_RANK_TOL * max(sv[0], 1.0)).sum())
+        if nullity:
+            residual = max(residual, float(sv[-1]) / scale)
+        total += nullity
+        per_sector[chi] = nullity
+    return total, per_sector, residual
+
+
+def _assert_matches_per_sector_svd(blocks, a, label):
+    sectors = SY._sector_columns(blocks)
+    total, per_sector, residual, basis_cols = SY._sector_nullity(
+        a.copy(order="F"), blocks, sectors, "float"
+    )
+    want_total, want_per_sector, want_residual = _per_sector_svd(a.copy(order="F"), blocks, sectors)
+    assert total == want_total, label
+    assert list(per_sector.items()) == list(want_per_sector.items()), label
+    assert residual == want_residual, label  # the same float, bit for bit
+    assert basis_cols == []
+
+
+def test_stacked_svd_matches_per_sector_oracle():
+    residuals = 0
+    for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
+        for blocks, a in _sampled_systems(rep_build(p, q, mults)):
+            _assert_matches_per_sector_svd(blocks, a, (p, q, mults))
+            residuals += _per_sector_svd(a, blocks, SY._sector_columns(blocks))[2] > 0
+    assert residuals > 50  # the residual comparison is not vacuous
+
+
+def test_stacked_svd_threshold_is_relative_to_the_largest_value():
+    # two orbits {0, 1}, {2, 3}; after the transform both sectors are
+    # [[1e6, 1e6 + 1], [1e6 - 1, 1e6], [0, 0]]: determinant 1, so the small
+    # singular value is about 5e-7, below 1e-8 times the large one
+    blocks = SectorDecomposition(np.array([[1, 0, 3, 2]]), np.array([[1, 1, 1, 1]])).sectors()
+    a = np.zeros((3, 4), order="F")
+    a[:2, 0] = [1e6, 1e6 - 1]
+    a[:2, 2] = [1e6 + 1, 1e6]
+    _assert_matches_per_sector_svd(blocks, a, "near-singular")
+    total, per_sector, residual, _ = SY._sector_nullity(a, blocks, SY._sector_columns(blocks), "float")
+    assert total == 2 and per_sector == {0: 1, 1: 1}
+    assert 1e-14 < residual < 1e-12  # about 5e-7 / (1e6 + 1)
+
+
+def test_stacked_svd_slice_edges(monkeypatch):
+    for pq, mults in [((3, 2), (1,)), ((5, 0), (2, 0)), ((6, 2), (1,))]:
+        rep = rep_build(*pq, mults)
+        families = [SY._g_generators(rep), SY._sharp_generators(rep)[:2]]
+        for (blocks, a), family in zip(_sampled_systems(rep), families):
+            sectors = SY._sector_columns(blocks)
+            widths = np.bincount([len(pos) for _, pos in sectors])
+            c = int(widths.argmax())  # the width shared by most sectors
+            assert widths[c] >= 3, pq
+            # one sector per slice, then slices of widths[c] - 1 sectors of
+            # width c: a full slice and a slice of one
+            for budget in (1, int(widths[c] - 1) * a.shape[0] * c):
+                monkeypatch.setattr(spmat, "SECTOR_BLOCK", budget)
+                sliced = SectorDecomposition(*family).sectors()
+                _assert_matches_per_sector_svd(blocks, a, (pq, budget))
+                monkeypatch.undo()
+                assert len(sliced) == len(blocks), (pq, budget)
+                for got, want in zip(sliced, blocks):
+                    assert all(np.array_equal(x, y) for x, y in zip(got, want)), (pq, budget)
+
+
+def test_unstable_dimension_names_each_sector(monkeypatch):
+    rep = rep_build(3, 2, (1,))
+    stable = SY.g_kernel_dim(rep, seed=0)
+    widths = {
+        chi: len(pos)
+        for chi, pos in SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors())
+    }
+    sample_w = SY._sample_w
+
+    def zero_second_batch(rep, seed, batch, count):
+        w = sample_w(rep, seed, batch, count)
+        return 0 * w if batch == 2 else w  # every row 0: full nullity
+
+    monkeypatch.setattr(SY, "_sample_w", zero_second_batch)
+    with pytest.raises(SY.UnstableDimensionError) as err:
+        SY.g_kernel_dim(rep, seed=0)
+    message = str(err.value)
+    assert f"{stable.dimension} vs {sum(widths.values())}" in message
+    named = message.split("nullity by character bitmask ", 1)[1].rstrip(")").split(", ")
+    want = [f"{chi}: {n} vs {widths[chi]}" for chi, n in stable.per_sector.items() if n != widths[chi]]
+    assert want and named == want
