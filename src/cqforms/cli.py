@@ -108,9 +108,18 @@ def _emit_text(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_rep(path: str):
+def _read_rep(path: str):
     with open(path) as fh:
         return rep_from_json(fh.read())
+
+
+def _load_rep(path: str):
+    """A module file whose defining relations hold; ``rep verify`` reports them."""
+    rep = _read_rep(path)
+    failed = [name for name, _ in verify_relations(rep).failures]
+    if failed:
+        raise InvalidInputError(f"module in {path} fails {', '.join(failed)} (see rep verify)")
+    return rep
 
 
 def _rep_from_args(args):
@@ -145,7 +154,7 @@ def cmd_rep_build(args) -> int:
 
 
 def cmd_rep_verify(args) -> int:
-    rep = _load_rep(args.rep)
+    rep = _read_rep(args.rep)
     report = verify_relations(rep)
     _emit(
         {

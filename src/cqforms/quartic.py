@@ -101,10 +101,15 @@ class QuarticForm:
 
 
 def expand_coeffs(rep: CliffordRep) -> QuarticForm:
-    """Exact expansion of sum_i eps_i S_i[w]^2 into monomials."""
+    """Exact expansion of sum_i eps_i S_i[w]^2 into monomials, with the
+    terms of S_i[w] = sum_a sign[i, a] w_a w_{perm[i, a]} keyed a <= b."""
     coeffs: dict[tuple[int, int, int, int], int] = {}
-    for eps, s in zip(rep.eps, rep.basis):
-        terms = list(quad_form_terms(s.tolist()).items())
+    for eps, perm, sign in zip(rep.eps, rep.perm.tolist(), rep.sign.tolist()):
+        pairs: dict[tuple[int, int], int] = {}
+        for a, (b, c) in enumerate(zip(perm, sign)):
+            key = (min(a, b), max(a, b))
+            pairs[key] = pairs.get(key, 0) + c
+        terms = [(key, c) for key, c in pairs.items() if c]
         for t1, ((a, b), c1) in enumerate(terms):
             for (cc, dd), c2 in terms[t1:]:
                 key = tuple(sorted((a, b, cc, dd)))

@@ -28,10 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from .spmat import (
-    is_signed_permutation,
     kron_word,
     perm_sign_of,
     restrict_to_eigenspace,
+    signed_permutation_matrix,
 )
 
 
@@ -300,42 +300,48 @@ def irrep_basis(p: int, q: int, class_index: int) -> tuple[np.ndarray, ...]:
 FORMS_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CliffordRep:
     """A C_p (x) C_q module with symmetric signed-permutation basis matrices.
 
-    The constructor validates the basis (p + q matrices, each an m x m signed
-    permutation) and stores it once more as ``perm`` and ``sign`` arrays of
-    shape (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  Relations between
-    the matrices are not checked here; ``verify_relations`` reports them.
+    The constructor takes the p + q basis matrices, rejects any that is not
+    an m x m signed permutation, and keeps only the ``perm`` and ``sign``
+    arrays of shape (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  ``basis``
+    builds the dense matrices from them on each call.  Relations between the
+    matrices are not checked here; ``verify_relations`` reports them.
     """
 
     p: int
     q: int
     mults: tuple[int, ...]
-    basis: tuple[np.ndarray, ...]
     m: int
-    perm: np.ndarray = field(init=False, repr=False, compare=False)
-    sign: np.ndarray = field(init=False, repr=False, compare=False)
+    perm: np.ndarray = field(repr=False)
+    sign: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.n < 1 or len(self.basis) != self.n:
+    def __init__(self, p: int, q: int, mults: tuple[int, ...], basis, m: int):
+        if p < 0 or q < 0 or p + q < 1 or len(basis) != p + q:
             raise InvalidInputError(
-                f"(p, q) = ({self.p}, {self.q}) needs p + q >= 1 basis matrices,"
-                f" got {len(self.basis)}"
+                f"(p, q) = ({p}, {q}) needs p + q >= 1 basis matrices, got {len(basis)}"
             )
         try:
-            if any(np.shape(s) != (self.m, self.m) for s in self.basis):
+            if any(np.shape(s) != (m, m) for s in basis):
                 raise ValueError
-            perm, sign = perm_sign_of(np.stack(self.basis))
+            perm, sign = perm_sign_of(np.stack(basis))
         except ValueError:
             raise InvalidInputError(
-                f"every basis matrix must be an {self.m} x {self.m} signed permutation"
+                f"every basis matrix must be an {m} x {m} signed permutation"
             ) from None
+        self._store(p, q, mults, m, perm, sign)
+
+    def _store(self, p, q, mults, m, perm, sign):
         perm.setflags(write=False)
         sign.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "sign", sign)
+        # straight into the instance dict: the frozen __setattr__ refuses assignment
+        self.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
+
+    @property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(signed_permutation_matrix(self.perm, self.sign))
 
     @property
     def n(self) -> int:
@@ -390,7 +396,8 @@ class CliffordRep:
         return (
             isinstance(other, CliffordRep)
             and (self.p, self.q, self.mults, self.m) == (other.p, other.q, other.mults, other.m)
-            and all(np.array_equal(a, b) for a, b in zip(self.basis, other.basis))
+            and np.array_equal(self.perm, other.perm)
+            and np.array_equal(self.sign, other.sign)
         )
 
     def __hash__(self):
@@ -454,49 +461,15 @@ def swap_pq(rep: CliffordRep) -> CliffordRep:
 
     The quartic form of the swapped module is the negative of the original.
     """
-    basis = rep.basis[rep.p :] + rep.basis[: rep.p]
-    return CliffordRep(rep.q, rep.p, rep.mults, basis, rep.m)
+    out = object.__new__(CliffordRep)
+    perm, sign = (np.roll(a, -rep.p, axis=0) for a in (rep.perm, rep.sign))
+    out._store(rep.q, rep.p, rep.mults, rep.m, perm, sign)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
-
-
-def selfduality_points(n: int) -> list[tuple[int, ...]]:
-    """Deterministic integer points pinning a quadratic identity in n vars.
-
-    Lattice vectors with at most two nonzero coordinates drawn from
-    {-1, 1, 2}; the first n(n+1)/2 + 8 of a fixed enumeration.
-    """
-    pts = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        pts.append(tuple(e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i], e[j] = 1, 1
-            pts.append(tuple(e))
-    extras = []
-    for vals in [(1, -1), (2, 1), (1, 2), (-1, 2), (2, 2), (2, -1), (-1, -1), (-1, 1)]:
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = [0] * n
-                e[i], e[j] = vals
-                extras.append(tuple(e))
-        if n == 1:
-            e = [0] * n
-            e[0] = vals[0]
-            extras.append(tuple(e))
-    pts.extend(extras)
-    want = n * (n + 1) // 2 + 8
-    while len(pts) < want:  # n = 1 fallback: repeat scaled singletons
-        e = [0] * n
-        e[0] = 2
-        pts.append(tuple(e))
-    return pts[:want]
 
 
 @dataclass
@@ -513,51 +486,46 @@ class RelationReport:
 
 
 def verify_relations(rep: CliffordRep) -> RelationReport:
-    """Check every defining invariant of a CliffordRep, reporting each."""
-    checks = []
-    n, m = rep.n, rep.m
-    eye = np.eye(m, dtype=np.int64)
+    """Check every defining invariant of a CliffordRep, reporting each.
 
-    ok = all(is_signed_permutation(s) for s in rep.basis)
-    checks.append(("signed_permutation_entries", ok, "entries in {-1,0,1}, one per row"))
-    ok = all(np.array_equal(s, s.T) for s in rep.basis)
-    checks.append(("symmetric", ok, "S_i = S_i^T"))
-    ok = all(np.array_equal(s @ s, eye) for s in rep.basis)
-    checks.append(("involution", ok, "S_i^2 = 1"))
-
-    comm_ok = True
-    bad = ""
-    for i in range(n):
-        for j in range(i + 1, n):
-            ab = rep.basis[i] @ rep.basis[j]
-            ba = rep.basis[j] @ rep.basis[i]
-            same_block = (i < rep.p) == (j < rep.p)
-            want = -ba if same_block else ba
-            if not np.array_equal(ab, want):
-                comm_ok = False
-                bad = f"pair ({i},{j})"
-    checks.append(
-        ("commutation_pattern", comm_ok, bad or "anticommute within blocks, commute across")
+    Every relation is read off the signed permutations, for all generators
+    and pairs at once: S_i S_j e_a = sign[j, a] sign[i, perm[j, a]]
+    e_{perm[i, perm[j, a]]}, and two signed permutations are equal exactly
+    when their permutations and signs are.
+    """
+    n, perm, sign, eps = rep.n, rep.perm, rep.sign, np.array(rep.eps)
+    # S_i^T = S_i^-1 for a signed permutation: symmetric exactly when S_i^2 = 1
+    square_perm = np.take_along_axis(perm, perm, 1)
+    square_sign = sign * np.take_along_axis(sign, perm, 1)
+    no_square = np.flatnonzero(np.any((square_perm != np.arange(rep.m)) | (square_sign != 1), axis=1))
+    # S_i S_j = -eps_i eps_j S_j S_i: anticommute within blocks, commute across
+    i, j = np.triu_indices(n, 1)
+    p_ij, s_ij = perm[i[:, None], perm[j]], sign[j] * sign[i[:, None], perm[j]]
+    p_ji, s_ji = perm[j[:, None], perm[i]], sign[i] * sign[j[:, None], perm[i]]
+    bad_pairs = np.flatnonzero(
+        np.any((p_ij != p_ji) | (s_ij != -(eps[i] * eps[j])[:, None] * s_ji), axis=1)
     )
-
-    # S(v) S^eps(v) = P(v) 1 with S^eps(v) = sum eps_i v_i S_i; both sides
-    # are quadratic in v, so the fixed point set pins the identity.
-    sd_ok = True
-    bad = ""
-    for v in selfduality_points(n):
-        sv = sum(int(c) * s for c, s in zip(v, rep.basis))
-        sve = sum(e * int(c) * s for e, c, s in zip(rep.eps, v, rep.basis))
-        pv = sum(e * int(c) * int(c) for e, c in zip(rep.eps, v))
-        if not np.array_equal(sv @ sve, pv * eye):
-            sd_ok = False
-            bad = f"v = {v}"
-            break
-    checks.append(("self_duality", sd_ok, bad or "S(v) S^eps(v) = P(v) 1 at sample points"))
-
+    last_pair = f"pair ({i[bad_pairs[-1]]},{j[bad_pairs[-1]]})" if len(bad_pairs) else ""
+    # S(v) S^eps(v) - P(v) 1 = sum_i eps_i v_i^2 (S_i^2 - 1)
+    #                          + sum_{i<j} v_i v_j (eps_j S_i S_j + eps_i S_j S_i)
+    # vanishes exactly when the relations above hold; a failure names the
+    # first failing point of the sample order e_1, ..., e_n, then e_i + e_j
+    first_point = ""
+    if len(no_square) or len(bad_pairs):
+        support = {no_square[0]} if len(no_square) else {i[bad_pairs[0]], j[bad_pairs[0]]}
+        first_point = f"v = {tuple(int(k in support) for k in range(n))}"
     cat = irrep_catalog(rep.p, rep.q)
-    ok = rep.m == sum(rep.mults) * cat.dim and len(rep.mults) == cat.count
-    checks.append(("dimension_bookkeeping", ok, f"m = {rep.m}"))
-    return RelationReport(checks)
+    return RelationReport([
+        ("signed_permutation_entries", True, "entries in {-1,0,1}, one per row"),
+        ("symmetric", not len(no_square), "S_i = S_i^T"),
+        ("involution", not len(no_square), "S_i^2 = 1"),
+        ("commutation_pattern", not len(bad_pairs),
+         last_pair or "anticommute within blocks, commute across"),
+        ("self_duality", not first_point,
+         first_point or "S(v) S^eps(v) = P(v) 1 at sample points"),
+        ("dimension_bookkeeping",
+         rep.m == sum(rep.mults) * cat.dim and len(rep.mults) == cat.count, f"m = {rep.m}"),
+    ])
 
 
 def spin_equivariance_check(rep: CliffordRep) -> bool:
@@ -655,17 +623,23 @@ def rep_to_json(rep: CliffordRep) -> str:
     )
 
 
+def _json_ints(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional int64 array of JSON integers only:
+    a cast would truncate 2.9 to 2 and read true as 1."""
+    arr = np.array(value, dtype=object)
+    if arr.ndim != ndim or not all(type(v) is int for v in arr.flat):
+        kind = ("a JSON integer", "a list of JSON integers", "a matrix of JSON integers")[ndim]
+        raise ValueError(f"{name} must be {kind}")
+    return arr.astype(np.int64)
+
+
 def rep_from_json(text: str) -> CliffordRep:
     try:
         data = json.loads(text)
-        basis = tuple(np.array(b, dtype=np.int64) for b in data["basis"])
-        return CliffordRep(
-            int(data["p"]),
-            int(data["q"]),
-            tuple(int(k) for k in data["mults"]),
-            basis,
-            int(data["m"]),
-        )
+        p, q, m = (int(_json_ints(data[key], key, 0)) for key in ("p", "q", "m"))
+        mults = tuple(int(k) for k in _json_ints(data["mults"], "mults", 1))
+        basis = tuple(_json_ints(b, "every basis matrix", 2) for b in data["basis"])
+        return CliffordRep(p, q, mults, basis, m)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc
 

@@ -64,9 +64,16 @@ def perm_sign_of(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, sign
 
 
-def sp_det(mat: np.ndarray) -> int:
-    """Determinant of a signed permutation matrix (always +1 or -1)."""
-    perm, sign = perm_sign_of(mat)
+def signed_permutation_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The dense int64 matrices of ``perm_sign_of``'s arrays: (..., m) gives (..., m, m)."""
+    perm, sign = np.asarray(perm), np.asarray(sign)
+    out = np.zeros(perm.shape + perm.shape[-1:], dtype=np.int64)
+    np.put_along_axis(out, perm[..., None, :], sign[..., None, :], axis=-2)
+    return out
+
+
+def sp_det(perm: np.ndarray, sign: np.ndarray) -> int:
+    """Determinant of the signed permutation S e_a = sign[a] e_perm[a] (always +1 or -1)."""
     n = len(perm)
     seen = np.zeros(n, dtype=bool)
     parity = 1

@@ -22,9 +22,10 @@ from .classify import classify as classify_verdict
 from .classify import table1_lookup
 from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check, verify_relations
 from .rng import complex_s_samples, integer_points
+from .spmat import signed_permutation_matrix
 
 
-def enumerate_cases(max_pq: int = 11, max_total_mult: int = 2, max_m: int = 32):
+def enumerate_cases(*, max_pq: int = 11, max_total_mult: int = 2, max_m: int = 32):
     """All (p, q, mults) with p >= q, p + q <= max_pq, bounded size."""
     cases = []
     for n in range(1, max_pq + 1):
@@ -135,8 +136,11 @@ def check_symmetry_dims(case) -> tuple[bool, str]:
         return False, f"g: computed {gk.dimension}, predicted {want}"
     if gk.residual > 1e-8:
         return False, f"g residual {gk.residual:.2e}"
-    # the infinitesimal rotations S_i S_j always lie in g
-    if rep.n >= 2 and not SY.g_contains(rep, rep.basis[0] @ rep.basis[rep.n - 1]):
+    # the infinitesimal rotations S_i S_j always lie in g; S_1 S_n e_a is
+    # sign[n, a] sign[1, perm[n, a]] e_{perm[1, perm[n, a]]}
+    perm, sign = rep.perm, rep.sign
+    rot = signed_permutation_matrix(perm[0][perm[-1]], sign[-1] * sign[0][perm[-1]])
+    if rep.n >= 2 and not SY.g_contains(rep, rot):
         return False, "S_1 S_n not in computed symmetry algebra"
     return True, f"h={hk.dimension} g={gk.dimension}"
 
@@ -241,7 +245,7 @@ def run_suite(
     for name in names:
         if name not in CHECKS:
             raise InvalidInputError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    cases = enumerate_cases(max_pq, max_total_mult, max_m)
+    cases = enumerate_cases(max_pq=max_pq, max_total_mult=max_total_mult, max_m=max_m)
     if not cases:
         raise InvalidInputError(f"the bounds max_pq={max_pq}, max_m={max_m} enumerate no case")
     rows = []

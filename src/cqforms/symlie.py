@@ -72,15 +72,18 @@ def h_kernel(rep: CliffordRep) -> KernelReport:
     """
     m = rep.m
     dec = SectorDecomposition(*_h_generators(rep))
+    # exactness guarantee, for all i at once: row r of S_i X is
+    # sign[i, inv[i, r]] X[inv[i, r]] and column c of X^T S_i is sign[i, c] X[perm[i, c]]
+    inv = np.argsort(rep.perm, axis=1)
+    sign_inv = np.take_along_axis(rep.sign, inv, 1)[:, :, None]
     basis = []
     for idxs, signs in dec.fixed_space():
         x = np.zeros(m * m, dtype=np.int64)
         x[idxs] = signs
-        basis.append(x.reshape(m, m))
-    for x in basis:  # exactness guarantee
-        for s in rep.basis:
-            if np.any(x.T @ s + s @ x):
-                raise AssertionError("h basis element violates X^T S_i + S_i X = 0")
+        x = x.reshape(m, m)
+        if np.any(sign_inv * x[inv] + (rep.sign[:, :, None] * x[rep.perm]).transpose(0, 2, 1)):
+            raise AssertionError("h basis element violates X^T S_i + S_i X = 0")
+        basis.append(x)
     return KernelReport(len(basis), basis, "exact", 0.0)
 
 

@@ -164,7 +164,7 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     for lab, got, want in zip(labels, gammas, expected):
         if want is not None and abs(got - want) > 1e-12:
             raise AssertionError(f"gamma mismatch on component {lab}: {got} vs {want}")
-    alpha = sp_det(rep.basis[0])
+    alpha = sp_det(rep.perm[0], rep.sign[0])
     beta = (-1) ** (rep.q + 1)
     return SignatureConstants(labels, sigs, gammas, alpha, beta, rep.p, rep.q, rep.m)
 
@@ -528,10 +528,10 @@ def zeta_quartic_mc(
     done = 0
     chunk_idx = 0
     scale = 1.0 / math.sqrt(2 * math.pi)
+    buf = np.empty((min(MC_CHUNK, samples), m))  # one sample buffer for every chunk
     while done < samples:
         count = min(MC_CHUNK, samples - done)
-        gen = stream(seed, chunk_idx)
-        w = gen.standard_normal((count, m))
+        w = stream(seed, chunk_idx).standard_normal(out=buf[:count])
         w *= scale
         qvals = rep.forms(w.T)
         fvals = np.zeros(count)
@@ -562,8 +562,10 @@ def det_sv_identity_check(rep: CliffordRep, points: int = 10, seed: int = 5) -> 
     """det S(v)^2 = P(v)^m, and det S(v) = +- P(v)^{m/2} for even m,
     exactly at integer points."""
     gen = stream(seed, 2)
+    cols = np.broadcast_to(np.arange(rep.m), rep.perm.shape)
     for v in gen.integers(-5, 6, size=(points, rep.n)):
-        sv = sum(int(c) * s for c, s in zip(v, rep.basis))
+        sv = np.zeros((rep.m, rep.m), dtype=np.int64)
+        np.add.at(sv, (rep.perm, cols), v[:, None] * rep.sign)  # S(v) = sum_i v_i S_i
         pv = sum(e * int(c) ** 2 for e, c in zip(rep.eps, v))
         d = int_det(sv.tolist())
         if d * d != pv**rep.m:

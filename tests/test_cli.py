@@ -150,6 +150,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 _SQUARE = [[1, 0], [0, -1]]
+_VALID = {"p": 2, "q": 0, "mults": [1], "m": 2, "basis": [_SQUARE, [[0, 1], [1, 0]]]}
 MALFORMED_FILES = {
     "not-signed-permutation": json.dumps(
         {"p": 2, "q": 0, "mults": [1], "m": 2, "basis": [_SQUARE, [[1, 1], [1, 0]]]}
@@ -157,6 +158,11 @@ MALFORMED_FILES = {
     "too-few-matrices": json.dumps({"p": 2, "q": 0, "mults": [1], "m": 2, "basis": [_SQUARE]}),
     "invalid-json": '{"p": 2, "q": 0, "basis": [',
     "missing-basis": json.dumps({"p": 2, "q": 0, "mults": [1], "m": 2}),
+    # each would truncate to a valid module under int(): 2.9 -> 2, 1.7 -> 1
+    "non-integer-p": json.dumps(_VALID | {"p": 2.9}),
+    "non-integer-m": json.dumps(_VALID | {"m": 2.0}),
+    "non-integer-mults": json.dumps(_VALID | {"mults": [1.5]}),
+    "non-integer-basis": json.dumps(_VALID | {"basis": [_SQUARE, [[0, 1], [1.7, 0]]]}),
 }
 MODULE_COMMANDS = [
     ["rep", "verify"],
@@ -178,6 +184,24 @@ def test_malformed_module_file_exits_2(tmp_path, capsys, problem, command):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_module_file_failing_its_relations(tmp_path, capsys):
+    path = tmp_path / "anti.json"
+    path.write_text(json.dumps(_VALID | {"basis": [_SQUARE, [[-1, 0], [0, 1]]]}))  # S_2 = -S_1
+    assert main(["sym", "g", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: module in {path} fails commutation_pattern, self_duality (see rep verify)"
+    ]
+    code, doc = run_json(capsys, "rep", "verify", str(path))
+    assert code == 1 and not doc["ok"]
+    failed = [(c["name"], c["detail"]) for c in doc["checks"] if not c["ok"]]
+    assert failed == [("commutation_pattern", "pair (0,1)"), ("self_duality", "v = (1, 1)")]
+    path.write_text(json.dumps(_VALID))
+    code, doc = run_json(capsys, "sym", "g", str(path))
+    assert code == 0 and doc["computed_dim"] == 1
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqforms.quartic import quadratic_map
+from cqforms.quartic import eval_quartic, expand_coeffs, quad_form_terms, quadratic_map
 from cqforms.repkit import (
     FORMS_BLOCK,
     CliffordRep,
@@ -19,12 +21,12 @@ from cqforms.repkit import (
     rep_from_text,
     rep_to_json,
     rep_to_text,
-    selfduality_points,
     spin_equivariance_check,
     swap_pq,
     verify_relations,
 )
-from cqforms.spmat import is_signed_permutation, kron_word
+from cqforms.spmat import is_signed_permutation, kron_word, perm_sign_of
+from cqforms.suite import enumerate_cases
 
 
 def assert_anticommuting_family(fam):
@@ -136,13 +138,6 @@ def test_verify_relations_detects_tampering():
     assert any("commutation" in name for name, _ in report.failures)
 
 
-def test_selfduality_points_count():
-    for n in (1, 2, 5, 11):
-        pts = selfduality_points(n)
-        assert len(pts) == n * (n + 1) // 2 + 8
-        assert all(sum(1 for c in v if c) <= 2 for v in pts)
-
-
 def test_spin_equivariance():
     for p, q, mults in [(3, 2, (1,)), (2, 2, (2,)), (4, 3, (1,))]:
         assert spin_equivariance_check(rep_build(p, q, mults))
@@ -167,8 +162,6 @@ def _spin_equivariance_dense(rep):
 
 
 def test_spin_equivariance_matches_dense_products():
-    from cqforms.suite import enumerate_cases
-
     for p, q, mults in enumerate_cases(max_pq=6, max_m=16):
         rep = rep_build(p, q, mults)
         assert spin_equivariance_check(rep) and _spin_equivariance_dense(rep), (p, q, mults)
@@ -181,14 +174,166 @@ def test_spin_equivariance_matches_dense_products():
     assert not spin_equivariance_check(bad)
 
 
-def test_swap_pq_negates_quartic():
-    from cqforms.quartic import eval_quartic
+# ---------------------------------------------------------------------------
+# The perm/sign relations and expansion against the dense matrix code
+# ---------------------------------------------------------------------------
 
+
+def _selfduality_points(n):
+    """Reference: the fixed sample points the dense self-duality check used."""
+    pts = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        pts.append(tuple(e))
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = [0] * n
+            e[i], e[j] = 1, 1
+            pts.append(tuple(e))
+    extras = []
+    for vals in [(1, -1), (2, 1), (1, 2), (-1, 2), (2, 2), (2, -1), (-1, -1), (-1, 1)]:
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = [0] * n
+                e[i], e[j] = vals
+                extras.append(tuple(e))
+        if n == 1:
+            e = [0] * n
+            e[0] = vals[0]
+            extras.append(tuple(e))
+    pts.extend(extras)
+    want = n * (n + 1) // 2 + 8
+    while len(pts) < want:
+        e = [0] * n
+        e[0] = 2
+        pts.append(tuple(e))
+    return pts[:want]
+
+
+def _verify_relations_dense(rep):
+    """Reference: every relation as dense m x m matrix products."""
+    checks = []
+    n, m = rep.n, rep.m
+    eye = np.eye(m, dtype=np.int64)
+    basis = rep.basis
+
+    ok = all(is_signed_permutation(s) for s in basis)
+    checks.append(("signed_permutation_entries", ok, "entries in {-1,0,1}, one per row"))
+    ok = all(np.array_equal(s, s.T) for s in basis)
+    checks.append(("symmetric", ok, "S_i = S_i^T"))
+    ok = all(np.array_equal(s @ s, eye) for s in basis)
+    checks.append(("involution", ok, "S_i^2 = 1"))
+
+    comm_ok = True
+    bad = ""
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab = basis[i] @ basis[j]
+            ba = basis[j] @ basis[i]
+            same_block = (i < rep.p) == (j < rep.p)
+            want = -ba if same_block else ba
+            if not np.array_equal(ab, want):
+                comm_ok = False
+                bad = f"pair ({i},{j})"
+    checks.append(
+        ("commutation_pattern", comm_ok, bad or "anticommute within blocks, commute across")
+    )
+
+    sd_ok = True
+    bad = ""
+    for v in _selfduality_points(n):
+        sv = sum(int(c) * s for c, s in zip(v, basis))
+        sve = sum(e * int(c) * s for e, c, s in zip(rep.eps, v, basis))
+        pv = sum(e * int(c) * int(c) for e, c in zip(rep.eps, v))
+        if not np.array_equal(sv @ sve, pv * eye):
+            sd_ok = False
+            bad = f"v = {v}"
+            break
+    checks.append(("self_duality", sd_ok, bad or "S(v) S^eps(v) = P(v) 1 at sample points"))
+
+    cat = irrep_catalog(rep.p, rep.q)
+    ok = rep.m == sum(rep.mults) * cat.dim and len(rep.mults) == cat.count
+    checks.append(("dimension_bookkeeping", ok, f"m = {rep.m}"))
+    return checks
+
+
+def _expand_coeffs_dense(rep):
+    """Reference: the quartic's monomials from the upper triangles of the S_i."""
+    coeffs = {}
+    for eps, s in zip(rep.eps, rep.basis):
+        terms = list(quad_form_terms(s.tolist()).items())
+        for t1, ((a, b), c1) in enumerate(terms):
+            for (cc, dd), c2 in terms[t1:]:
+                key = tuple(sorted((a, b, cc, dd)))
+                coeffs[key] = coeffs.get(key, 0) + eps * c1 * c2 * (1 if (a, b) == (cc, dd) else 2)
+    return {k: v for k, v in coeffs.items() if v}
+
+
+SMALL_REPS = [rep_build(p, q, mults) for p, q, mults in enumerate_cases(max_pq=6, max_m=16)]
+
+
+def test_rep_stores_only_perm_and_sign():
+    rep = rep_build(3, 2, (2,))
+    assert set(vars(rep)) == {"p", "q", "mults", "m", "perm", "sign"}
+    assert rep.perm.shape == rep.sign.shape == (rep.n, rep.m)
+    assert rep.basis is not rep.basis  # built on each call, never cached
+    assert "basis" not in vars(rep)
+
+
+@pytest.mark.parametrize("rep", SMALL_REPS, ids=lambda r: f"({r.p},{r.q})x{r.mults}")
+def test_perm_sign_code_matches_dense_code(rep):
+    assert verify_relations(rep).checks == _verify_relations_dense(rep)
+    assert CliffordRep(rep.p, rep.q, rep.mults, rep.basis, rep.m) == rep
+    perm, sign = perm_sign_of(np.stack(rep.basis))
+    assert np.array_equal(perm, rep.perm) and np.array_equal(sign, rep.sign)
+    form = expand_coeffs(rep)
+    assert form.coeffs == _expand_coeffs_dense(rep)
+    assert list(form.coeffs) == list(_expand_coeffs_dense(rep))  # same monomial order
+
+
+@given(
+    st.sampled_from(SMALL_REPS),
+    st.sampled_from(["flip", "copy", "negated copy", "swap", "swap across", "random"]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_verify_relations_matches_dense_code_on_tampered_modules(rep, how, seed):
+    # every variant stays a family of signed permutations
+    rng = np.random.default_rng(seed)
+    basis = [s.copy() for s in rep.basis]
+    i, j = (int(k) for k in rng.choice(rep.n, size=2, replace=rep.n == 1))
+    if how == "flip":
+        a = int(rng.integers(rep.m))
+        basis[i][:, a] *= -1
+    elif how in ("copy", "negated copy"):
+        basis[j] = basis[i] if how == "copy" else -basis[i]
+    elif how == "swap":
+        basis[i], basis[j] = basis[j], basis[i]
+    elif how == "swap across":
+        if rep.p and rep.q:  # one generator from each side of the p/q split
+            i, j = int(rng.integers(rep.p)), rep.p + int(rng.integers(rep.q))
+            basis[i], basis[j] = basis[j], basis[i]
+    else:
+        basis[j] = np.zeros_like(basis[j])
+        basis[j][rng.permutation(rep.m), np.arange(rep.m)] = rng.choice([-1, 1], size=rep.m)
+    bad = CliffordRep(rep.p, rep.q, rep.mults, tuple(basis), rep.m)
+    assert verify_relations(bad).checks == _verify_relations_dense(bad)
+    if verify_relations(bad).checks[1][1]:  # symmetric: the upper triangles suffice
+        assert expand_coeffs(bad).coeffs == _expand_coeffs_dense(bad)
+    w = rng.integers(-9, 10, size=rep.m).tolist()  # symmetric or not, S_i[w] = w^T S_i w
+    assert expand_coeffs(bad).eval(w) == eval_quartic(bad, w)
+
+
+def test_swap_pq_negates_quartic():
     rep = rep_build(3, 2, (1,))
     swapped = swap_pq(rep)
     assert (swapped.p, swapped.q) == (2, 3)
     w = list(range(1, 9))
     assert eval_quartic(swapped, w) == -eval_quartic(rep, w)
+    dense = rep.basis
+    assert all(np.array_equal(a, b) for a, b in zip(swapped.basis, dense[rep.p :] + dense[: rep.p]))
+    assert swap_pq(swapped) == rep
 
 
 def test_canonicalize_block_shapes():

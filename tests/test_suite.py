@@ -66,3 +66,9 @@ def test_rows_do_not_depend_on_the_other_checks():
     for name in CHECKS:
         assert _rows(checks=[name]) == [row for row in full if row[1] == name], name
     assert _rows(checks=list(reversed(CHECKS))) == full
+
+
+def test_enumerate_cases_bounds_are_keyword_only():
+    # read positionally, 8 would be max_total_mult, not max_m as in run_suite
+    with pytest.raises(TypeError):
+        enumerate_cases(5, 8)

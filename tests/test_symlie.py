@@ -41,6 +41,17 @@ def test_h_kernel_matches_table(pq, mults, dim, name):
             assert not np.any(x.T @ s + s @ x)
 
 
+@pytest.mark.parametrize("i,j", [(0, 1), (0, 4), (2, 3)])
+def test_h_guard_refuses_a_rotation(monkeypatch, i, j):
+    # Y = S_i S_j has Y^T S_k + S_k Y = 0 except at k = i and k = j
+    rep = rep_build(3, 2, (2,))
+    y = (rep.basis[i] @ rep.basis[j]).ravel()
+    fake = [(np.flatnonzero(y), y[y != 0])]
+    monkeypatch.setattr(SectorDecomposition, "fixed_space", lambda self: fake)
+    with pytest.raises(AssertionError, match="violates"):
+        SY.h_kernel(rep)
+
+
 def _h_dim_float(rep):
     """Float oracle for dim h: SVD rank of the dense m^2 x m^2 system
     X -> X^T S_i + S_i X, i.e. (I (x) S^T) K + (S (x) I) with K the
