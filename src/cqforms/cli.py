@@ -5,10 +5,10 @@ homaloidal, square-detect, check-32}, sym {h, g, sharp, predict},
 zeta {gamma, check-involution, check-pullback, check-fe-quadratic, mc},
 classify, verify-all.
 
-Every run prints a JSON document (or CSV where noted) carrying a schema
-version, an echo of the configuration including the seed, and a timestamp
-unless --no-timestamp is given.  Exit status: 0 success / checks passed,
-1 a verification check failed, 2 usage or input error.
+Every run prints a JSON document (or CSV, from quartic coeffs --format csv)
+carrying a schema version, an echo of the configuration including the seed,
+and a timestamp unless --no-timestamp is given.  Exit status: 0 success /
+checks passed, 1 a verification check failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .repkit import (
     rep_build,
     rep_from_json,
     rep_to_json,
+    require_relations,
     verify_relations,
 )
 from .suite import run_suite
@@ -115,11 +116,7 @@ def _read_rep(path: str):
 
 def _load_rep(path: str):
     """A module file whose defining relations hold; ``rep verify`` reports them."""
-    rep = _read_rep(path)
-    failed = [name for name, _ in verify_relations(rep).failures]
-    if failed:
-        raise InvalidInputError(f"module in {path} fails {', '.join(failed)} (see rep verify)")
-    return rep
+    return require_relations(_read_rep(path), f"module in {path}", "rep verify")
 
 
 def _rep_from_args(args):
@@ -275,7 +272,7 @@ def cmd_sym_h(args) -> int:
 
 def cmd_sym_g(args) -> int:
     rep = _rep_from_args(args)
-    rpt = SY.g_kernel_dim(rep, seed=args.seed, mode=args.mode)
+    rpt = SY.g_kernel_dim(rep, seed=args.seed)
     pred = SY.predict(rep.p, rep.q, rep.mults) if rep.mults else None
     want = pred.g_dim if pred else None
     _emit(
@@ -448,13 +445,11 @@ def _add_common(sub, rep_arg=False, pq=False, mult=False):
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cqforms", description=__doc__)
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--out")
     top.add_argument("--no-timestamp", action="store_true")
     # the same global flags are accepted after any subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int)
-    common.add_argument("--format", choices=("json", "csv"))
     common.add_argument("--out")
     common.add_argument("--no-timestamp", action="store_true")
     groups = top.add_subparsers(dest="group", required=True, parser_class=_sub_factory(common))
@@ -473,13 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_rep_canonical)
 
     qt = groups.add_parser("quartic").add_subparsers(dest="cmd", required=True)
-    for name, fn in (
-        ("coeffs", cmd_quartic_coeffs),
-        ("square-detect", cmd_quartic_square),
-    ):
-        s = qt.add_parser(name)
-        _add_common(s, rep_arg=True)
-        s.set_defaults(fn=fn)
+    s = qt.add_parser("coeffs")
+    _add_common(s, rep_arg=True)
+    s.add_argument("--format", choices=("json", "csv"), default="json")
+    s.set_defaults(fn=cmd_quartic_coeffs)
+    s = qt.add_parser("square-detect")
+    _add_common(s, rep_arg=True)
+    s.set_defaults(fn=cmd_quartic_square)
     for name, fn in (("eval", cmd_quartic_eval), ("grad", cmd_quartic_grad)):
         s = qt.add_parser(name)
         _add_common(s, rep_arg=True)
@@ -499,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sym_h)
     s = sym.add_parser("g")
     _add_common(s, rep_arg=True)
-    s.add_argument("--mode", choices=("float", "exact"), default="float")
     s.set_defaults(fn=cmd_sym_g)
     s = sym.add_parser("sharp")
     _add_common(s, rep_arg=True)

@@ -528,6 +528,15 @@ def verify_relations(rep: CliffordRep) -> RelationReport:
     ])
 
 
+
+def require_relations(rep: CliffordRep, what: str = "module", see: str = "verify_relations"):
+    """``rep`` itself if every check of ``verify_relations`` passes; else an
+    InvalidInputError naming each failed check."""
+    failed = [name for name, _ in verify_relations(rep).failures]
+    if failed:
+        raise InvalidInputError(f"{what} fails {', '.join(failed)} (see {see})")
+    return rep
+
 def spin_equivariance_check(rep: CliffordRep) -> bool:
     """Exact matrix identities for the infinitesimal rotation action.
 

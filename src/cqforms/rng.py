@@ -26,11 +26,6 @@ def integer_points(seed: int, count: int, dim: int, low: int = -9, high: int = 9
     return [[int(x) for x in row] for row in pts]
 
 
-def integer_matrix(seed: int, rows: int, cols: int, low: int = -9, high: int = 9) -> np.ndarray:
-    gen = stream(seed, 0)
-    return gen.integers(low, high + 1, size=(rows, cols))
-
-
 def complex_s_samples(seed: int, count: int, re_range=(0.05, 0.45), im_range=(-1.0, 1.0)):
     """Complex test arguments staying away from half-integer lattice lines.
 

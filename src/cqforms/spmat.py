@@ -366,41 +366,3 @@ def _admitted_characters(sets: np.ndarray, length: int, par: np.ndarray) -> np.n
         raise AssertionError("orbit characters do not match the orbit length")
     return every[np.nonzero(admit)[1]].reshape(len(sets), length)
 
-
-def rational_nullspace(rows: Sequence[Sequence], ncols: int):
-    """Exact nullspace basis of a rational matrix via Gaussian elimination.
-
-    Returns a list of Fraction column vectors spanning the kernel.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        d = a[rank][col]
-        a[rank] = [x / d for x in a[rank]]
-        for i in range(nrows):
-            if i != rank and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-        pivots[col] = rank
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for col, r in pivots.items():
-            v[col] = -a[r][f]
-        basis.append(v)
-    return basis

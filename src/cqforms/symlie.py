@@ -13,7 +13,9 @@ unknowns with signs: the unknown space splits into joint sign sectors of a
 family of commuting signed-permutation involutions, the kernel splits along
 the sectors, and each sector system is small.  The sampled dimensions are
 probabilistic in the choice of points, so every run solves two independent
-batches and insists they agree.
+batches and insists they agree.  ``h_kernel``, ``g_kernel_dim`` and
+``sharp_solution_dim`` refuse a module whose defining relations fail with an
+``InvalidInputError`` that names the failed checks.
 """
 
 from __future__ import annotations
@@ -24,17 +26,13 @@ import numpy as np
 
 from . import spmat
 from .quartic import expected_degenerate, is_pure
-from .repkit import CliffordRep, InvalidInputError, irrep_catalog
+from .repkit import CliffordRep, InvalidInputError, irrep_catalog, require_relations
 from .rng import stream
-from .spmat import SectorDecomposition, rational_nullspace
+from .spmat import SectorDecomposition
 
 
 class UnstableDimensionError(RuntimeError):
     """Two sample batches produced different nullspace dimensions."""
-
-
-class ExactBudgetError(ValueError):
-    """Exact mode refused; retry with mode='float'."""
 
 
 FLOAT_RANK_TOL = 1e-8
@@ -44,7 +42,7 @@ _ROW_MARGIN = 64  # sampled rows per batch beyond the largest sector's columns
 @dataclass
 class KernelReport:
     dimension: int
-    basis: list[np.ndarray] | None  # None means dimension-only (float mode)
+    basis: list[np.ndarray] | None  # None means dimension-only (g)
     method: str
     residual: float
     per_sector: dict[int, int] | None = None  # nullity by character bitmask (g only)
@@ -70,6 +68,7 @@ def h_kernel(rep: CliffordRep) -> KernelReport:
     basis consists of {-1, 0, 1} matrices and satisfies the constraints
     identically.
     """
+    require_relations(rep)
     m = rep.m
     dec = SectorDecomposition(*_h_generators(rep))
     # exactness guarantee, for all i at once: row r of S_i X is
@@ -145,64 +144,54 @@ def _orbit_transform(a: np.ndarray, blocks) -> float:
     return amax
 
 
-def _sector_nullity(a: np.ndarray, blocks, sectors, mode: str):
+def _sector_nullity(a: np.ndarray, blocks, sectors):
     """Total kernel dimension of the sampled float64 system ``a``, sector by
     sector; ``a`` has more rows than any sector has columns.  Consumes ``a``:
     the orbit transform overwrites it in place.
 
-    In float mode the sectors of one width c are ranked together: each slice
-    of at most ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one
-    batched SVD, which runs the same LAPACK call on the same data as a
-    single-matrix SVD, so every singular value is the same."""
+    The sectors of one width c are ranked together: each slice of at most
+    ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one batched SVD,
+    which runs the same LAPACK call on the same data as a single-matrix SVD,
+    so every singular value is the same."""
     scale = max(1.0, _orbit_transform(a, blocks))
     nullity = np.zeros(len(sectors), dtype=np.int64)
-    residual = 0.0
-    basis_cols = []
-    if mode == "exact":
-        for k, (_, pos) in enumerate(sectors):
-            null = rational_nullspace(a[:, pos].astype(np.int64).tolist(), len(pos))
-            nullity[k] = len(null)
-            basis_cols.append((pos, null))
-    else:
-        width = np.array([len(pos) for _, pos in sectors])
-        flat = np.concatenate([pos for _, pos in sectors])
-        start = np.cumsum(width) - width
-        smallest = np.zeros(len(sectors))
-        cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
-        for c in np.unique(width).tolist():
-            nums = np.flatnonzero(width == c)
-            step = max(1, spmat.SECTOR_BLOCK // (a.shape[0] * c))
-            for b in range(0, len(nums), step):
-                part = nums[b : b + step]
-                stack = cols[flat[start[part, None] + np.arange(c)]].transpose(0, 2, 1)
-                sv = np.linalg.svd(stack, compute_uv=False)  # one row of c values per sector
-                nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
-                smallest[part] = sv[:, -1]
-        residual = float((smallest[nullity > 0] / scale).max(initial=0.0))
+    width = np.array([len(pos) for _, pos in sectors])
+    flat = np.concatenate([pos for _, pos in sectors])
+    start = np.cumsum(width) - width
+    smallest = np.zeros(len(sectors))
+    cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
+    for c in np.unique(width).tolist():
+        nums = np.flatnonzero(width == c)
+        step = max(1, spmat.SECTOR_BLOCK // (a.shape[0] * c))
+        for b in range(0, len(nums), step):
+            part = nums[b : b + step]
+            stack = cols[flat[start[part, None] + np.arange(c)]].transpose(0, 2, 1)
+            sv = np.linalg.svd(stack, compute_uv=False)  # one row of c values per sector
+            nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
+            smallest[part] = sv[:, -1]
+    residual = float((smallest[nullity > 0] / scale).max(initial=0.0))
     per_sector = dict(zip([chi for chi, _ in sectors], nullity.tolist()))
-    return int(nullity.sum()), per_sector, residual, basis_cols
+    return int(nullity.sum()), per_sector, residual
 
 
-def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, name: str,
-                    mode: str = "float"):
-    """Sector blocks and batch-1 ``(total, per_sector, residual, basis_cols)``
-    of the sampled system ``rows(w)`` in the joint sign sectors of
-    ``(perms, signs)``.  Each of the two batches, keyed ``stream(seed, k)``
-    for k in ``streams``, has ``_ROW_MARGIN`` more rows than the largest
-    sector has columns: a nonzero constraint is a degree-4 polynomial in w
-    and vanishes at a point of {-9..9}^m with probability at most 4/19
-    (Schwartz-Zippel), so the margin over the unknowns is what counts, not
-    the row total.  The batches must agree on every sector's nullity."""
+def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, name: str):
+    """Batch-1 ``(total, per_sector, residual)`` of the sampled system
+    ``rows(w)`` in the joint sign sectors of ``(perms, signs)``.  Each of the
+    two batches, keyed ``stream(seed, k)`` for k in ``streams``, has
+    ``_ROW_MARGIN`` more rows than the largest sector has columns: a nonzero
+    constraint is a degree-4 polynomial in w and vanishes at a point of
+    {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
+    over the unknowns is what counts, not the row total.  The batches must
+    agree on every sector's nullity."""
     blocks = SectorDecomposition(perms, signs).sectors()
     sectors = _sector_columns(blocks)
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
     # each batch's system is released before the next one is built
     results = [
-        _sector_nullity(rows(_sample_w(rep, seed, k, count)), blocks, sectors, mode)
-        for k in streams
+        _sector_nullity(rows(_sample_w(rep, seed, k, count)), blocks, sectors) for k in streams
     ]
     if results[0][:2] != results[1][:2]:
-        (total1, by_chi1, *_), (total2, by_chi2, *_) = results
+        (total1, by_chi1, _), (total2, by_chi2, _) = results
         moved = ", ".join(
             f"{chi}: {by_chi1[chi]} vs {by_chi2[chi]}"
             for chi in by_chi1
@@ -212,35 +201,21 @@ def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, na
             f"{name} dimension unstable: {total1} vs {total2}"
             f" (nullity by character bitmask {moved})"
         )
-    return blocks, results[0]
+    return results[0]
 
 
-def g_kernel_dim(rep: CliffordRep, *, seed: int = 0, mode: str = "float") -> KernelReport:
+def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     """Dimension of the symmetry Lie algebra of the quartic.
 
     Each integer sample w imposes grad F(w) . (X w) = 0 on X; the joint
     kernel over enough samples equals g with overwhelming probability, and
     two disjoint batches must agree on every sector dimension.
     """
-    m = rep.m
-    if mode == "exact" and m > 16:
-        raise ExactBudgetError("exact g refused for m > 16; use mode='float'")
-    blocks, (total, per_sector, residual, basis_cols) = _sampled_kernel(
-        rep, *_g_generators(rep), lambda w: _g_constraint_matrix(rep, w), seed, (1, 2), "g", mode
+    require_relations(rep)
+    total, per_sector, residual = _sampled_kernel(
+        rep, *_g_generators(rep), lambda w: _g_constraint_matrix(rep, w), seed, (1, 2), "g"
     )
-    if mode != "exact":
-        return KernelReport(total, None, "float-svd", residual, per_sector)
-    # back from sector coordinates y to entries x: x[idxs] = coefs^T y[idxs]
-    basis = []
-    for pos, null in basis_cols:
-        for vec in null:
-            y = np.zeros(m * m, dtype=object)
-            y[pos] = vec
-            x = np.zeros(m * m, dtype=object)
-            for idxs, _, coefs in blocks:
-                x[idxs] = coefs.T @ y[idxs]
-            basis.append(x.reshape(m, m))
-    return KernelReport(total, basis, "exact", 0.0, per_sector)
+    return KernelReport(total, None, "float-svd", residual, per_sector)
 
 
 def g_contains(rep: CliffordRep, x: np.ndarray, trials: int = 24, seed: int = 11) -> bool:
@@ -308,8 +283,9 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     """(solution dimension, n(n-1)/2 forced by the antisymmetric span)."""
+    require_relations(rep)
     perms, signs, pairs = _sharp_generators(rep)
-    _, (dim, *_) = _sampled_kernel(
+    dim, _, _ = _sampled_kernel(
         rep, perms, signs, lambda w: _sharp_constraint_matrix(rep, w, pairs), seed, (11, 12),
         "sharp",
     )

@@ -389,7 +389,6 @@ def _power_integral(expo: complex, decay, splits: int = 60, cutoff: float = 8.0)
     edges = [2.0 ** (-k) for k in range(splits, 0, -1)] + list(
         np.linspace(1.0, cutoff, 24)
     )
-    lo = 0.0
     f = lambda t: t**expo * decay(t)
     prev = 2.0**-splits
     total += _panel_quad(f, 0.0, prev)  # innermost panel: integrand ~ t^expo

@@ -143,6 +143,10 @@ def test_usage_errors_exit_2(capsys):
     assert main(["classify", "--p", "3", "--q", "0", "--mult", "1,y"]) == 2
     err = capsys.readouterr().err
     assert "argument --mult" in err and "'1,y'" in err and "_int_list" not in err
+    # only quartic coeffs reads --format, and sym g has no --mode
+    assert main(["sym", "predict", "--p", "3", "--q", "2", "--mult", "1", "--format", "csv"]) == 2
+    assert main(["sym", "g", "--p", "3", "--q", "2", "--mult", "1", "--mode", "exact"]) == 2
+    assert capsys.readouterr().out == ""
     assert main(["verify-all", "--max-pq", "0", "--max-m", "0"]) == 2  # checks nothing
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1

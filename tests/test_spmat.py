@@ -12,7 +12,6 @@ from cqforms.spmat import (
     is_signed_permutation,
     kron_word,
     perm_sign_of,
-    rational_nullspace,
     restrict_to_eigenspace,
     sp_det,
     symmetric_signature,
@@ -131,13 +130,6 @@ def test_fixed_space_is_common_fixed():
     assert len(vecs) == 1  # only e_0 is fixed by both sign patterns
     idxs, signs = vecs[0]
     assert idxs.tolist() == [0] and signs.tolist() == [1]
-
-
-def test_rational_nullspace_small():
-    basis = rational_nullspace([[1, 2, 3], [2, 4, 6]], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] + 2 * v[1] + 3 * v[2] == 0
 
 
 def _orbits_bfs(dec):

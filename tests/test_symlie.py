@@ -8,8 +8,8 @@ import pytest
 
 from cqforms import spmat
 from cqforms import symlie as SY
-from cqforms.repkit import rep_build
-from cqforms.spmat import SectorDecomposition, rational_nullspace
+from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
+from cqforms.spmat import SectorDecomposition
 from cqforms.suite import enumerate_cases
 
 
@@ -82,9 +82,6 @@ def test_h_exact_budget_error():
     report = SY.h_kernel(rep)
     assert report.method == "exact"
     assert report.dimension == SY.predict(10, 1, (2, 0)).h_dim
-    # exact g is still refused above m = 16
-    with pytest.raises(SY.ExactBudgetError):
-        SY.g_kernel_dim(rep_build(10, 1, (1, 0)), mode="exact")
 
 
 G_CASES = [
@@ -102,14 +99,6 @@ def test_g_kernel_dims(pq, mults, dim):
     report = SY.g_kernel_dim(rep, seed=3)
     assert report.dimension == dim
     assert report.residual < 1e-8
-
-
-def test_g_exact_mode_small():
-    rep = rep_build(2, 0, (2,))
-    exact = SY.g_kernel_dim(rep, seed=5, mode="exact")
-    flt = SY.g_kernel_dim(rep, seed=5, mode="float")
-    assert exact.dimension == flt.dimension == 3  # so(2) + so(2,C)
-    assert exact.basis is not None and len(exact.basis) == 3
 
 
 def test_g_contains_rotations():
@@ -228,9 +217,9 @@ def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
     rows = []
     sector_nullity = SY._sector_nullity
 
-    def recording(a, blocks, sectors, mode):
+    def recording(a, blocks, sectors):
         rows.append(a.shape[0])
-        return sector_nullity(a, blocks, sectors, mode)
+        return sector_nullity(a, blocks, sectors)
 
     monkeypatch.setattr(SY, "_sector_nullity", recording)
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
@@ -279,7 +268,7 @@ def test_orbit_transform_refuses_inexact_float_sums():
     blocks = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
     sectors = SY._sector_columns(blocks)
     ok = np.full((3, 2), 2.0**52 - 1)
-    total, per_sector, _, _ = SY._sector_nullity(ok, blocks, sectors, "float")
+    total, per_sector, _ = SY._sector_nullity(ok, blocks, sectors)
     assert total == 1 and per_sector == {0: 0, 1: 1}
     assert ok[:, 0].tolist() == [2.0**53 - 2] * 3 and not ok[:, 1].any()
     for big in (2.0**52, -(2.0**52)):
@@ -297,8 +286,6 @@ def test_g_per_sector_nullities_sum_to_dimension():
         assert sum(report.per_sector.values()) == report.dimension
         n_sectors = len(SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors()))
         assert len(report.per_sector) == n_sectors
-    exact = SY.g_kernel_dim(rep_build(2, 0, (2,)), seed=5, mode="exact")
-    assert sum(exact.per_sector.values()) == exact.dimension == 3
 
 
 def test_h_exactness_check_survives_python_O():
@@ -322,37 +309,79 @@ def test_h_exactness_check_survives_python_O():
     assert out.stdout.strip() == "refused"
 
 
-def _g_exact_reference(rep, seed):
-    """Exact g from batch 1, per-column sector matrices and the same basis
-    reconstruction as ``g_kernel_dim``."""
-    m = rep.m
-    blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-    a = SY._g_constraint_matrix(rep, SY._sample_w(rep, seed, 1, _batch_rows(blocks)))
-    a = a.astype(np.int64)
-    basis = []
-    for cols in _columns(blocks).values():
-        for vec in rational_nullspace(_per_column(a, cols).tolist(), len(cols)):
-            x = np.zeros(m * m, dtype=object)
-            for coord, (idxs, coefs) in zip(vec, cols):
-                if coord:
-                    for u, c in zip(idxs, coefs):
-                        x[u] += coord * int(c)
-            basis.append(x.reshape(m, m))
-    return basis
+def _bareiss_rank(mat) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination:
+    each division by the previous pivot is exact, so every entry stays an
+    integer (a minor of the input)."""
+    a = [[int(x) for x in row] for row in mat]
+    rank, prev = 0, 1
+    for col in range(len(a[0])):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        for row in a[rank + 1 :]:
+            row[col + 1 :] = [(top[col] * x - row[col] * y) // prev
+                              for x, y in zip(row[col + 1 :], top[col + 1 :])]
+        prev, rank = top[col], rank + 1
+    return rank
 
 
-def test_exact_g_matches_per_column_reference():
-    # exact g over all 70 modules takes about 50 s on 2 cores; at m = 16 the
-    # identical integer sector matrices above already fix the elimination
-    cases = [c for c in SMALL_CASES if rep_build(*c).m <= 8]
-    assert len(cases) >= 20
-    for p, q, mults in cases:
+def test_bareiss_rank_small():
+    assert _bareiss_rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert _bareiss_rank([[0, 2, 1], [0, 4, 3], [0, 0, 0]]) == 2
+    assert _bareiss_rank([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 3
+    assert _bareiss_rank([[0, 0], [0, 0]]) == 0
+
+
+def _exact_nullities(blocks, a):
+    """Nullity of each orbit-transformed integer sector matrix of ``a``."""
+    SY._orbit_transform(a, blocks)
+    return {chi: len(pos) - _bareiss_rank(a[:, pos].astype(np.int64).tolist())
+            for chi, pos in SY._sector_columns(blocks)}
+
+
+ORACLE_CASES = enumerate_cases(max_pq=6, max_m=8)
+
+
+def test_sector_nullities_match_exact_rational_ranks():
+    # the float rank of every g and sharp sector (batch 1: streams 1 and 11)
+    # against the exact rank of the same integer matrix
+    assert len(ORACLE_CASES) == 47
+    for p, q, mults in ORACLE_CASES:
         rep = rep_build(p, q, mults)
-        got = SY.g_kernel_dim(rep, seed=0, mode="exact")
-        want = _g_exact_reference(rep, 0)
-        assert got.dimension == len(want), (p, q, mults)
-        for x, y in zip(got.basis, want):
-            assert x.dtype == y.dtype and np.array_equal(x, y), (p, q, mults)
+        assert rep.m <= 8
+        (g_blocks, g_rows), (sharp_blocks, sharp_rows) = _sampled_systems(rep)
+        g = SY.g_kernel_dim(rep, seed=0)
+        assert g.per_sector == _exact_nullities(g_blocks, g_rows), (p, q, mults)
+        perms, signs, pairs = SY._sharp_generators(rep)
+        _, sharp, _ = SY._sampled_kernel(
+            rep, perms, signs, lambda w: SY._sharp_constraint_matrix(rep, w, pairs), 0,
+            (11, 12), "sharp",
+        )
+        assert sharp == _exact_nullities(sharp_blocks, sharp_rows), (p, q, mults)
+
+
+def _tampered_modules():
+    """(3,2)x1 with one column of S_2 negated, and with S_3 replaced by the
+    transposition of e_0 and e_1: signed permutations whose relations fail."""
+    rep = rep_build(3, 2, (1,))
+    negated = list(rep.basis)
+    negated[1][:, 0] *= -1
+    swapped = list(rep.basis)
+    swapped[2] = np.eye(rep.m, dtype=np.int64)[[1, 0, *range(2, rep.m)]]
+    return [CliffordRep(rep.p, rep.q, rep.mults, tuple(b), rep.m) for b in (negated, swapped)]
+
+
+def test_module_failing_its_relations_is_refused():
+    for bad in _tampered_modules():
+        failed = [name for name, _ in verify_relations(bad).failures]
+        assert failed
+        for fn in (SY.h_kernel, SY.g_kernel_dim, SY.sharp_solution_dim):
+            with pytest.raises(InvalidInputError) as err:
+                fn(bad)
+            assert str(err.value) == f"module fails {', '.join(failed)} (see verify_relations)"
 
 
 def _per_sector_svd(a, blocks, sectors):
@@ -371,14 +400,11 @@ def _per_sector_svd(a, blocks, sectors):
 
 def _assert_matches_per_sector_svd(blocks, a, label):
     sectors = SY._sector_columns(blocks)
-    total, per_sector, residual, basis_cols = SY._sector_nullity(
-        a.copy(order="F"), blocks, sectors, "float"
-    )
+    total, per_sector, residual = SY._sector_nullity(a.copy(order="F"), blocks, sectors)
     want_total, want_per_sector, want_residual = _per_sector_svd(a.copy(order="F"), blocks, sectors)
     assert total == want_total, label
     assert list(per_sector.items()) == list(want_per_sector.items()), label
     assert residual == want_residual, label  # the same float, bit for bit
-    assert basis_cols == []
 
 
 def test_stacked_svd_matches_per_sector_oracle():
@@ -399,7 +425,7 @@ def test_stacked_svd_threshold_is_relative_to_the_largest_value():
     a[:2, 0] = [1e6, 1e6 - 1]
     a[:2, 2] = [1e6 + 1, 1e6]
     _assert_matches_per_sector_svd(blocks, a, "near-singular")
-    total, per_sector, residual, _ = SY._sector_nullity(a, blocks, SY._sector_columns(blocks), "float")
+    total, per_sector, residual = SY._sector_nullity(a, blocks, SY._sector_columns(blocks))
     assert total == 2 and per_sector == {0: 1, 1: 1}
     assert 1e-14 < residual < 1e-12  # about 5e-7 / (1e6 + 1)
 
