@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .quartic import SQUARE_TRIPLES, expected_degenerate
 from .repkit import InvalidInputError, irrep_catalog
-from .symlie import pure_over_c, classification_status
+from .symlie import _EXCEPTIONAL_NM, pure_over_c
 
 
 @dataclass
@@ -201,8 +201,7 @@ def classify(p: int, q: int, mults, explain: bool = False) -> ClassificationRepo
     n = p + q
     degenerate = expected_degenerate(p, q, mults)
     poc = pure_over_c(p, q, mults)
-    status = classification_status(n, m, pure=(n == 2 and degenerate))
-    exceptional = (not degenerate) and status == "exceptional"
+    exceptional = not degenerate and (n, m) in _EXCEPTIONAL_NM
     generic = not degenerate and not exceptional
     square = (not degenerate) and (
         (p, q) == (1, 0) or (p, q, m) in SQUARE_TRIPLES

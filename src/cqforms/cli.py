@@ -35,7 +35,6 @@ from .repkit import (
     rep_from_json,
     rep_to_json,
     require_relations,
-    verify_relations,
 )
 from .suite import run_suite
 
@@ -110,7 +109,8 @@ def _emit_text(text: str, args) -> None:
 
 
 def _read_rep(path: str):
-    with open(path) as fh:
+    # read as bytes, so a file that is not UTF-8 is refused as malformed JSON
+    with open(path, "rb") as fh:
         return rep_from_json(fh.read())
 
 
@@ -152,7 +152,7 @@ def cmd_rep_build(args) -> int:
 
 def cmd_rep_verify(args) -> int:
     rep = _read_rep(args.rep)
-    report = verify_relations(rep)
+    report = rep.relations
     _emit(
         {
             "p": rep.p,
@@ -253,57 +253,54 @@ def cmd_quartic_check32(args) -> int:
 def cmd_sym_h(args) -> int:
     rep = _rep_from_args(args)
     rpt = SY.h_kernel(rep)
-    pred = None
-    if rep.mults:
-        pred = SY.predict(rep.p, rep.q, rep.mults)
+    pred = SY.predict(rep.p, rep.q, rep.mults)
     _emit(
         {
             "computed_dim": rpt.dimension,
-            "predicted_dim": pred.h_dim if pred else None,
-            "algebra": pred.h_algebra if pred else None,
-            "match": (pred.h_dim == rpt.dimension) if pred else None,
+            "predicted_dim": pred.h_dim,
+            "algebra": pred.h_algebra,
+            "match": pred.h_dim == rpt.dimension,
             "method": rpt.method,
             "residual": rpt.residual,
         },
         args,
     )
-    return 0 if (pred is None or pred.h_dim == rpt.dimension) else 1
+    return 0 if pred.h_dim == rpt.dimension else 1
 
 
 def cmd_sym_g(args) -> int:
     rep = _rep_from_args(args)
     rpt = SY.g_kernel_dim(rep, seed=args.seed)
-    pred = SY.predict(rep.p, rep.q, rep.mults) if rep.mults else None
-    want = pred.g_dim if pred else None
+    want = SY.predict(rep.p, rep.q, rep.mults).g_dim
     _emit(
         {
             "computed_dim": rpt.dimension,
             "predicted_dim": want,
-            "match": (want == rpt.dimension) if want is not None else None,
+            "match": want == rpt.dimension,
             "method": rpt.method,
             "residual": rpt.residual,
         },
         args,
     )
-    return 0 if want is None or want == rpt.dimension else 1
+    return 0 if want == rpt.dimension else 1
 
 
 def cmd_sym_sharp(args) -> int:
     rep = _rep_from_args(args)
     dim, forced = SY.sharp_solution_dim(rep, seed=args.seed)
     holds = dim == forced
-    expected = SY.expected_sharp(rep.p, rep.q, rep.mults) if rep.mults else None
+    expected = SY.expected_sharp(rep.p, rep.q, rep.mults)
     _emit(
         {
             "holds": holds,
             "solution_dim": dim,
             "forced_dim": forced,
             "expected": expected,
-            "match": (holds == expected) if expected is not None else None,
+            "match": holds == expected,
         },
         args,
     )
-    return 0 if expected is None or holds == expected else 1
+    return 0 if holds == expected else 1
 
 
 def cmd_sym_predict(args) -> int:
@@ -431,14 +428,11 @@ def _sub_factory(common: argparse.ArgumentParser):
     return SubParser
 
 
-def _add_common(sub, rep_arg=False, pq=False, mult=False):
-    if rep_arg:
-        sub.add_argument("rep", nargs="?", help="module JSON file (else use --p/--q/--mult)")
-    if pq or rep_arg:
-        sub.add_argument("--p", type=int)
-        sub.add_argument("--q", type=int)
-    if mult or rep_arg:
-        sub.add_argument("--mult", type=_int_list)
+def _add_module_args(sub):
+    sub.add_argument("rep", nargs="?", help="module JSON file (else use --p/--q/--mult)")
+    sub.add_argument("--p", type=int)
+    sub.add_argument("--q", type=int)
+    sub.add_argument("--mult", type=_int_list)
 
 
 @functools.cache  # parse_args keeps no state in the parser, so main() reuses one
@@ -469,19 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     qt = groups.add_parser("quartic").add_subparsers(dest="cmd", required=True)
     s = qt.add_parser("coeffs")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.set_defaults(fn=cmd_quartic_coeffs)
     s = qt.add_parser("square-detect")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.set_defaults(fn=cmd_quartic_square)
     for name, fn in (("eval", cmd_quartic_eval), ("grad", cmd_quartic_grad)):
         s = qt.add_parser(name)
-        _add_common(s, rep_arg=True)
+        _add_module_args(s)
         s.add_argument("--w", type=_int_list, required=True, help="comma separated integer point")
         s.set_defaults(fn=fn)
     s = qt.add_parser("homaloidal")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.add_argument("--trials", type=int, default=20)
     s.set_defaults(fn=cmd_quartic_homaloidal)
     s = qt.add_parser("check-32")
@@ -490,13 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sym = groups.add_parser("sym").add_subparsers(dest="cmd", required=True)
     s = sym.add_parser("h")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.set_defaults(fn=cmd_sym_h)
     s = sym.add_parser("g")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.set_defaults(fn=cmd_sym_g)
     s = sym.add_parser("sharp")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.set_defaults(fn=cmd_sym_sharp)
     s = sym.add_parser("predict")
     s.add_argument("--p", type=int, required=True)
@@ -534,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-4)
     s.set_defaults(fn=cmd_zeta_fe_quadratic)
     s = zt.add_parser("mc")
-    _add_common(s, rep_arg=True)
+    _add_module_args(s)
     s.add_argument(
         "--component", type=_component, required=True,
         help="+, -, -+, --, ++ or +-, with p for + and m for - (mm is --)",
@@ -567,15 +561,12 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.fn(args)
-    except (InvalidInputError, UnsupportedError, Z.UnsupportedCaseError, Z.PoleError) as exc:
+    except (InvalidInputError, UnsupportedError, Z.UnsupportedCaseError, Z.PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SY.UnstableDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .repkit import CliffordRep, InvalidInputError
+from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import integer_points
 
 # degeneracy table: the quartic vanishes identically exactly at these
@@ -124,13 +124,8 @@ def eval_quartic(rep: CliffordRep, w):
     return sum(e * x * x for e, x in zip(rep.eps, qv))
 
 
-def grad_quartic(rep, w) -> list:
-    """Gradient 4 sum_i eps_i S_i[w] (S_i w), exact on integer points.
-
-    Accepts either a module or a QuarticForm (no coefficient table needed).
-    """
-    if isinstance(rep, QuarticForm):
-        rep = rep.rep
+def grad_quartic(rep: CliffordRep, w) -> list:
+    """Gradient 4 sum_i eps_i S_i[w] (S_i w), exact on integer points."""
     vals, images = rep.forms(_column(rep, w), images=True)
     coef = np.array([4 * e * v for e, v in zip(rep.eps, vals[:, 0].tolist())], dtype=object)
     return (coef @ images[:, :, 0].astype(object)).tolist()
@@ -148,8 +143,6 @@ def is_degenerate(rep: CliffordRep) -> tuple[bool, bool]:
 
 
 def expected_degenerate(p: int, q: int, mults) -> bool:
-    from .repkit import irrep_catalog
-
     cat = irrep_catalog(p, q)
     m = sum(mults) * cat.dim
     key = (p, q, m) if p >= q else (q, p, m)
@@ -162,8 +155,6 @@ def expected_degenerate(p: int, q: int, mults) -> bool:
 
 def is_pure(p: int, q: int, mults) -> bool:
     """Restriction to the even subalgebra is isotypic."""
-    from .repkit import irrep_catalog
-
     cat = irrep_catalog(p, q)
     used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
     if cat.even_classes == 1:
@@ -249,7 +240,7 @@ def homaloidal_check(rep: CliffordRep, trials: int, seed: int) -> bool:
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    for w in integer_points(seed, trials, rep.m, low=-9, high=9):
+    for w in integer_points(seed, trials, rep.m):
         lhs = eval_quartic(rep, grad_quartic(rep, w))
         rhs = 256 * eval_quartic(rep, w) ** 3
         if lhs != rhs:
@@ -313,7 +304,7 @@ def check_32_identity(k: int, points: int = 30, seed: int = 2024) -> bool:
     j2 = np.zeros((4, 4), dtype=np.int64)
     j2[0:2, 0:2] = _J
     j2[2:4, 2:4] = _J
-    pts = list(integer_points(seed, points, m, low=-9, high=9)) + [[0] * m]
+    pts = list(integer_points(seed, points, m)) + [[0] * m]
     qvals = rep.forms(np.array(pts, dtype=np.int64).T).T.tolist()
     for w, qv in zip(pts, qvals):
         fval = sum(e * x * x for e, x in zip(rep.eps, qv))

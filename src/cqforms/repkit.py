@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -308,7 +308,7 @@ class CliffordRep:
     an m x m signed permutation, and keeps only the ``perm`` and ``sign``
     arrays of shape (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  ``basis``
     builds the dense matrices from them on each call.  Relations between the
-    matrices are not checked here; ``verify_relations`` reports them.
+    matrices are not checked here; ``relations`` holds their report.
     """
 
     p: int
@@ -338,6 +338,12 @@ class CliffordRep:
         sign.setflags(write=False)
         # straight into the instance dict: the frozen __setattr__ refuses assignment
         self.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
+
+    @cached_property
+    def relations(self) -> RelationReport:
+        """The module's one relation report, ``verify_relations(self)`` on
+        first read; every later check of the same module reads it."""
+        return verify_relations(self)
 
     @property
     def basis(self) -> tuple[np.ndarray, ...]:
@@ -528,14 +534,14 @@ def verify_relations(rep: CliffordRep) -> RelationReport:
     ])
 
 
-
 def require_relations(rep: CliffordRep, what: str = "module", see: str = "verify_relations"):
-    """``rep`` itself if every check of ``verify_relations`` passes; else an
+    """``rep`` itself if every check of ``rep.relations`` passes; else an
     InvalidInputError naming each failed check."""
-    failed = [name for name, _ in verify_relations(rep).failures]
+    failed = [name for name, _ in rep.relations.failures]
     if failed:
         raise InvalidInputError(f"{what} fails {', '.join(failed)} (see {see})")
     return rep
+
 
 def spin_equivariance_check(rep: CliffordRep) -> bool:
     """Exact matrix identities for the infinitesimal rotation action.
@@ -642,7 +648,7 @@ def _json_ints(value, name: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def rep_from_json(text: str) -> CliffordRep:
+def rep_from_json(text: str | bytes) -> CliffordRep:
     try:
         data = json.loads(text)
         p, q, m = (int(_json_ints(data[key], key, 0)) for key in ("p", "q", "m"))
@@ -651,32 +657,3 @@ def rep_from_json(text: str) -> CliffordRep:
         return CliffordRep(p, q, mults, basis, m)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc
-
-
-def rep_to_text(rep: CliffordRep) -> str:
-    lines = [str(rep.m)]
-    for s in rep.basis:
-        for row in s:
-            lines.append(" ".join(str(int(x)) for x in row))
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def rep_from_text(text: str, p: int, q: int, mults=None) -> CliffordRep:
-    try:
-        chunks = [c for c in text.strip().split("\n\n")]
-        header = chunks[0].split("\n")
-        m = int(header[0])
-        rows = header[1:]
-        mats = []
-        first = [list(map(int, r.split())) for r in rows]
-        mats.append(np.array(first, dtype=np.int64))
-        for chunk in chunks[1:]:
-            mats.append(
-                np.array([list(map(int, r.split())) for r in chunk.split("\n")], dtype=np.int64)
-            )
-        if mults is None:
-            mults = ()
-        return CliffordRep(p, q, tuple(mults), tuple(mats), m)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed module text: {exc}") from exc

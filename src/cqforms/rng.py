@@ -19,24 +19,24 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1), index & (2**64 - 1))))
 
 
-def integer_points(seed: int, count: int, dim: int, low: int = -9, high: int = 9):
-    """``count`` integer vectors with entries uniform in [low, high]."""
+def integer_points(seed: int, count: int, dim: int):
+    """``count`` integer vectors with entries uniform in [-9, 9]."""
     gen = stream(seed, 0)
-    pts = gen.integers(low, high + 1, size=(count, dim))
+    pts = gen.integers(-9, 10, size=(count, dim))
     return [[int(x) for x in row] for row in pts]
 
 
-def complex_s_samples(seed: int, count: int, re_range=(0.05, 0.45), im_range=(-1.0, 1.0)):
+def complex_s_samples(seed: int, count: int):
     """Complex test arguments staying away from half-integer lattice lines.
 
-    Real parts are drawn in a window well inside (0, 1/2) and nudged off
-    rational points; imaginary parts are nonzero except possibly by chance.
+    Real parts are drawn in [0.05, 0.45] and nudged off rational points;
+    imaginary parts, in [-1, 1], are nonzero except possibly by chance.
     """
     gen = stream(seed, 1)
     out = []
     while len(out) < count:
-        re = gen.uniform(*re_range) + 0.012345
-        im = gen.uniform(*im_range)
+        re = gen.uniform(0.05, 0.45) + 0.012345
+        im = gen.uniform(-1.0, 1.0)
         s = complex(re, im)
         if min(abs(2 * re - round(2 * re)), 1.0) > 1e-3:
             out.append(s)

@@ -20,7 +20,7 @@ from . import symlie as SY
 from . import zetafe as Z
 from .classify import classify as classify_verdict
 from .classify import table1_lookup
-from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check, verify_relations
+from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
 from .rng import complex_s_samples, integer_points
 from .spmat import signed_permutation_matrix
 
@@ -80,7 +80,7 @@ class Case:
 
 def check_relations(case) -> tuple[bool, str]:
     rep = case.rep
-    report = verify_relations(rep)
+    report = rep.relations
     if not report.ok:
         return False, str(report.failures)
     if not spin_equivariance_check(rep):
@@ -158,11 +158,7 @@ def gamma_applicable(p, q, mults) -> bool:
         return False
     if rep_m < 8 or rep_m % 8:
         return False
-    if Q.expected_degenerate(p, q, mults):
-        return False
-    if q == 1 and p < 4:
-        return False
-    return True
+    return not Q.expected_degenerate(p, q, mults)
 
 
 def check_gamma_consistency(case) -> tuple[bool, str]:

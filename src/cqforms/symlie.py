@@ -15,7 +15,8 @@ the sectors, and each sector system is small.  The sampled dimensions are
 probabilistic in the choice of points, so every run solves two independent
 batches and insists they agree.  ``h_kernel``, ``g_kernel_dim`` and
 ``sharp_solution_dim`` refuse a module whose defining relations fail with an
-``InvalidInputError`` that names the failed checks.
+``InvalidInputError`` that names the failed checks; all three read the
+module's one relation report, ``rep.relations``.
 """
 
 from __future__ import annotations
@@ -292,6 +293,11 @@ def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     return dim, rep.n * (rep.n - 1) // 2
 
 
+# (p + q, m) of the exceptional and of the degenerate low-dimension modules
+_EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
+_DEGENERATE_NM = {(3, 2), (4, 4), (6, 8), (10, 16)}
+
+
 def expected_sharp(p: int, q: int, mults) -> bool:
     """Classification-table prediction for the sharp condition.
 
@@ -299,27 +305,10 @@ def expected_sharp(p: int, q: int, mults) -> bool:
     modules that are pure with m >= 2 (a pure module on the line satisfies
     the condition trivially, the solution space being one dimensional).
     """
-    cat = irrep_catalog(p, q)
-    m = sum(mults) * cat.dim
-    n = p + q
-    bad = {
-        (3, 2),
-        (3, 4),
-        (4, 4),
-        (4, 8),
-        (5, 8),
-        (6, 8),
-        (6, 16),
-        (7, 16),
-        (8, 16),
-        (9, 16),
-        (10, 16),
-        (10, 32),
-        (11, 32),
-    }
-    if (n, m) in bad:
+    m = sum(mults) * irrep_catalog(p, q).dim
+    if (p + q, m) in _DEGENERATE_NM | _EXCEPTIONAL_NM:
         return False
-    if n == 2 and {p, q} == {1, 1} and is_pure(p, q, mults) and m >= 2:
+    if {p, q} == {1, 1} and is_pure(p, q, mults) and m >= 2:
         return False
     return True
 
@@ -379,19 +368,6 @@ def pure_over_c(p: int, q: int, mults) -> bool:
     return len(used) <= 1
 
 
-_EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
-_DEGENERATE_NM = {(3, 2), (4, 4), (6, 8), (10, 16)}
-
-
-def classification_status(n: int, m: int, pure: bool = False) -> str:
-    """degenerate / exceptional / generic from the low-dimension tables."""
-    if (n, m) in _DEGENERATE_NM or (n == 2 and pure):
-        return "degenerate"
-    if (n, m) in _EXCEPTIONAL_NM:
-        return "exceptional"
-    return "generic"
-
-
 def exceptional_g_dim(p: int, q: int, mults) -> int | None:
     """Stated symmetry-algebra dimension in the exceptional cases.
 
@@ -438,11 +414,9 @@ def predict(p: int, q: int, mults) -> SymmetryPrediction:
     name, h_dim = h_algebra(p, q, mults)
     n = p + q
     m = sum(mults) * cat.dim
-    degenerate = expected_degenerate(p, q, mults)
-    status = classification_status(n, m, pure=(n == 2 and degenerate))
-    if degenerate:
+    if expected_degenerate(p, q, mults):
         return SymmetryPrediction(name, h_dim, m * m, False, True, None)
-    if status == "exceptional":
+    if (n, m) in _EXCEPTIONAL_NM:
         gexc = exceptional_g_dim(p, q, mults)
         return SymmetryPrediction(name, h_dim, gexc, True, False, gexc)
     return SymmetryPrediction(name, h_dim, n * (n - 1) // 2 + h_dim, False, False, None)

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quartic import eval_quartic, expand_coeffs
-from .repkit import CliffordRep, InvalidInputError
+from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import MC_CHUNK, integer_points, stream
 from .spmat import int_det, sp_det
 
@@ -171,8 +171,6 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
 
 def _closed_form_gammas(rep: CliffordRep, labels):
     """Multiplicity formulas for the signature constants, where stated."""
-    from .repkit import irrep_catalog
-
     p, q, m = rep.p, rep.q, rep.m
     cat = irrep_catalog(p, q)
     out = []
@@ -298,8 +296,6 @@ def gamma_quartic(p: int, q: int, m: int, s: complex) -> GammaMatrix:
         raise InvalidInputError("need p >= q")
     if (p, q) in _EXCLUDED_QUARTIC:
         raise UnsupportedCaseError(f"(p, q) = {(p, q)} excluded; use gamma_pullback")
-    if q == 1 and p == 3:
-        raise UnsupportedCaseError("(3, 1) excluded; use gamma_pullback")
     if m < 8 or m % 8:
         raise UnsupportedCaseError("closed forms require m >= 8 with 8 | m")
     s = complex(s)
@@ -379,18 +375,18 @@ def _panel_quad(f, a: float, b: float, nodes: int = 48) -> complex:
     return half * sum(wt * f(t) for wt, t in zip(wts, pts))
 
 
-def _power_integral(expo: complex, decay, splits: int = 60, cutoff: float = 8.0) -> complex:
+def _power_integral(expo: complex, decay, cutoff: float = 8.0) -> complex:
     """integral_0^inf t^expo * decay(t) dt with endpoint refinement at 0.
 
-    Geometric panels toward the endpoint handle the algebraic singularity;
+    Geometric panels down to 2^-60 handle the algebraic singularity;
     requires Re(expo) > -1 and exponentially decaying ``decay``.
     """
     total = 0 + 0j
-    edges = [2.0 ** (-k) for k in range(splits, 0, -1)] + list(
+    edges = [2.0 ** (-k) for k in range(60, 0, -1)] + list(
         np.linspace(1.0, cutoff, 24)
     )
     f = lambda t: t**expo * decay(t)
-    prev = 2.0**-splits
+    prev = edges[0]
     total += _panel_quad(f, 0.0, prev)  # innermost panel: integrand ~ t^expo
     for edge in edges[1:]:
         total += _panel_quad(f, prev, edge)
@@ -408,7 +404,7 @@ class ZetaEstimate:
     component: str
 
 
-def zeta_quadratic_numeric(p: int, q: int, component: str, s: complex, tol: float = 1e-10):
+def zeta_quadratic_numeric(p: int, q: int, component: str, s: complex):
     """Gaussian local zeta of the quadratic form, by quadrature.
 
     (1, 0): half-line integrals with a one-term singular subtraction, valid

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import cqforms.repkit
 from cqforms import cli
 from cqforms.cli import build_parser, main
 from cqforms.repkit import rep_build
@@ -188,6 +189,43 @@ def test_malformed_module_file_exits_2(tmp_path, capsys, problem, command):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _unreadable_path(tmp_path, problem):
+    if problem == "directory":
+        return tmp_path
+    path = tmp_path / "module.json"
+    if problem == "not-utf8":
+        path.write_bytes('{"p": "\u00e9"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("command", MODULE_COMMANDS, ids=lambda c: " ".join(c[:2]))
+@pytest.mark.parametrize("problem", ["directory", "missing", "not-utf8"])
+def test_unreadable_module_path_exits_2(tmp_path, capsys, problem, command):
+    argv = command[:2] + [str(_unreadable_path(tmp_path, problem))] + command[2:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_sym_g_file_verifies_relations_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rep.json"
+    path.write_text(cqforms.repkit.rep_to_json(rep_build(3, 2, (1,))))
+    calls = []
+    verify = cqforms.repkit.verify_relations
+
+    def counted(rep):
+        calls.append(rep)
+        return verify(rep)
+
+    # the load check and g_kernel_dim both read rep.relations
+    monkeypatch.setattr(cqforms.repkit, "verify_relations", counted)
+    code, doc = run_json(capsys, "sym", "g", str(path))
+    assert code == 0 and doc["match"]
+    assert len(calls) == 1
 
 
 def test_module_file_failing_its_relations(tmp_path, capsys):

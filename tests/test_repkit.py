@@ -18,9 +18,7 @@ from cqforms.repkit import (
     pos_clifford_basis,
     rep_build,
     rep_from_json,
-    rep_from_text,
     rep_to_json,
-    rep_to_text,
     spin_equivariance_check,
     swap_pq,
     verify_relations,
@@ -379,12 +377,6 @@ def test_json_roundtrip_bit_exact():
     assert again == rep
 
 
-def test_text_roundtrip():
-    rep = rep_build(2, 2, (2,))
-    again = rep_from_text(rep_to_text(rep), 2, 2, (2,))
-    assert again == rep
-
-
 def test_all_small_reps_verify():
     count = 0
     for n in range(1, 8):
@@ -563,10 +555,3 @@ def test_forms_block_edges(args):
 def test_clifford_rep_rejects_malformed_basis(basis, m):
     with pytest.raises(InvalidInputError):
         CliffordRep(2, 0, (1,), basis, m)
-
-
-def test_rep_from_text_rejects_malformed_text():
-    with pytest.raises(InvalidInputError):
-        rep_from_text("2\n1 0\n0 x\n", 1, 0)
-    with pytest.raises(InvalidInputError):
-        rep_from_text("2\n1 0\n0 1\n", 2, 0)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import cqforms.quartic
+import cqforms.repkit
 import cqforms.suite
 import cqforms.zetafe
 from cqforms.repkit import InvalidInputError
@@ -54,6 +55,23 @@ def test_one_module_per_case(monkeypatch):
     assert counts["rep_build"] == Counter({(p, q, tuple(mults)): 1 for p, q, mults in cases})
     for name in ("square_detect", "gamma_constants"):
         assert counts[name] and max(counts[name].values()) == 1, name
+
+
+def test_relations_verified_once_per_case(monkeypatch):
+    # check_relations and the h, g and sharp kernels all read rep.relations
+    calls = Counter()
+    verify = cqforms.repkit.verify_relations
+
+    def counted(rep):
+        calls[_key(rep)] += 1
+        return verify(rep)
+
+    monkeypatch.setattr(cqforms.repkit, "verify_relations", counted)
+    rows = run_suite(max_pq=5, max_m=8)
+    assert all(r.ok for r in rows)
+    assert {"relations", "symmetry-dims", "sharp"} <= {r.check for r in rows}
+    cases = enumerate_cases(max_pq=5, max_m=8)
+    assert calls == Counter({(p, q, tuple(mults)): 1 for p, q, mults in cases})
 
 
 def _rows(**kwargs):

@@ -149,6 +149,17 @@ def test_predictions_against_structure_table():
     assert pred.h_dim == 6
     pred = SY.predict(10, 1, (1, 0))
     assert pred.exceptional and pred.g_dim_exceptional == 66
+    # p + q = 10: degenerate at m = 16, exceptional at m = 32, generic at m = 64
+    assert SY.predict(9, 1, (1, 0, 0, 0)).degenerate
+    pred = SY.predict(9, 1, (2, 0, 0, 0))
+    assert pred.exceptional and not pred.degenerate and pred.g_dim == 48
+    pred = SY.predict(9, 1, (4, 0, 0, 0))
+    assert not pred.exceptional and not pred.degenerate
+    assert pred.g_dim == 10 * 9 // 2 + pred.h_dim
+    # rank 2: a pure module is degenerate, a mixed one generic
+    assert SY.predict(1, 1, (2, 0, 0, 0)).degenerate
+    pred = SY.predict(1, 1, (1, 0, 1, 0))
+    assert not pred.exceptional and not pred.degenerate
 
 
 def test_pure_over_c():
@@ -165,14 +176,6 @@ def test_exceptional_g_dim_purity_split():
     assert SY.exceptional_g_dim(9, 1, (1, 0, 1, 0)) == 46
     assert SY.exceptional_g_dim(3, 3, (2, 0)) == 30
     assert SY.exceptional_g_dim(3, 3, (1, 1)) == 22
-
-
-def test_classification_status_table():
-    assert SY.classification_status(10, 16) == "degenerate"
-    assert SY.classification_status(10, 32) == "exceptional"
-    assert SY.classification_status(10, 64) == "generic"
-    assert SY.classification_status(2, 2, pure=True) == "degenerate"
-    assert SY.classification_status(2, 2, pure=False) == "generic"
 
 
 # ---------------------------------------------------------------------------
