@@ -15,8 +15,13 @@ MC_CHUNK = 1 << 14  # fixed Monte Carlo chunk size; part of the stream contract
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, index), stable across platforms."""
-    return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1), index & (2**64 - 1))))
+    """Independent generator for (seed, index), stable across platforms.
+
+    Both are taken mod 2^64.  The key is built as uint64: numpy would route
+    a tuple entry of 2^63 or more through float64.
+    """
+    key = np.array([seed & (2**64 - 1), index & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def integer_points(seed: int, count: int, dim: int):

@@ -128,8 +128,6 @@ def check_symmetry_dims(case) -> tuple[bool, str]:
         want = rep.m * rep.m
     elif pred.exceptional:
         want = pred.g_dim_exceptional
-        if want is None:
-            return True, f"g computed {gk.dimension}; no stated dimension"
     else:
         want = pred.g_dim
     if gk.dimension != want:

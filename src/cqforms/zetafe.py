@@ -41,6 +41,7 @@ class UnsupportedCaseError(ValueError):
 
 POLE_RADIUS = 1e-8
 DEGENERACY_PROBES = 4  # integer points tried before gamma_constants expands the quartic
+MC_DRAW = 1 << 12  # Monte Carlo samples drawn per hand-off to the helper thread
 
 # ---------------------------------------------------------------------------
 # Complex gamma: Lanczos approximation (g = 7, 9 coefficients), with the
@@ -502,6 +503,28 @@ def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, comp
     raise InvalidInputError(f"unknown component {component!r}")
 
 
+def _normal_blocks(seed: int, samples: int, bufs):
+    """Scaled normals of every chunk, MC_DRAW rows at a time.
+
+    Yields ``(chunk size, offset in the chunk, block)``.  Consecutive draws
+    from one stream give the numbers of a single whole-chunk draw, so the
+    blocks cut each chunk's draw into rows without changing it.  Blocks
+    alternate between the two ``bufs``: a block stays valid until the
+    next-but-one is drawn.  The caller allocates ``bufs``, so a drawing
+    thread allocates no large arrays of its own.
+    """
+    scale = 1.0 / math.sqrt(2 * math.pi)
+    j = 0
+    for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
+        count = min(MC_CHUNK, samples - start)
+        gen = stream(seed, chunk_idx)
+        for lo in range(0, count, MC_DRAW):
+            w = gen.standard_normal(out=bufs[j % 2][: min(MC_DRAW, count - lo)])
+            w *= scale
+            j += 1
+            yield count, lo, w
+
+
 def zeta_quartic_mc(
     rep: CliffordRep, component: str, s: complex, samples: int = 10**6, seed: int = 0
 ) -> ZetaEstimate:
@@ -510,36 +533,40 @@ def zeta_quartic_mc(
     Importance sampling from the Gaussian itself: the estimate is the mean
     of |F(w)|^s over standard draws restricted to the component.  Chunk c
     always uses the stream keyed (seed, c), so totals do not depend on how
-    chunks are scheduled.
+    chunks are scheduled.  One helper thread draws the next block of
+    normals while this one evaluates the current block; each chunk is
+    summed whole and the chunk totals in chunk order, as a sequential run.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
     s = complex(s)
     if s.real < 0:
         warnings.warn("Re(s) < 0: integrand unbounded near the zero set", RuntimeWarning)
-    m = rep.m
+    # imported here, not with the module: it loads logging, which adds set-up
+    # time and memory to every command that never runs Monte Carlo
+    from concurrent.futures import ThreadPoolExecutor
+
     total = 0.0 + 0.0j
     total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    scale = 1.0 / math.sqrt(2 * math.pi)
-    buf = np.empty((min(MC_CHUNK, samples), m))  # one sample buffer for every chunk
-    while done < samples:
-        count = min(MC_CHUNK, samples - done)
-        w = stream(seed, chunk_idx).standard_normal(out=buf[:count])
-        w *= scale
-        qvals = rep.forms(w.T)
-        fvals = np.zeros(count)
-        for e, v in zip(rep.eps, qvals):
-            fvals += e * v * v
-        mask = _component_mask(rep, qvals, fvals, component)
-        vals = np.zeros(count, dtype=complex)
-        nz = mask & (fvals != 0)
-        vals[nz] = np.exp(s * np.log(np.abs(fvals[nz])))
-        total += vals.sum()
-        total_sq += float((vals * vals.conjugate()).real.sum())
-        done += count
-        chunk_idx += 1
+    rows = min(MC_DRAW, samples)
+    blocks = _normal_blocks(seed, samples, (np.empty((rows, rep.m)), np.empty((rows, rep.m))))
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(next, blocks, None)
+        while (block := ahead.result()) is not None:
+            ahead = helper.submit(next, blocks, None)
+            count, lo, w = block
+            if lo == 0:
+                vals = np.zeros(count, dtype=complex)
+            qvals = rep.forms(w.T)
+            fvals = np.zeros(len(w))
+            for e, v in zip(rep.eps, qvals):
+                fvals += e * v * v
+            mask = _component_mask(rep, qvals, fvals, component)
+            nz = mask & (fvals != 0)
+            vals[lo : lo + len(w)][nz] = np.exp(s * np.log(np.abs(fvals[nz])))
+            if lo + len(w) == count:
+                total += vals.sum()
+                total_sq += float((vals * vals.conjugate()).real.sum())
     mean = total / samples
     var = max(total_sq / samples - abs(mean) ** 2, 0.0)
     stderr = math.sqrt(var / samples)

@@ -8,9 +8,10 @@ import pytest
 import cqforms.quartic
 import cqforms.repkit
 import cqforms.suite
+import cqforms.symlie
 import cqforms.zetafe
 from cqforms.repkit import InvalidInputError
-from cqforms.suite import CHECKS, enumerate_cases, run_suite
+from cqforms.suite import CHECKS, Case, enumerate_cases, run_suite
 
 
 def _key(rep):
@@ -90,3 +91,17 @@ def test_enumerate_cases_bounds_are_keyword_only():
     # read positionally, 8 would be max_total_mult, not max_m as in run_suite
     with pytest.raises(TypeError):
         enumerate_cases(5, 8)
+
+
+def test_exceptional_module_without_a_stated_g_dimension_fails(monkeypatch):
+    # a missing prediction is a failed row, not a pass
+    exceptional = [
+        c for c in enumerate_cases(max_pq=4, max_m=8)
+        if cqforms.symlie.predict(*c).exceptional
+    ]
+    assert exceptional
+    p, q, mults = exceptional[0]
+    assert cqforms.suite.check_symmetry_dims(Case(p, q, mults))[0]
+    monkeypatch.setattr(cqforms.symlie, "exceptional_g_dim", lambda *args: None)
+    ok, detail = cqforms.suite.check_symmetry_dims(Case(p, q, mults))
+    assert not ok, detail

@@ -1,13 +1,14 @@
 import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from cqforms import zetafe as Z
 from cqforms.quartic import expected_degenerate
-from cqforms.repkit import rep_build
-from cqforms.rng import complex_s_samples
+from cqforms.repkit import InvalidInputError, rep_build
+from cqforms.rng import complex_s_samples, stream
 from cqforms.spmat import symmetric_signature
 from cqforms.suite import enumerate_cases
 
@@ -288,3 +289,94 @@ def test_mc_estimate_pinned(args, value, stderr):
     est = Z.zeta_quartic_mc(rep_build(*args), "+", 0.3 + 0.1j, samples=20_000, seed=3)
     assert repr(complex(est.value)) == value
     assert repr(float(est.stderr)) == stderr
+
+
+def _sequential_mc(rep, component, s, samples, seed):
+    """The estimator before its draws moved to a helper thread: one
+    whole-chunk draw, evaluated and summed before the next."""
+    s = complex(s)
+    m = rep.m
+    total = 0.0 + 0.0j
+    total_sq = 0.0
+    done = 0
+    chunk_idx = 0
+    scale = 1.0 / math.sqrt(2 * math.pi)
+    buf = np.empty((min(Z.MC_CHUNK, samples), m))
+    while done < samples:
+        count = min(Z.MC_CHUNK, samples - done)
+        w = stream(seed, chunk_idx).standard_normal(out=buf[:count])
+        w *= scale
+        qvals = rep.forms(w.T)
+        fvals = np.zeros(count)
+        for e, v in zip(rep.eps, qvals):
+            fvals += e * v * v
+        mask = Z._component_mask(rep, qvals, fvals, component)
+        vals = np.zeros(count, dtype=complex)
+        nz = mask & (fvals != 0)
+        vals[nz] = np.exp(s * np.log(np.abs(fvals[nz])))
+        total += vals.sum()
+        total_sq += float((vals * vals.conjugate()).real.sum())
+        done += count
+        chunk_idx += 1
+    mean = total / samples
+    var = max(total_sq / samples - abs(mean) ** 2, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+MC_MODULES = [
+    ((5, 1, (0, 0, 0, 1)), ("+", "-", "-+", "--")),  # degenerate
+    ((6, 2, (1,)), ("+", "-")),
+    ((2, 1, (2, 1)), ("+", "-", "-+", "--")),
+]
+
+
+def _assert_sequential(args, components, sizes, seed=3):
+    rep = rep_build(*args)
+    for component in components:
+        for samples in sizes:
+            est = Z.zeta_quartic_mc(rep, component, 0.3 + 0.1j, samples=samples, seed=seed)
+            want = _sequential_mc(rep, component, 0.3 + 0.1j, samples, seed)
+            assert (est.value, est.stderr) == want, (args, component, samples)
+
+
+@pytest.mark.parametrize("args, components", MC_MODULES)
+def test_mc_pipelined_equals_sequential(args, components):
+    d, c = Z.MC_DRAW, Z.MC_CHUNK
+    _assert_sequential(args, components, [1, d - 1, d, d + 1, c + 1, 3 * c + 5])
+
+
+@pytest.mark.parametrize("draw", [1, 7])
+@pytest.mark.parametrize("args, components", MC_MODULES)
+def test_mc_pipelined_equals_sequential_small_blocks(monkeypatch, draw, args, components):
+    # a 20-sample chunk makes blocks of 1 and of 7 cross chunk ends cheaply
+    monkeypatch.setattr(Z, "MC_DRAW", draw)
+    monkeypatch.setattr(Z, "MC_CHUNK", 20)
+    _assert_sequential(args, components, [1, 6, 7, 8, 20, 21, 47])
+
+
+def test_mc_helper_thread_is_gone_after_the_call():
+    rep = rep_build(2, 1, (2, 1))
+    before = threading.active_count()
+    Z.zeta_quartic_mc(rep, "+", 0.3, samples=3 * Z.MC_DRAW + 1)
+    assert threading.active_count() == before
+    with pytest.raises(InvalidInputError):
+        Z.zeta_quartic_mc(rep, "++", 0.3, samples=3 * Z.MC_DRAW + 1)
+    assert threading.active_count() == before
+
+
+def test_mc_helper_failure_reaches_the_caller(monkeypatch):
+    drawn_on = set()
+
+    def failing(seed, index=0):
+        drawn_on.add(threading.get_ident())
+        if index == 1:
+            raise RuntimeError("draw failed")
+        return stream(seed, index)
+
+    monkeypatch.setattr(Z, "stream", failing)
+    rep = rep_build(2, 1, (2, 1))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        Z.zeta_quartic_mc(rep, "+", 0.3, samples=Z.MC_CHUNK + 1)
+    assert threading.active_count() == before
+    assert drawn_on and threading.get_ident() not in drawn_on
