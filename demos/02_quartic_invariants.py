@@ -10,10 +10,10 @@ from cqforms import (
     expand_coeffs,
     grad_quartic,
     homaloidal_check,
-    is_degenerate,
     rep_build,
     square_detect,
 )
+from cqforms.quartic import expected_degenerate
 
 # ---------------------------------------------------------------------------
 # The smallest interesting example: the split rank-2 module on R^2 has
@@ -37,7 +37,8 @@ print()
 
 for args in [((2, 1), (1, 0)), ((2, 2), (1,)), ((3, 2), (1,)), ((9, 1), (1, 0, 0, 0))]:
     rep = rep_build(*args[0], args[1])
-    computed, table = is_degenerate(rep)
+    computed = expand_coeffs(rep).is_zero
+    table = expected_degenerate(rep.p, rep.q, rep.mults)
     print(f"({rep.p},{rep.q}) m={rep.m:3d}: vanishes = {computed} (table agrees: {computed == table})")
 print()
 

@@ -18,9 +18,8 @@ from .quartic import (
     expand_coeffs,
     grad_quartic,
     homaloidal_check,
-    is_degenerate,
     pfaffian4,
-    quadratic_map,
+    quartic_values,
     square_detect,
 )
 from .repkit import (
@@ -88,11 +87,10 @@ __all__ = [
     "h_kernel",
     "homaloidal_check",
     "irrep_catalog",
-    "is_degenerate",
     "pfaffian4",
     "pos_clifford_basis",
     "predict",
-    "quadratic_map",
+    "quartic_values",
     "rep_build",
     "rep_from_json",
     "rep_to_json",

@@ -246,7 +246,7 @@ def cmd_quartic_square(args) -> int:
 
 def cmd_quartic_check32(args) -> int:
     ok = Q.check_32_identity(args.k, seed=args.seed)
-    _emit({"ok": ok, "k": args.k, "points": 30, "probabilistic": True}, args)
+    _emit({"ok": ok, "k": args.k, "points": Q.CHECK32_POINTS, "probabilistic": True}, args)
     return 0 if ok else 1
 
 

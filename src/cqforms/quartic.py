@@ -5,8 +5,9 @@ The quartic attached to basis matrices S_1, ..., S_{p+q} is
     F(w) = sum_{i<=p} S_i[w]^2 - sum_{i>p} S_i[w]^2,      S[w] = w^T S w.
 
 Everything here is exact: coefficients are Python integers keyed by sorted
-index 4-tuples, evaluation and gradients on integer points use unbounded
-integers, and square detection produces a verified rational witness.
+index 4-tuples, values and gradients on integer points are computed in int64
+only under a bound that rules out overflow and as Python integers beyond it,
+and square detection produces a verified rational witness.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def _column(rep: CliffordRep, w) -> np.ndarray:
     return col
 
 
-def quadratic_map(rep: CliffordRep, w) -> list:
-    """Q(w) = (S_1[w], ..., S_{p+q}[w]), exact for integral/rational w."""
-    return rep.forms(_column(rep, w))[:, 0].tolist()
-
-
 @dataclass
 class QuarticForm:
     """Sparse exact coefficient table of the module quartic."""
@@ -118,28 +114,37 @@ def expand_coeffs(rep: CliffordRep) -> QuarticForm:
     return QuarticForm(rep, {k: v for k, v in coeffs.items() if v})
 
 
+def quartic_values(rep: CliffordRep, w, grad: bool = False):
+    """F(w) = sum_i eps_i S_i[w]^2 at every column of the coordinate-major
+    (m, count) array ``w``, as a (count,) array; with ``grad`` also the
+    (m, count) array G = sum_i eps_i S_i[w] (S_i w), which is grad F / 4.
+
+    Integer input is evaluated in int64 only when n (m max|w|^2)^2 < 2^63,
+    which bounds every |F| and every |G|; beyond it, and for object input
+    (Python ints or Fractions), the values are exact Python numbers.  Float
+    input is evaluated in float64, as by ``forms``.
+    """
+    w = np.asarray(w)
+    if w.dtype.kind in "iu":
+        big = int(np.abs(w).max(initial=0))
+        w = w.astype(np.int64 if rep.n * (rep.m * big * big) ** 2 < 2**63 else object, copy=False)
+    eps = np.array(rep.eps)[:, None]
+    if not grad:
+        vals = rep.forms(w)
+        return (eps * vals * vals).sum(axis=0)
+    vals, images = rep.forms(w, images=True)
+    coef = eps * vals
+    return (coef * vals).sum(axis=0), (coef[:, None] * images).sum(axis=0)
+
+
 def eval_quartic(rep: CliffordRep, w):
-    """sum_i eps_i S_i[w]^2 straight from the basis matrices."""
-    qv = quadratic_map(rep, w)
-    return sum(e * x * x for e, x in zip(rep.eps, qv))
+    """F(w) at one integral or rational point."""
+    return quartic_values(rep, _column(rep, w))[0]
 
 
 def grad_quartic(rep: CliffordRep, w) -> list:
-    """Gradient 4 sum_i eps_i S_i[w] (S_i w), exact on integer points."""
-    vals, images = rep.forms(_column(rep, w), images=True)
-    coef = np.array([4 * e * v for e, v in zip(rep.eps, vals[:, 0].tolist())], dtype=object)
-    return (coef @ images[:, :, 0].astype(object)).tolist()
-
-
-def is_degenerate(rep: CliffordRep) -> tuple[bool, bool]:
-    """(computed, expected): does the quartic vanish identically?
-
-    The computed answer is exact (empty coefficient table); the expected one
-    comes from the classification table plus the rank-2 "pure" rule.
-    """
-    computed = expand_coeffs(rep).is_zero
-    expected = expected_degenerate(rep.p, rep.q, rep.mults)
-    return computed, expected
+    """grad F(w) = 4 sum_i eps_i S_i[w] (S_i w) at one integral or rational point."""
+    return (4 * quartic_values(rep, _column(rep, w), grad=True)[1][:, 0]).tolist()
 
 
 def expected_degenerate(p: int, q: int, mults) -> bool:
@@ -235,17 +240,14 @@ def homaloidal_check(rep: CliffordRep, trials: int, seed: int) -> bool:
     """Probabilistic exact check of F(grad F(w)) = 256 F(w)^3.
 
     Degree-12 polynomial identity tested at ``trials`` integer points drawn
-    from [-9, 9]^m; exact big-integer arithmetic, so any failure is a real
-    counterexample.
+    from [-9, 9]^m.  F has degree 4, so with G = grad F / 4 it reads
+    F(G(w)) = F(w)^3, checked for all points in one exact evaluation: any
+    failure is a real counterexample.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    for w in integer_points(seed, trials, rep.m):
-        lhs = eval_quartic(rep, grad_quartic(rep, w))
-        rhs = 256 * eval_quartic(rep, w) ** 3
-        if lhs != rhs:
-            return False
-    return True
+    f, g = quartic_values(rep, integer_points(seed, trials, rep.m), grad=True)
+    return bool(np.all(quartic_values(rep, g) == f.astype(object) ** 3))
 
 
 def pfaffian4(a) -> Fraction:
@@ -275,6 +277,9 @@ def _blocks(rows):
     return np.block([[np.asarray(b) for b in row] for row in rows])
 
 
+CHECK32_POINTS = 30  # random points of check_32_identity, besides w = 0
+
+
 def split32_basis() -> list[np.ndarray]:
     """The five 8x8 basis matrices of the irreducible (3, 2) module."""
     s1 = _blocks([[_O2, _O2, _O2, _I2], [_O2, _O2, -_I2, _O2], [_O2, -_I2, _O2, _O2], [_I2, _O2, _O2, _O2]])
@@ -285,39 +290,26 @@ def split32_basis() -> list[np.ndarray]:
     return [s1, s2, s3, s4, s5]
 
 
-def check_32_identity(k: int, points: int = 30, seed: int = 2024) -> bool:
+def check_32_identity(k: int, seed: int = 2024) -> bool:
     """Verify F = -16 Pf(w J_k w^T) + tr(J_2 w J_k w^T)^2 on M(4, 2k).
 
     The module is k copies of the irreducible (3, 2) module, the vector
     (u_1, v_1, ..., u_k, v_k) is reshaped to the 4 x 2k matrix with columns
-    u_1, v_1, ..., and both sides are evaluated exactly at random integer
-    points (a degree-4 identity, so ~30 points give overwhelming evidence).
+    u_1, v_1, ..., and both sides are evaluated exactly at CHECK32_POINTS
+    random integer points and at w = 0 (a degree-4 identity, so 30 points
+    give overwhelming evidence).
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
     eye = np.eye(k, dtype=np.int64)
     rep = CliffordRep(3, 2, (k,), tuple(np.kron(eye, s) for s in split32_basis()), 8 * k)
-    m = rep.m
-    jk = np.zeros((2 * k, 2 * k), dtype=np.int64)
-    for c in range(k):
-        jk[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = _J
-    j2 = np.zeros((4, 4), dtype=np.int64)
-    j2[0:2, 0:2] = _J
-    j2[2:4, 2:4] = _J
-    pts = list(integer_points(seed, points, m)) + [[0] * m]
-    qvals = rep.forms(np.array(pts, dtype=np.int64).T).T.tolist()
-    for w, qv in zip(pts, qvals):
-        fval = sum(e * x * x for e, x in zip(rep.eps, qv))
-        wmat = [[0] * (2 * k) for _ in range(4)]
-        for c in range(k):
-            for r in range(4):
-                wmat[r][2 * c] = w[8 * c + r]
-                wmat[r][2 * c + 1] = w[8 * c + 4 + r]
-        # A = w J_k w^T (4x4, antisymmetric)
-        wj = [[sum(wmat[r][t] * int(jk[t, u]) for t in range(2 * k)) for u in range(2 * k)] for r in range(4)]
-        amat = [[sum(wj[r][t] * wmat[s][t] for t in range(2 * k)) for s in range(4)] for r in range(4)]
-        p1 = pfaffian4(amat)
-        p2 = sum(int(j2[r, s]) * amat[s][r] for r in range(4) for s in range(4))
-        if fval != -16 * p1 + p2 * p2:
-            return False
-    return True
+    jk = np.kron(eye, _J)
+    j2 = np.kron(_I2, _J)
+    zero = np.zeros((rep.m, 1), dtype=np.int64)
+    pts = np.concatenate([integer_points(seed, CHECK32_POINTS, rep.m), zero], axis=1)
+    # coordinate 8c + 4h + r of w is entry (r, 2c + h) of the 4 x 2k matrix W
+    wmat = pts.T.reshape(-1, k, 2, 4).transpose(0, 3, 1, 2).reshape(-1, 4, 2 * k).astype(object)
+    amat = wmat @ jk @ wmat.transpose(0, 2, 1)  # A = W J_k W^T, antisymmetric 4 x 4
+    tr = (j2.T * amat).sum(axis=(1, 2))  # tr(J_2 A)
+    pf = [pfaffian4(a) for a in amat.tolist()]
+    return all(f == -16 * p + t * t for f, p, t in zip(quartic_values(rep, pts).tolist(), pf, tr))

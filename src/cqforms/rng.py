@@ -24,11 +24,11 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def integer_points(seed: int, count: int, dim: int):
-    """``count`` integer vectors with entries uniform in [-9, 9]."""
-    gen = stream(seed, 0)
-    pts = gen.integers(-9, 10, size=(count, dim))
-    return [[int(x) for x in row] for row in pts]
+def integer_points(seed: int, count: int, dim: int, index: int = 0) -> np.ndarray:
+    """``count`` integer points with entries uniform in [-9, 9], drawn from
+    ``stream(seed, index)`` as one (count, dim) block and returned as the
+    columns of a contiguous (dim, count) int64 array."""
+    return np.ascontiguousarray(stream(seed, index).integers(-9, 10, size=(count, dim)).T)
 
 
 def complex_s_samples(seed: int, count: int):

@@ -86,8 +86,9 @@ def check_relations(case) -> tuple[bool, str]:
     if not spin_equivariance_check(rep):
         return False, "spin equivariance identities failed"
     # the coefficient table and the matrix formula agree pointwise
-    for w in integer_points(83, 10, rep.m):
-        if case.form.eval(w) != Q.eval_quartic(rep, w):
+    pts = integer_points(83, 10, rep.m)
+    for w, value in zip(pts.T.tolist(), Q.quartic_values(rep, pts).tolist()):
+        if case.form.eval(w) != value:
             return False, f"coefficient table disagrees with direct evaluation at {w}"
     return True, ""
 
@@ -152,11 +153,7 @@ def check_sharp(case) -> tuple[bool, str]:
 def gamma_applicable(p, q, mults) -> bool:
     """Cases covered by the closed quartic gamma formulas with unit twists."""
     rep_m = sum(mults) * irrep_catalog(p, q).dim
-    if (p, q) in ((1, 0), (1, 1), (2, 1), (3, 1)):
-        return False
-    if rep_m < 8 or rep_m % 8:
-        return False
-    return not Q.expected_degenerate(p, q, mults)
+    return Z._closed_form_refusal(p, q, rep_m) is None and not Q.expected_degenerate(p, q, mults)
 
 
 def check_gamma_consistency(case) -> tuple[bool, str]:

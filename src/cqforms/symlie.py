@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spmat
-from .quartic import expected_degenerate, is_pure
+from .quartic import expected_degenerate, is_pure, quartic_values
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog, require_relations
-from .rng import stream
+from .rng import integer_points
 from .spmat import SectorDecomposition
 
 
@@ -38,6 +38,8 @@ class UnstableDimensionError(RuntimeError):
 
 FLOAT_RANK_TOL = 1e-8
 _ROW_MARGIN = 64  # sampled rows per batch beyond the largest sector's columns
+G_CONTAINS_TRIALS = 24  # sample points of g_contains, from stream (G_CONTAINS_SEED, 3)
+G_CONTAINS_SEED = 11
 
 
 @dataclass
@@ -100,19 +102,13 @@ def _g_generators(rep: CliffordRep):
     return perms, signs
 
 
-def _sample_w(rep: CliffordRep, seed: int, batch: int, count: int) -> np.ndarray:
-    """``count`` integer sample points as the columns of an (m, count) array."""
-    gen = stream(seed, batch)
-    return np.ascontiguousarray(gen.integers(-9, 10, size=(count, rep.m)).T)
-
-
 def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
-    """One row per sample w: entries grad_a(w) w_b on unknown X_ab, as float64
-    (every entry is an integer far below 2^53, so exact) and F-ordered, since
-    the orbit transform and the sector gathers read whole columns."""
+    """One row per sample w: entries G_a(w) w_b on unknown X_ab, with
+    G = grad F / 4, as float64 (every entry is an integer far below 2^53, so
+    exact) and F-ordered, since the orbit transform and the sector gathers
+    read whole columns."""
     # the (n, m, count) images are freed before the (count, m^2) rows exist
-    grad = sum(e * v * img for e, v, img in zip(rep.eps, *rep.forms(w, images=True)))
-    rows = grad.T.astype(float)[:, :, None] * w.T[:, None, :]
+    rows = quartic_values(rep, w, grad=True)[1].T.astype(float)[:, :, None] * w.T[:, None, :]
     return rows.reshape(w.shape[1], rep.m * rep.m)
 
 
@@ -189,7 +185,8 @@ def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, na
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
     # each batch's system is released before the next one is built
     results = [
-        _sector_nullity(rows(_sample_w(rep, seed, k, count)), blocks, sectors) for k in streams
+        _sector_nullity(rows(integer_points(seed, count, rep.m, k)), blocks, sectors)
+        for k in streams
     ]
     if results[0][:2] != results[1][:2]:
         (total1, by_chi1, _), (total2, by_chi2, _) = results
@@ -219,21 +216,19 @@ def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     return KernelReport(total, None, "float-svd", residual, per_sector)
 
 
-def g_contains(rep: CliffordRep, x: np.ndarray, trials: int = 24, seed: int = 11) -> bool:
+def g_contains(rep: CliffordRep, x: np.ndarray) -> bool:
     """Exact membership test of an integer matrix in g (sampled identity).
 
-    At each sample w, sum_i eps_i S_i[w] 2 (S_i w) . (X w) must vanish.
+    At each of G_CONTAINS_TRIALS sample points w, grad F(w) . (X w) must
+    vanish; it is tested as G(w) . (X w) with G = grad F / 4.
     """
-    gen = stream(seed, 3)
-    w = gen.integers(-9, 10, size=(trials, rep.m)).T
-    vals, images = rep.forms(w, images=True)
+    w = integer_points(G_CONTAINS_SEED, G_CONTAINS_TRIALS, rep.m, 3)
+    _, grad = quartic_values(rep, w, grad=True)
     x = np.asarray(x)
-    # |total| <= 2 n (m 9^2)(m 9)(m 9 max|X|); beyond int64 use Python ints
-    if x.dtype == object or 2 * rep.n * rep.m**3 * 9**4 * int(np.abs(x).max()) >= 2**63:
-        x, w, vals = x.astype(object), w.astype(object), vals.astype(object)
-    dots = (images * (x @ w)).sum(axis=1)
-    total = (np.array(rep.eps)[:, None] * vals * 2 * dots).sum(axis=0)
-    return not np.any(total)
+    # |G . X w| <= m (n m 9^3)(m 9 max|X|); beyond int64 use Python ints
+    if x.dtype == object or rep.n * rep.m**3 * 9**4 * int(np.abs(x).max()) >= 2**63:
+        x, w = x.astype(object), w.astype(object)
+    return not np.any((grad * (x @ w)).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quartic import eval_quartic, expand_coeffs
+from .quartic import expand_coeffs, quartic_values
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import MC_CHUNK, integer_points, stream
 from .spmat import int_det, sp_det
@@ -42,6 +42,7 @@ class UnsupportedCaseError(ValueError):
 POLE_RADIUS = 1e-8
 DEGENERACY_PROBES = 4  # integer points tried before gamma_constants expands the quartic
 MC_DRAW = 1 << 12  # Monte Carlo samples drawn per hand-off to the helper thread
+DET_SV_POINTS = 10  # points v of det_sv_identity_check
 
 # ---------------------------------------------------------------------------
 # Complex gamma: Lanczos approximation (g = 7, 9 coefficients), with the
@@ -148,7 +149,7 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     module is nondegenerate; the full expansion runs only if every probe is 0.
     """
     probes = integer_points(0, DEGENERACY_PROBES, rep.m)
-    if not any(eval_quartic(rep, w) for w in probes) and expand_coeffs(rep).is_zero:
+    if not np.any(quartic_values(rep, probes)) and expand_coeffs(rep).is_zero:
         raise InvalidInputError("signature constants need a nondegenerate module")
     labels, sigs, gammas = [], [], []
     for label, v in components(rep.p, rep.q):
@@ -273,6 +274,15 @@ def gamma_quadratic(p: int, q: int, s: complex) -> GammaMatrix:
 _EXCLUDED_QUARTIC = {(1, 0), (1, 1), (2, 1), (3, 1)}
 
 
+def _closed_form_refusal(p: int, q: int, m: int) -> str | None:
+    """Why the closed quartic gamma formulas do not cover (p, q, m), or None."""
+    if (p, q) in _EXCLUDED_QUARTIC:
+        return f"(p, q) = {(p, q)} excluded; use gamma_pullback"
+    if m < 8 or m % 8:
+        return "closed forms require m >= 8 with 8 | m"
+    return None
+
+
 def _quartic_prefactor(n: int, m: int, s: complex) -> complex:
     _check_poles(s + 1, s + n / 2, s + 1 + (m - 2 * n) / 4, s + m / 4)
     return (
@@ -295,10 +305,8 @@ def gamma_quartic(p: int, q: int, m: int, s: complex) -> GammaMatrix:
     """
     if p < q:
         raise InvalidInputError("need p >= q")
-    if (p, q) in _EXCLUDED_QUARTIC:
-        raise UnsupportedCaseError(f"(p, q) = {(p, q)} excluded; use gamma_pullback")
-    if m < 8 or m % 8:
-        raise UnsupportedCaseError("closed forms require m >= 8 with 8 | m")
+    if (refusal := _closed_form_refusal(p, q, m)) is not None:
+        raise UnsupportedCaseError(refusal)
     s = complex(s)
     n = p + q
     pref = _quartic_prefactor(n, m, s)
@@ -580,12 +588,12 @@ def zeta_quartic_closed_square(m: int, s: complex) -> complex:
     return cmath.exp(-2 * s * math.log(math.pi)) * cgamma(2 * s + m / 2) / cgamma(m / 2)
 
 
-def det_sv_identity_check(rep: CliffordRep, points: int = 10, seed: int = 5) -> bool:
+def det_sv_identity_check(rep: CliffordRep, seed: int = 5) -> bool:
     """det S(v)^2 = P(v)^m, and det S(v) = +- P(v)^{m/2} for even m,
     exactly at integer points."""
     gen = stream(seed, 2)
     cols = np.broadcast_to(np.arange(rep.m), rep.perm.shape)
-    for v in gen.integers(-5, 6, size=(points, rep.n)):
+    for v in gen.integers(-5, 6, size=(DET_SV_POINTS, rep.n)):
         sv = np.zeros((rep.m, rep.m), dtype=np.int64)
         np.add.at(sv, (rep.perm, cols), v[:, None] * rep.sign)  # S(v) = sum_i v_i S_i
         pv = sum(e * int(c) ** 2 for e, c in zip(rep.eps, v))

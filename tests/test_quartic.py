@@ -6,18 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqforms import quartic as Q
-from cqforms.repkit import rep_build
+from cqforms.repkit import CliffordRep, rep_build
 from cqforms.rng import integer_points
 from cqforms.spmat import int_det
+from cqforms.suite import enumerate_cases
 
 
-def test_quadratic_map_examples():
+def _object_column(w):
+    col = np.empty((len(w), 1), dtype=object)
+    col[:, 0] = w
+    return col
+
+
+def test_forms_examples():
     rep = rep_build(1, 1, (1, 0, 1, 0))
-    assert Q.quadratic_map(rep, [1, 1]) == [2, 0]
-    assert Q.quadratic_map(rep, [0, 0]) == [0, 0]
+    assert rep.forms(_object_column([1, 1]))[:, 0].tolist() == [2, 0]
+    assert rep.forms(_object_column([0, 0]))[:, 0].tolist() == [0, 0]
     rep22 = rep_build(2, 2, (1,))
     e1 = [1, 0, 0, 0]
-    assert Q.quadratic_map(rep22, e1) == [int(s[0, 0]) for s in rep22.basis]
+    assert rep22.forms(_object_column(e1))[:, 0].tolist() == [int(s[0, 0]) for s in rep22.basis]
 
 
 def test_expand_coeffs_examples():
@@ -30,7 +37,7 @@ def test_coeff_table_matches_direct_eval():
     for p, q, mults in [(3, 2, (1,)), (2, 2, (2,)), (4, 1, (1, 1)), (5, 0, (1, 0))]:
         rep = rep_build(p, q, mults)
         form = Q.expand_coeffs(rep)
-        for w in integer_points(97, 50, rep.m):
+        for w in integer_points(97, 50, rep.m).T.tolist():
             assert form.eval(w) == Q.eval_quartic(rep, w)
 
 
@@ -78,9 +85,8 @@ DEGENERATE_EXPECTED = [
 @pytest.mark.parametrize("pq,mults,expected", DEGENERATE_EXPECTED)
 def test_degeneracy(pq, mults, expected):
     rep = rep_build(*pq, mults)
-    computed, table = Q.is_degenerate(rep)
-    assert computed == expected
-    assert table == expected
+    assert Q.expand_coeffs(rep).is_zero == expected
+    assert Q.expected_degenerate(*pq, mults) == expected
 
 
 def test_square_detect_examples():
@@ -101,7 +107,7 @@ def test_square_witness_verifies():
     rep = rep_build(3, 2, (1,))
     witness = Q.square_detect(Q.expand_coeffs(rep))
     assert witness is not None
-    for w in integer_points(5, 10, rep.m):
+    for w in integer_points(5, 10, rep.m).T.tolist():
         qv = sum(
             Fraction(w[a]) * witness.mat[a][b] * w[b]
             for a in range(rep.m)
@@ -120,6 +126,16 @@ def test_homaloidal_identity():
         assert Q.homaloidal_check(rep_build(p, q, mults), trials=20, seed=7)
     # degenerate: both sides vanish
     assert Q.homaloidal_check(rep_build(2, 1, (1, 0)), trials=5, seed=7)
+
+
+@pytest.mark.parametrize("p,q,mults", [(3, 2, (1,)), (6, 2, (1,)), (4, 0, (2,))])
+def test_homaloidal_fails_with_a_negated_column(p, q, mults):
+    rep = rep_build(p, q, mults)
+    basis = list(rep.basis)
+    basis[1] = basis[1].copy()
+    basis[1][:, 0] *= -1  # S_2 with its first column negated
+    bad = CliffordRep(p, q, mults, tuple(basis), rep.m)
+    assert not Q.homaloidal_check(bad, trials=20, seed=7)
 
 
 def test_pfaffian_examples():
@@ -155,9 +171,87 @@ def test_split32_basis_satisfies_relations():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_32_identity(k):
-    assert Q.check_32_identity(k, points=30, seed=2024)
+    assert Q.check_32_identity(k, seed=2024)
 
 
-def test_32_identity_zero_point():
+def test_32_identity_zero_point(monkeypatch):
     # w = 0 is always appended: both sides vanish there
-    assert Q.check_32_identity(1, points=1, seed=0)
+    monkeypatch.setattr(Q, "CHECK32_POINTS", 1)
+    assert Q.check_32_identity(1, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_32_identity_fails_for_swapped_basis(monkeypatch, k):
+    basis = Q.split32_basis()
+    basis[0], basis[3] = basis[3], basis[0]
+    monkeypatch.setattr(Q, "split32_basis", lambda: basis)
+    assert not Q.check_32_identity(k, seed=2024)
+
+
+# ------------------------------------------------ batched values and gradient
+
+
+def _point_reference(rep, w):
+    """(F, grad F) at one point, one point at a time on an object column."""
+    vals, images = rep.forms(_object_column(w), images=True)
+    qv = vals[:, 0].tolist()
+    coef = np.array([4 * e * v for e, v in zip(rep.eps, qv)], dtype=object)
+    grad = (coef @ images[:, :, 0].astype(object)).tolist()
+    return sum(e * x * x for e, x in zip(rep.eps, qv)), grad
+
+
+def _assert_matches_reference(rep, w):
+    f, g = Q.quartic_values(rep, w, grad=True)
+    assert Q.quartic_values(rep, w).tolist() == f.tolist()
+    for c, col in enumerate(np.asarray(w).T.tolist()):
+        want_f, want_grad = _point_reference(rep, col)
+        assert f[c] == want_f, (rep.p, rep.q, rep.mults, c)
+        assert [4 * x for x in g[:, c].tolist()] == want_grad, (rep.p, rep.q, rep.mults, c)
+    return f, g
+
+
+def _quartic_value_cases():
+    small = enumerate_cases(max_pq=6, max_m=16)
+    large = [c for c in enumerate_cases(max_pq=12, max_m=64) if rep_build(*c).m == 64]
+    return small + large
+
+
+@pytest.mark.parametrize("p,q,mults", _quartic_value_cases())
+def test_quartic_values_match_point_reference(p, q, mults):
+    rep = rep_build(p, q, mults)
+    pts = integer_points(3, 4, rep.m)
+    f, g = _assert_matches_reference(rep, pts)
+    assert f.dtype == np.int64 and g.dtype == np.int64
+    # G has entries up to n m 9^3: F(G) = F^3 leaves int64 on some m = 64 modules
+    _assert_matches_reference(rep, g)
+
+
+def _int64_limit(rep):
+    """Largest max|w| with n (m max|w|^2)^2 < 2^63."""
+    big = 1
+    while rep.n * (rep.m * (big + 1) ** 2) ** 2 < 2**63:
+        big += 1
+    return big
+
+
+@pytest.mark.parametrize(
+    "p,q,mults", [(1, 0, (1, 0)), (3, 2, (1,)), (6, 2, (1,)), (8, 0, (1,)), (6, 6, (1,))]
+)
+def test_quartic_values_int64_bound(p, q, mults):
+    rep = rep_build(p, q, mults)
+    signs = np.random.default_rng(p + q).choice([-1, 1], size=(rep.m, 3))
+    for big, dtype in ((_int64_limit(rep), np.int64), (_int64_limit(rep) + 1, object)):
+        w = np.concatenate([signs * big, integer_points(4, 3, rep.m)], axis=1)
+        w[0, 3:] = big
+        f, g = _assert_matches_reference(rep, w)
+        assert f.dtype == dtype and g.dtype == dtype
+
+
+def test_quartic_values_fraction_columns():
+    for p, q, mults in [(3, 2, (1,)), (4, 0, (2,))]:
+        rep = rep_build(p, q, mults)
+        w = np.array(
+            [[Fraction(k - 3, k + 2 + c) for c in range(3)] for k in range(rep.m)], dtype=object
+        )
+        f, g = _assert_matches_reference(rep, w)
+        assert f.dtype == object and all(isinstance(v, Fraction) for v in f.tolist())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqforms.quartic import eval_quartic, expand_coeffs, quad_form_terms, quadratic_map
+from cqforms.quartic import eval_quartic, expand_coeffs, quad_form_terms
 from cqforms.repkit import (
     FORMS_BLOCK,
     CliffordRep,
@@ -449,10 +449,12 @@ def test_forms_object_branch_where_int64_would_wrap():
     assert rep.forms(w)[0, 0] == 32 * 2**62 >= 2**63
 
 
-def test_quadratic_map_fraction_input():
+def test_forms_fraction_column():
     rep = rep_build(3, 2, (1,))
     w = [Fraction(k - 3, k + 2) for k in range(rep.m)]
-    got = quadratic_map(rep, w)
+    col = np.empty((rep.m, 1), dtype=object)
+    col[:, 0] = w
+    got = rep.forms(col)[:, 0].tolist()
     assert got == [_dense_form(s, w) for s in rep.basis]
     assert all(isinstance(v, Fraction) for v in got)
 

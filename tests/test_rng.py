@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cqforms.rng import stream
+from cqforms.rng import integer_points, stream
 
 
 def _key(gen):
@@ -29,3 +29,12 @@ def test_keys_below_2_63_are_unchanged():
         for index in (0, 1, 2, 17):
             old = np.random.Philox(key=(seed, index)).state["state"]["key"]
             assert _key(stream(seed, index)) == [int(k) for k in old]
+
+
+def test_integer_points_are_columns_of_one_stream_draw():
+    for index in (0, 3, 12):
+        pts = integer_points(7, 5, 6, index)
+        want = stream(7, index).integers(-9, 10, size=(5, 6)).T
+        assert pts.shape == (6, 5) and pts.dtype == np.int64 and pts.flags.c_contiguous
+        assert np.array_equal(pts, want)
+    assert np.array_equal(integer_points(7, 5, 6), integer_points(7, 5, 6, 0))

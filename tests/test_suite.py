@@ -10,8 +10,9 @@ import cqforms.repkit
 import cqforms.suite
 import cqforms.symlie
 import cqforms.zetafe
-from cqforms.repkit import InvalidInputError
-from cqforms.suite import CHECKS, Case, enumerate_cases, run_suite
+from cqforms.repkit import InvalidInputError, rep_build
+from cqforms.rng import integer_points
+from cqforms.suite import CHECKS, Case, enumerate_cases, gamma_applicable, run_suite
 
 
 def _key(rep):
@@ -105,3 +106,16 @@ def test_exceptional_module_without_a_stated_g_dimension_fails(monkeypatch):
     monkeypatch.setattr(cqforms.symlie, "exceptional_g_dim", lambda *args: None)
     ok, detail = cqforms.suite.check_symmetry_dims(Case(p, q, mults))
     assert not ok, detail
+
+
+def test_gamma_applicable_is_where_the_closed_forms_hold():
+    for p, q, mults in enumerate_cases(max_pq=12, max_m=64):
+        rep = rep_build(p, q, mults)
+        try:
+            cqforms.zetafe.gamma_quartic(p, q, rep.m, 0.3 + 0.1j)
+            covered = True
+        except cqforms.zetafe.UnsupportedCaseError:
+            covered = False
+        probes = cqforms.quartic.quartic_values(rep, integer_points(0, 4, rep.m))
+        nondegenerate = bool(probes.any()) or not cqforms.quartic.expand_coeffs(rep).is_zero
+        assert gamma_applicable(p, q, mults) == (covered and nondegenerate), (p, q, mults)

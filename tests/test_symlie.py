@@ -9,6 +9,7 @@ import pytest
 from cqforms import spmat
 from cqforms import symlie as SY
 from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
+from cqforms.rng import integer_points
 from cqforms.spmat import SectorDecomposition
 from cqforms.suite import enumerate_cases
 
@@ -130,10 +131,8 @@ def test_sharp_condition(pq, mults, expected):
 def test_sharp_forced_solutions_in_kernel():
     # (X_i = S_j, X_j = -eps_i eps_j S_i) solves the identity exactly
     rep = rep_build(3, 2, (2,))
-    from cqforms.rng import integer_points
-
     i, j = 1, 4
-    for w in integer_points(8, 12, rep.m):
+    for w in integer_points(8, 12, rep.m).T.tolist():
         q = [sum(w[a] * int(s[a, b]) * w[b] for a in range(rep.m) for b in range(rep.m))
              for s in rep.basis]
         total = q[i] * q[j] + q[j] * (-q[i])
@@ -205,11 +204,11 @@ def _batch_rows(blocks):
 def _sampled_systems(rep):
     """(sector blocks, batch-1 float64 system) of the g and the sharp system."""
     g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-    g_rows = SY._g_constraint_matrix(rep, SY._sample_w(rep, 0, 1, _batch_rows(g_blocks)))
+    g_rows = SY._g_constraint_matrix(rep, integer_points(0, _batch_rows(g_blocks), rep.m, 1))
     perms, signs, pairs = SY._sharp_generators(rep)
     sharp_blocks = SectorDecomposition(perms, signs).sectors()
     count = _batch_rows(sharp_blocks)
-    sharp_rows = SY._sharp_constraint_matrix(rep, SY._sample_w(rep, 0, 11, count), pairs)
+    sharp_rows = SY._sharp_constraint_matrix(rep, integer_points(0, count, rep.m, 11), pairs)
     return [(g_blocks, g_rows), (sharp_blocks, sharp_rows)]
 
 
@@ -461,13 +460,12 @@ def test_unstable_dimension_names_each_sector(monkeypatch):
         chi: len(pos)
         for chi, pos in SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors())
     }
-    sample_w = SY._sample_w
 
-    def zero_second_batch(rep, seed, batch, count):
-        w = sample_w(rep, seed, batch, count)
-        return 0 * w if batch == 2 else w  # every row 0: full nullity
+    def zero_second_batch(seed, count, dim, index=0):
+        w = integer_points(seed, count, dim, index)
+        return 0 * w if index == 2 else w  # every row 0: full nullity
 
-    monkeypatch.setattr(SY, "_sample_w", zero_second_batch)
+    monkeypatch.setattr(SY, "integer_points", zero_second_batch)
     with pytest.raises(SY.UnstableDimensionError) as err:
         SY.g_kernel_dim(rep, seed=0)
     message = str(err.value)

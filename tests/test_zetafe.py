@@ -112,7 +112,7 @@ def test_gamma_constants_expands_only_when_every_probe_is_zero(monkeypatch):
     with pytest.raises(Z.InvalidInputError):
         Z.gamma_constants(rep_build(5, 1, (0, 0, 0, 1)))  # degenerate: every probe is 0
     assert len(expanded) == 1
-    monkeypatch.setattr(Z, "eval_quartic", lambda rep, w: 0)
+    monkeypatch.setattr(Z, "quartic_values", lambda rep, w: np.zeros(w.shape[1], dtype=np.int64))
     assert Z.gamma_constants(rep) == consts  # the expansion decides, and is nonzero
     assert len(expanded) == 2
 
