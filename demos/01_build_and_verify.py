@@ -9,18 +9,20 @@ checks the relations, and shows the split canonical form.
 import numpy as np
 
 from cqforms import canonicalize, irrep_catalog, pos_clifford_basis, rep_build, verify_relations
+from cqforms.spmat import signed_permutation_matrix
 
 # ---------------------------------------------------------------------------
-# Generator families for a single positive-definite Clifford algebra
+# Generator families for a single positive-definite Clifford algebra, each a
+# pair of (p, d) arrays (perm, sign) with E_i e_a = sign[i, a] e_{perm[i, a]}
 # ---------------------------------------------------------------------------
 
 for p in (2, 3, 5, 9):
-    fam = pos_clifford_basis(p)
+    fam = signed_permutation_matrix(*pos_clifford_basis(p))
     print(f"C_{p}: {p} anticommuting symmetric involutions on R^{fam[0].shape[0]}")
 print()
 
 # the p = 2 family is the classic pair diag(1,-1), antidiag(1,1)
-z, x = pos_clifford_basis(2)
+z, x = signed_permutation_matrix(*pos_clifford_basis(2))
 print("E_1 =\n", z, "\nE_2 =\n", x)
 print("E_1 E_2 + E_2 E_1 =\n", z @ x + x @ z)
 print()

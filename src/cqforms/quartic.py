@@ -19,6 +19,7 @@ import numpy as np
 
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog
 from .rng import integer_points
+from .spmat import perm_sign_of, sp_eye, sp_kron
 
 # degeneracy table: the quartic vanishes identically exactly at these
 # (p, q, m) triples (up to p <-> q) and for split-signature rank-2 modules
@@ -301,9 +302,9 @@ def check_32_identity(k: int, seed: int = 2024) -> bool:
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
-    eye = np.eye(k, dtype=np.int64)
-    rep = CliffordRep(3, 2, (k,), tuple(np.kron(eye, s) for s in split32_basis()), 8 * k)
-    jk = np.kron(eye, _J)
+    perm, sign = sp_kron(sp_eye(k), perm_sign_of(np.stack(split32_basis())))
+    rep = CliffordRep.from_perm_sign(3, 2, (k,), perm, sign)
+    jk = np.kron(np.eye(k, dtype=np.int64), _J)
     j2 = np.kron(_I2, _J)
     zero = np.zeros((rep.m, 1), dtype=np.int64)
     pts = np.concatenate([integer_points(seed, CHECK32_POINTS, rep.m), zero], axis=1)

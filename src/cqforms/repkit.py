@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .spmat import (
     perm_sign_of,
     restrict_to_eigenspace,
     signed_permutation_matrix,
+    sp_eye,
+    sp_kron,
+    sp_mul,
 )
 
 
@@ -49,7 +52,9 @@ class UnsupportedError(ValueError):
 # Each family is a list of Kronecker words over {1, Z, X, T} giving symmetric
 # signed-permutation involutions that pairwise anticommute.  The first word
 # is always diagonal, which later construction steps rely on.  The dimension
-# is the minimal one (2, 2, 4, 8, 8, 16, 16, 16 for p = 1..8).
+# is the minimal one (2, 2, 4, 8, 8, 16, 16, 16 for p = 1..8).  A family,
+# like every stack of signed permutations built here, is a pair of (k, d)
+# arrays (perm, sign) with S_i e_a = sign[i, a] e_{perm[i, a]}.
 # ---------------------------------------------------------------------------
 
 _FAMILY_WORDS = {
@@ -73,9 +78,23 @@ _QUATERNION_WORDS = {
 }
 
 
+def _words(words) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, d) stack of the Kronecker words ``words``."""
+    perms, signs = zip(*(kron_word(w) for w in words))
+    return np.stack(perms), np.stack(signs)
+
+
+def _frozen(perm: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # cached stacks are shared: guard them against mutation
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
+
+
 @lru_cache(maxsize=None)
-def pos_clifford_basis(p: int, twist: int = 1) -> tuple[np.ndarray, ...]:
-    """Symmetric anticommuting involutions generating C_p on R^{d0(p)}.
+def pos_clifford_basis(p: int, twist: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric anticommuting involutions generating C_p on R^{d0(p)}, as
+    the (perm, sign) arrays of shape (p, d0(p)); p = 0 gives shape (0, 1).
 
     ``twist = -1`` negates the family; for p = 1 mod 4 (where C_p has two
     inequivalent irreducibles) the negated family is the other class, for
@@ -86,24 +105,16 @@ def pos_clifford_basis(p: int, twist: int = 1) -> tuple[np.ndarray, ...]:
     if twist not in (1, -1):
         raise InvalidInputError("twist must be +1 or -1")
     if p == 0:
-        return ()
-    if p <= 8:
-        mats = [kron_word(w) for w in _FAMILY_WORDS[p]]
+        perm, sign = np.zeros((0, 1), dtype=np.int64), np.ones((0, 1), dtype=np.int64)
+    elif p <= 8:
+        perm, sign = _words(_FAMILY_WORDS[p])
     else:
         inner = pos_clifford_basis(p - 8)
-        octet = [kron_word(w) for w in _FAMILY_WORDS[8]]
-        ohat = octet[0]
-        for f in octet[1:]:
-            ohat = ohat @ f
-        d = inner[0].shape[0] if inner else 1
-        mats = [np.kron(np.eye(d, dtype=np.int64), f) for f in octet]
-        mats += [np.kron(e, ohat) for e in inner]
-    if twist == -1:
-        mats = [-m for m in mats]
-    out = tuple(np.ascontiguousarray(m) for m in mats)
-    for m in out:  # cached instances are shared; guard against mutation
-        m.setflags(write=False)
-    return out
+        octet = _words(_FAMILY_WORDS[8])
+        ohat = reduce(sp_mul, zip(*octet))
+        outer = sp_kron(sp_eye(inner[0].shape[1]), octet)
+        perm, sign = (np.concatenate(x) for x in zip(outer, sp_kron(inner, ohat)))
+    return _frozen(perm, twist * sign)
 
 
 def _commutant_type(p: int) -> str:
@@ -119,26 +130,22 @@ def _commutant_type(p: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _central_structure(p: int) -> np.ndarray:
-    """E_1 ... E_p for p = 3 mod 4: skew, squares to -1, central."""
+def _central_structure(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, d) stack of E_1 ... E_p for p = 3 mod 4: skew, squares to -1,
+    central."""
     assert p % 4 == 3
-    fam = pos_clifford_basis(p)
-    out = fam[0]
-    for e in fam[1:]:
-        out = out @ e
-    return out
+    perm, sign = reduce(sp_mul, zip(*pos_clifford_basis(p)))
+    return _frozen(perm[None], sign[None])
 
 
 @lru_cache(maxsize=None)
 def _quaternion_structures(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two anticommuting skew complex structures commuting with the family."""
+    """The (2, d) stack of two anticommuting skew complex structures
+    commuting with the family."""
     assert _commutant_type(p) == "H"
     if p <= 8:
-        w1, w2 = _QUATERNION_WORDS[p]
-        return kron_word(w1), kron_word(w2)
-    j1, j2 = _quaternion_structures(p - 8)
-    eye = np.eye(16, dtype=np.int64)
-    return np.kron(j1, eye), np.kron(j2, eye)
+        return _frozen(*_words(_QUATERNION_WORDS[p]))
+    return _frozen(*sp_kron(_quaternion_structures(p - 8), sp_eye(16)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,51 +256,45 @@ def _class_descriptors(p: int, q: int):
     return [(te, tf, sector) for te, tf in order]
 
 
-def _splitting_involutions(p: int, q: int) -> list[np.ndarray]:
-    """Central involutions whose eigenspaces carve out one irreducible."""
+def _splitting_involutions(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, d) stack of central involutions whose eigenspaces carve out one
+    irreducible, where neither commutant is R (a split sector in
+    ``_class_descriptors``)."""
     kp, kq = _commutant_type(p), _commutant_type(q)
-    if "R" in (kp, kq):
-        return []
-    if (kp, kq) == ("C", "C"):
-        return [np.kron(_central_structure(p), _central_structure(q))]
-    if (kp, kq) == ("C", "H"):
-        return [np.kron(_central_structure(p), _quaternion_structures(q)[0])]
-    if (kp, kq) == ("H", "C"):
-        return [np.kron(_quaternion_structures(p)[0], _central_structure(q))]
-    jp1, jp2 = _quaternion_structures(p)
-    jq1, jq2 = _quaternion_structures(q)
-    return [np.kron(jp1, jq1), np.kron(jp2, jq2)]
+    structures = {"C": _central_structure, "H": _quaternion_structures}
+    # the stacks pair off row by row: C (x) J_1 or J_1 (x) C for one
+    # quaternionic factor, J_1 (x) J_1' and J_2 (x) J_2' for two
+    perm, sign = sp_kron(structures[kp](p), structures[kq](q))
+    k = 2 if (kp, kq) == ("H", "H") else 1
+    return perm[:k], sign[:k]
 
 
 @lru_cache(maxsize=None)
-def irrep_basis(p: int, q: int, class_index: int) -> tuple[np.ndarray, ...]:
-    """Basis matrices of the ``class_index``-th irreducible of C_p (x) C_q."""
+def irrep_basis(p: int, q: int, class_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (perm, sign) arrays of shape (p + q, dim) of the basis matrices of
+    the ``class_index``-th irreducible of C_p (x) C_q."""
     cat = irrep_catalog(p, q)
     classes = _class_descriptors(p, q)
     if not 0 <= class_index < len(classes):
         raise InvalidInputError("class index out of range")
     te, tf, sector = classes[class_index]
-    efam = pos_clifford_basis(p, te) if p else ()
-    ffam = pos_clifford_basis(q, tf) if q else ()
-    dp = efam[0].shape[0] if efam else 1
-    dq = ffam[0].shape[0] if ffam else 1
-    eyep = np.eye(dp, dtype=np.int64)
-    eyeq = np.eye(dq, dtype=np.int64)
-    mats = [np.kron(e, eyeq) for e in efam] + [np.kron(eyep, f) for f in ffam]
+    efam, ffam = pos_clifford_basis(p, te), pos_clifford_basis(q, tf)
+    eyep, eyeq = sp_eye(efam[0].shape[1]), sp_eye(ffam[0].shape[1])
+    perm, sign = (np.concatenate(x) for x in zip(sp_kron(efam, eyeq), sp_kron(eyep, ffam)))
     if sector is not None:
-        splits = _splitting_involutions(p, q)
-        keeps = [sector] + [1] * (len(splits) - 1)
-        nmats = len(mats)
-        while splits:
-            z, keep = splits[0], keeps[0]
-            restricted = restrict_to_eigenspace(mats + splits[1:], z, keep)
-            mats, splits, keeps = restricted[:nmats], restricted[nmats:], keeps[1:]
-    if mats[0].shape[0] != cat.dim:
+        # the splitting involutions ride along below the generators, each
+        # restricted by the ones before it and dropped once used
+        n = p + q
+        perm, sign = (np.concatenate(x) for x in zip((perm, sign), _splitting_involutions(p, q)))
+        for keep in [sector] + [1] * (len(perm) - n - 1):
+            z = perm[n], sign[n]
+            perm, sign = restrict_to_eigenspace((np.delete(perm, n, 0), np.delete(sign, n, 0)), z, keep)
+    if perm.shape[1] != cat.dim:
         raise AssertionError(
             f"constructed irreducible of ({p},{q}) has dimension "
-            f"{mats[0].shape[0]}, expected {cat.dim}"
+            f"{perm.shape[1]}, expected {cat.dim}"
         )
-    return tuple(mats)
+    return _frozen(perm, sign)
 
 
 # entries per (m, n, cols) block of CliffordRep.forms: 256 KB of float64 stays in cache
@@ -304,11 +305,10 @@ FORMS_BLOCK = 1 << 15
 class CliffordRep:
     """A C_p (x) C_q module with symmetric signed-permutation basis matrices.
 
-    The constructor takes the p + q basis matrices, rejects any that is not
-    an m x m signed permutation, and keeps only the ``perm`` and ``sign``
-    arrays of shape (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  ``basis``
-    builds the dense matrices from them on each call.  Relations between the
-    matrices are not checked here; ``relations`` holds their report.
+    Only the ``perm`` and ``sign`` arrays of shape (n, m) are stored, by
+    ``from_perm_sign``: S_i e_a = sign[i, a] e_{perm[i, a]}.  The constructor
+    takes the p + q dense m x m basis matrices instead; ``basis`` builds them
+    on each call.  Relations are not checked here; ``relations`` holds their report.
     """
 
     p: int
@@ -319,25 +319,35 @@ class CliffordRep:
     sign: np.ndarray = field(repr=False)
 
     def __init__(self, p: int, q: int, mults: tuple[int, ...], basis, m: int):
-        if p < 0 or q < 0 or p + q < 1 or len(basis) != p + q:
-            raise InvalidInputError(
-                f"(p, q) = ({p}, {q}) needs p + q >= 1 basis matrices, got {len(basis)}"
-            )
         try:
             if any(np.shape(s) != (m, m) for s in basis):
                 raise ValueError
-            perm, sign = perm_sign_of(np.stack(basis))
+            perm, sign = perm_sign_of(np.reshape(basis, (len(basis), m, m)))
         except ValueError:
             raise InvalidInputError(
                 f"every basis matrix must be an {m} x {m} signed permutation"
             ) from None
-        self._store(p, q, mults, m, perm, sign)
+        self.__dict__.update(CliffordRep.from_perm_sign(p, q, mults, perm, sign).__dict__)
 
-    def _store(self, p, q, mults, m, perm, sign):
+    @classmethod
+    def from_perm_sign(cls, p: int, q: int, mults: tuple[int, ...], perm, sign) -> CliffordRep:
+        """The module with S_i e_a = sign[i, a] e_{perm[i, a]}, from (n, m)
+        arrays whose every row of ``perm`` is a permutation of range(m) and
+        whose every sign is +-1; the arrays are copied and made read-only."""
+        perm, sign = np.array(perm, dtype=np.int64), np.array(sign, dtype=np.int64)
+        if perm.ndim != 2 or perm.shape != sign.shape:
+            raise InvalidInputError("perm and sign must be (p + q, m) arrays of one shape")
+        if min(p, q) < 0 or p + q < 1 or len(perm) != p + q:
+            raise InvalidInputError(f"(p, q) = ({p}, {q}) needs p + q >= 1 basis matrices, got {len(perm)}")
+        m = perm.shape[1]
+        if np.any(np.sort(perm, axis=1) != np.arange(m)) or np.any(np.abs(sign) != 1):
+            raise InvalidInputError("every basis matrix must be a signed permutation")
         perm.setflags(write=False)
         sign.setflags(write=False)
+        out = object.__new__(cls)
         # straight into the instance dict: the frozen __setattr__ refuses assignment
-        self.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
+        out.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
+        return out
 
     @cached_property
     def relations(self) -> RelationReport:
@@ -445,21 +455,11 @@ def rep_build(p: int, q: int, mults) -> CliffordRep:
         raise InvalidInputError("multiplicities must be nonnegative")
     if sum(mults) == 0:
         raise InvalidInputError("at least one multiplicity must be positive")
-    blocks = []
-    for ci, k in enumerate(mults):
-        blocks.extend([irrep_basis(p, q, ci)] * k)
-    m = sum(b[0].shape[0] for b in blocks)
-    n = p + q
-    basis = []
-    for i in range(n):
-        s = np.zeros((m, m), dtype=np.int64)
-        off = 0
-        for blk in blocks:
-            d = blk[i].shape[0]
-            s[off : off + d, off : off + d] = blk[i]
-            off += d
-        basis.append(s)
-    return CliffordRep(p, q, mults, tuple(basis), m)
+    blocks = [irrep_basis(p, q, ci) for ci, k in enumerate(mults) for _ in range(k)]
+    offsets = np.cumsum([0] + [perm.shape[1] for perm, _ in blocks[:-1]])
+    perm = np.concatenate([perm + off for (perm, _), off in zip(blocks, offsets)], axis=1)
+    sign = np.concatenate([sign for _, sign in blocks], axis=1)
+    return CliffordRep.from_perm_sign(p, q, mults, perm, sign)
 
 
 def swap_pq(rep: CliffordRep) -> CliffordRep:
@@ -467,10 +467,8 @@ def swap_pq(rep: CliffordRep) -> CliffordRep:
 
     The quartic form of the swapped module is the negative of the original.
     """
-    out = object.__new__(CliffordRep)
     perm, sign = (np.roll(a, -rep.p, axis=0) for a in (rep.perm, rep.sign))
-    out._store(rep.q, rep.p, rep.mults, rep.m, perm, sign)
-    return out
+    return CliffordRep.from_perm_sign(rep.q, rep.p, rep.mults, perm, sign)
 
 
 # ---------------------------------------------------------------------------

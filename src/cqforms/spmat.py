@@ -19,21 +19,44 @@ import numpy as np
 # coefficients here, the stacked sector SVDs in symlie
 SECTOR_BLOCK = 1 << 15
 
-# 2x2 building blocks for Kronecker-product generator families.
+# 2x2 building blocks for Kronecker-product generator families, as the
+# (perm, sign) arrays of S e_a = sign[a] e_perm[a] (see perm_sign_of).
 #   Z, X are symmetric involutions, T is skew with T^2 = -1.
 BLOCKS = {
-    "1": np.array([[1, 0], [0, 1]], dtype=np.int64),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.int64),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.int64),
-    "T": np.array([[0, -1], [1, 0]], dtype=np.int64),
+    "1": (np.array([0, 1]), np.array([1, 1])),
+    "Z": (np.array([0, 1]), np.array([1, -1])),
+    "X": (np.array([1, 0]), np.array([1, 1])),
+    "T": (np.array([1, 0]), np.array([1, -1])),
 }
 
 
-def kron_word(word: str) -> np.ndarray:
+def sp_eye(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d x d identity as (perm, sign)."""
+    return np.arange(d), np.ones(d, dtype=np.int64)
+
+
+def sp_kron(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A (x) B of two (perm, sign) pairs, a (..., dA) and a (..., dB) stack
+    broadcasting to (..., dA dB): (A (x) B)(e_a (x) e_b) = sA[a] sB[b] e_pA[a] (x) e_pB[b]."""
+    (pa, sa), (pb, sb) = (map(np.asarray, x) for x in (a, b))
+    perm = pa[..., :, None] * pb.shape[-1] + pb[..., None, :]
+    sign = sa[..., :, None] * sb[..., None, :]
+    shape = perm.shape[:-2] + (perm.shape[-2] * perm.shape[-1],)
+    return perm.reshape(shape), sign.reshape(shape)
+
+
+def sp_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The product AB of two (perm, sign) pairs, stacks broadcasting:
+    AB e_a = sB[a] sA[pB[a]] e_pA[pB[a]]."""
+    pa, sa, pb, sb = np.broadcast_arrays(*a, *b)
+    return np.take_along_axis(pa, pb, -1), sb * np.take_along_axis(sa, pb, -1)
+
+
+def kron_word(word: str) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker product of 2x2 blocks named by the letters of ``word``."""
-    out = np.array([[1]], dtype=np.int64)
+    out = sp_eye(1)
     for ch in word:
-        out = np.kron(out, BLOCKS[ch])
+        out = sp_kron(out, BLOCKS[ch])
     return out
 
 
@@ -174,52 +197,28 @@ def symmetric_signature(mat: Iterable[Iterable]) -> tuple[int, int]:
     return plus, minus
 
 
-def restrict_to_eigenspace(
-    mats: Sequence[np.ndarray], z: np.ndarray, keep: int
-) -> list[np.ndarray]:
-    """Restrict signed permutation matrices to an eigenspace of ``z``.
+def restrict_to_eigenspace(mats, z, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restrict the (perm, sign) stack ``mats`` of shape (k, m) to the
+    ``keep`` eigenspace of the symmetric signed-permutation involution ``z``,
+    which must commute with every matrix of the stack.
 
-    ``z`` must be a symmetric signed permutation involution commuting with
-    every matrix in ``mats``.  Its +-1/-1 eigenspaces have an orthogonal basis
-    of vectors supported on one fixed point or one 2-cycle of the underlying
-    permutation, and every commuting signed permutation maps such basis
-    vectors to signed basis vectors again, so the restriction is exact.
+    The eigenspace has the orthogonal basis e_a + keep zsign[a] e_zperm[a]
+    over the leads a: zperm[a] > a, or zperm[a] = a with zsign[a] = keep.
+    S maps the vector led by a to +-1 times the one led by min(t, zperm[t]),
+    t = perm[a], so the restriction is a (k, dim) stack over the leads.
     """
-    perm, sign = perm_sign_of(z)
-    m = len(perm)
-    if not np.array_equal(z, z.T):
-        raise ValueError("z must be symmetric")
-    basis = []  # unnormalized integer eigenvectors, as (indices, coeffs)
-    for a in range(m):
-        b = int(perm[a])
-        if b == a:
-            if int(sign[a]) == keep:
-                basis.append(((a,), (1,)))
-        elif a < b:
-            s = int(sign[a])
-            # z e_a = s e_b, z e_b = s e_a; eigenvector e_a + keep*s*e_b
-            basis.append(((a, b), (1, keep * s)))
-    support = {v[0][0]: i for i, v in enumerate(basis)}
-    out = []
-    for s_mat in mats:
-        sperm, ssign = perm_sign_of(s_mat)
-        dim = len(basis)
-        r = np.zeros((dim, dim), dtype=np.int64)
-        for col, (idxs, coefs) in enumerate(basis):
-            # image vector S u = sum coefs * sign * e_{perm}
-            img = {int(sperm[i]): c * int(ssign[i]) for i, c in zip(idxs, coefs)}
-            lead = min(img)
-            row = support.get(lead)
-            if row is None:
-                raise ValueError("matrix does not preserve the eigenspace")
-            ridxs, rcoefs = basis[row]
-            ref = dict(zip(ridxs, rcoefs))
-            ratio = img[lead] // ref[lead]
-            if {k: v * ratio for k, v in ref.items()} != img:
-                raise ValueError("matrix does not preserve the eigenspace")
-            r[row, col] = ratio
-        out.append(r)
-    return out
+    (perm, sign), (zperm, zsign) = mats, z
+    idx = np.arange(len(zperm))
+    # a signed permutation is symmetric exactly when it is an involution
+    if not (np.array_equal(zperm[zperm], idx) and np.all(zsign[zperm] * zsign == 1)):
+        raise ValueError("z must be a symmetric involution")
+    if not all(map(np.array_equal, sp_mul(z, mats), sp_mul(mats, z))):
+        raise ValueError("matrix does not commute with z")
+    lead = (idx < zperm) | ((idx == zperm) & (zsign == keep))
+    row = np.cumsum(lead) - 1
+    entry = np.where(idx <= zperm, 1, keep * zsign)  # at t, of the basis vector through t
+    t = perm[:, lead]
+    return row[np.minimum(t, zperm[t])], sign[:, lead] * entry[t]
 
 
 # ---------------------------------------------------------------------------

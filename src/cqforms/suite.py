@@ -22,7 +22,7 @@ from .classify import classify as classify_verdict
 from .classify import table1_lookup
 from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
 from .rng import complex_s_samples, integer_points
-from .spmat import signed_permutation_matrix
+from .spmat import signed_permutation_matrix, sp_mul
 
 
 def enumerate_cases(*, max_pq: int = 11, max_total_mult: int = 2, max_m: int = 32):
@@ -135,10 +135,8 @@ def check_symmetry_dims(case) -> tuple[bool, str]:
         return False, f"g: computed {gk.dimension}, predicted {want}"
     if gk.residual > 1e-8:
         return False, f"g residual {gk.residual:.2e}"
-    # the infinitesimal rotations S_i S_j always lie in g; S_1 S_n e_a is
-    # sign[n, a] sign[1, perm[n, a]] e_{perm[1, perm[n, a]]}
-    perm, sign = rep.perm, rep.sign
-    rot = signed_permutation_matrix(perm[0][perm[-1]], sign[-1] * sign[0][perm[-1]])
+    # the infinitesimal rotations S_i S_j always lie in g
+    rot = signed_permutation_matrix(*sp_mul((rep.perm[0], rep.sign[0]), (rep.perm[-1], rep.sign[-1])))
     if rep.n >= 2 and not SY.g_contains(rep, rot):
         return False, "S_1 S_n not in computed symmetry algebra"
     return True, f"h={hk.dimension} g={gk.dimension}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spmat
-from .quartic import expected_degenerate, is_pure, quartic_values
+from .quartic import DEGENERATE_TRIPLES, expected_degenerate, is_pure, quartic_values
 from .repkit import CliffordRep, InvalidInputError, irrep_catalog, require_relations
 from .rng import integer_points
 from .spmat import SectorDecomposition
@@ -290,7 +290,7 @@ def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
 
 # (p + q, m) of the exceptional and of the degenerate low-dimension modules
 _EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
-_DEGENERATE_NM = {(3, 2), (4, 4), (6, 8), (10, 16)}
+_DEGENERATE_NM = {(p + q, m) for p, q, m in DEGENERATE_TRIPLES}
 
 
 def expected_sharp(p: int, q: int, mults) -> bool:

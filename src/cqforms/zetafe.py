@@ -489,26 +489,25 @@ def zeta_quadratic_closed(p: int, q: int, s: complex) -> complex:
 
 
 def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, component: str):
-    """Samples in ``component``, from F and the (n, count) S_i[w] values."""
-    if component == "+":
-        return fvals > 0
-    if component == "-":
-        return fvals < 0
-    if rep.q == 1 and component in ("-+", "--"):
-        coord = qvals[rep.n - 1]
-        mask = fvals < 0
-        return mask & (coord > 0 if component == "-+" else coord < 0)
-    if (rep.p, rep.q) == (1, 1):
-        c1, c2 = qvals[0], qvals[1]
-        if component == "++":
-            return (fvals > 0) & (c1 > 0)
-        if component == "+-":
-            return (fvals > 0) & (c1 < 0)
-        if component == "-+":
-            return (fvals < 0) & (c2 > 0)
-        if component == "--":
-            return (fvals < 0) & (c2 < 0)
-    raise InvalidInputError(f"unknown component {component!r}")
+    """Samples in ``component``, from F and the (n, count) S_i[w] values.
+
+    A label of ``components`` with representative c e_i fixes the sign of F
+    as eps_i; where that sign has more than one component, it also fixes the
+    sign of S_i[w] as that of c.  '+' and '-' outside the table mean F > 0
+    and F < 0.
+    """
+    table = dict(components(rep.p, rep.q)) if rep.p >= rep.q else {}  # tabulated for p >= q
+    if component not in table:
+        if component not in ("+", "-"):
+            raise InvalidInputError(f"unknown component {component!r}")
+        return fvals > 0 if component == "+" else fvals < 0
+    # label -> (sign of F, i, c) for the representative c e_i
+    signs = {label: (rep.eps[i], i, v[i]) for label, v in table.items() for i in np.flatnonzero(v)}
+    sign_f, i, c = signs[component]
+    mask = sign_f * fvals > 0
+    if sum(s == sign_f for s, _, _ in signs.values()) > 1:
+        mask &= c * qvals[i] > 0
+    return mask
 
 
 def _normal_blocks(seed: int, samples: int, bufs):

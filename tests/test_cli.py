@@ -334,3 +334,15 @@ def test_zeta_mc_components_starting_with_minus(capsys, spelled, label, mults):
     est = zeta_quartic_mc(rep, label, 0.3, samples=3000, seed=4)
     assert complex(doc["value"]["re"], doc["value"]["im"]) == est.value
     assert doc["stderr"] == est.stderr
+
+
+def test_zeta_mc_half_line(capsys):
+    code, doc = run_json(
+        capsys, "zeta", "mc", "--p", "1", "--q", "0", "--mult", "1,1", "--component", "m",
+        "--s", "0", "--samples", "3000", "--seed", "4",
+    )
+    assert code == 0 and doc["component"] == "-"
+    est = zeta_quartic_mc(rep_build(1, 0, (1, 1)), "-", 0, samples=3000, seed=4)
+    assert complex(doc["value"]["re"], doc["value"]["im"]) == est.value
+    assert doc["stderr"] == est.stderr
+    assert 0.4 < est.value.real < 0.6  # the mass of one of two symmetric half-lines

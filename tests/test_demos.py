@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources, with
+every warning an error as under the pytest filterwarnings, which a
+subprocess does not inherit."""
 
 import os
 import subprocess
@@ -19,7 +21,7 @@ def test_demos_found():
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

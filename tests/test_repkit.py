@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqforms import repkit, spmat
 from cqforms.quartic import eval_quartic, expand_coeffs, quad_form_terms
 from cqforms.repkit import (
     FORMS_BLOCK,
@@ -23,7 +25,12 @@ from cqforms.repkit import (
     swap_pq,
     verify_relations,
 )
-from cqforms.spmat import is_signed_permutation, kron_word, perm_sign_of
+from cqforms.spmat import (
+    is_signed_permutation,
+    kron_word,
+    perm_sign_of,
+    signed_permutation_matrix,
+)
 from cqforms.suite import enumerate_cases
 
 
@@ -43,18 +50,20 @@ MIN_DIMS = {1: 1, 2: 2, 3: 4, 4: 8, 5: 8, 6: 16, 7: 16, 8: 16, 9: 16, 10: 32, 11
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_generator_families(p):
-    fam = pos_clifford_basis(p)
+    fam = signed_permutation_matrix(*pos_clifford_basis(p))
     assert len(fam) == p
     assert fam[0].shape[0] == MIN_DIMS[p]
     assert_anticommuting_family(fam)
 
 
 def test_family_edge_cases():
-    assert pos_clifford_basis(0) == ()
-    assert pos_clifford_basis(1) == (np.array([[1]]),)
-    twisted = pos_clifford_basis(1, twist=-1)
-    assert twisted[0][0, 0] == -1
-    z, x = pos_clifford_basis(2)
+    perm, sign = pos_clifford_basis(0)
+    assert perm.shape == sign.shape == (0, 1)  # no generators on R^1
+    perm, sign = pos_clifford_basis(1)
+    assert perm.tolist() == [[0]] and sign.tolist() == [[1]]
+    _, twisted = pos_clifford_basis(1, twist=-1)
+    assert twisted.tolist() == [[-1]]
+    z, x = signed_permutation_matrix(*pos_clifford_basis(2))
     assert np.array_equal(z, np.diag([1, -1]))
     assert np.array_equal(x, np.array([[0, 1], [1, 0]]))
 
@@ -93,7 +102,7 @@ def test_irrep_classes_distinct():
         cat = irrep_catalog(p, q)
         fingerprints = set()
         for ci in range(cat.count):
-            mats = irrep_basis(p, q, ci)
+            mats = signed_permutation_matrix(*irrep_basis(p, q, ci))
             fp = []
             for mask in range(1 << len(mats)):
                 prod = np.eye(cat.dim, dtype=np.int64)
@@ -479,7 +488,7 @@ def _assert_row_sum_rounding(rep, w):
 
 
 def test_forms_float_rounding_beyond_128_coordinates():
-    s = kron_word("XZ1XZX1Z")  # a symmetric signed-permutation involution
+    s = signed_permutation_matrix(*kron_word("XZ1XZX1Z"))  # a symmetric involution
     rep = CliffordRep(1, 0, (), (s,), 256)
     _assert_row_sum_rounding(rep, np.random.default_rng(5).standard_normal((256, 64)))
 
@@ -557,3 +566,216 @@ def test_forms_block_edges(args):
 def test_clifford_rep_rejects_malformed_basis(basis, m):
     with pytest.raises(InvalidInputError):
         CliffordRep(2, 0, (1,), basis, m)
+
+
+def test_from_perm_sign_copies_and_freezes():
+    perm, sign = np.array([[1, 0]]), np.array([[1, 1]])
+    rep = CliffordRep.from_perm_sign(1, 0, (1,), perm, sign)
+    assert rep == CliffordRep(1, 0, (1,), (np.array([[0, 1], [1, 0]]),), 2)
+    perm[0, 0] = 0  # the module owns its arrays
+    assert rep.perm.tolist() == [[1, 0]] and not rep.perm.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "p, q, perm, sign",
+    [
+        (1, 0, [[0, 0]], [[1, 1]]),  # a row that is not a permutation
+        (1, 0, [[0, 2]], [[1, 1]]),  # an index out of range
+        (1, 0, [[1, 0]], [[1, 0]]),  # a sign that is not +-1
+        (2, 0, [[1, 0]], [[1, 1]]),  # fewer than p + q rows
+        (1, 0, [[1, 0]], [[1, 1, 1]]),  # shapes differ
+        (1, 0, [1, 0], [1, 1]),  # not a stack
+        (0, 0, np.zeros((0, 2)), np.zeros((0, 2))),  # p + q = 0
+    ],
+)
+def test_from_perm_sign_rejects_malformed_arrays(p, q, perm, sign):
+    with pytest.raises(InvalidInputError):
+        CliffordRep.from_perm_sign(p, q, (1,), perm, sign)
+
+
+# ---------------------------------------------------------------------------
+# Construction against the dense Kronecker-product code it replaced
+# ---------------------------------------------------------------------------
+
+_DENSE_BLOCKS = {
+    "1": np.array([[1, 0], [0, 1]], dtype=np.int64),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.int64),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.int64),
+    "T": np.array([[0, -1], [1, 0]], dtype=np.int64),
+}
+
+
+def _dense_kron_word(word):
+    out = np.array([[1]], dtype=np.int64)
+    for ch in word:
+        out = np.kron(out, _DENSE_BLOCKS[ch])
+    return out
+
+
+def _dense_restrict_to_eigenspace(mats, z, keep):
+    """Reference: one (indices, coefficients) eigenvector per fixed point or
+    2-cycle of z, each image matched against the basis one vector at a time."""
+    perm, sign = perm_sign_of(z)
+    assert np.array_equal(z, z.T)
+    basis = []
+    for a in range(len(perm)):
+        b = int(perm[a])
+        if b == a:
+            if int(sign[a]) == keep:
+                basis.append(((a,), (1,)))
+        elif a < b:
+            basis.append(((a, b), (1, keep * int(sign[a]))))
+    support = {v[0][0]: i for i, v in enumerate(basis)}
+    out = []
+    for s_mat in mats:
+        sperm, ssign = perm_sign_of(s_mat)
+        r = np.zeros((len(basis), len(basis)), dtype=np.int64)
+        for col, (idxs, coefs) in enumerate(basis):
+            img = {int(sperm[i]): c * int(ssign[i]) for i, c in zip(idxs, coefs)}
+            lead = min(img)
+            ref = dict(zip(*basis[support[lead]]))
+            ratio = img[lead] // ref[lead]
+            assert {k: v * ratio for k, v in ref.items()} == img
+            r[support[lead], col] = ratio
+        out.append(r)
+    return out
+
+
+def _dense_pos_clifford_basis(p, twist=1):
+    if p == 0:
+        return ()
+    if p <= 8:
+        mats = [_dense_kron_word(w) for w in repkit._FAMILY_WORDS[p]]
+    else:
+        inner = _dense_pos_clifford_basis(p - 8)
+        octet = [_dense_kron_word(w) for w in repkit._FAMILY_WORDS[8]]
+        ohat = octet[0]
+        for f in octet[1:]:
+            ohat = ohat @ f
+        eye = np.eye(inner[0].shape[0], dtype=np.int64)
+        mats = [np.kron(eye, f) for f in octet] + [np.kron(e, ohat) for e in inner]
+    return tuple(twist * m for m in mats)
+
+
+def _dense_central_structure(p):
+    fam = _dense_pos_clifford_basis(p)
+    out = fam[0]
+    for e in fam[1:]:
+        out = out @ e
+    return out
+
+
+def _dense_quaternion_structures(p):
+    if p <= 8:
+        return tuple(_dense_kron_word(w) for w in repkit._QUATERNION_WORDS[p])
+    eye = np.eye(16, dtype=np.int64)
+    return tuple(np.kron(j, eye) for j in _dense_quaternion_structures(p - 8))
+
+
+def _dense_splitting_involutions(p, q):
+    kp, kq = repkit._commutant_type(p), repkit._commutant_type(q)
+    if (kp, kq) == ("C", "C"):
+        return [np.kron(_dense_central_structure(p), _dense_central_structure(q))]
+    if (kp, kq) == ("C", "H"):
+        return [np.kron(_dense_central_structure(p), _dense_quaternion_structures(q)[0])]
+    if (kp, kq) == ("H", "C"):
+        return [np.kron(_dense_quaternion_structures(p)[0], _dense_central_structure(q))]
+    jp1, jp2 = _dense_quaternion_structures(p)
+    jq1, jq2 = _dense_quaternion_structures(q)
+    return [np.kron(jp1, jq1), np.kron(jp2, jq2)]
+
+
+def _dense_irrep_basis(p, q, class_index):
+    te, tf, sector = repkit._class_descriptors(p, q)[class_index]
+    efam = _dense_pos_clifford_basis(p, te)
+    ffam = _dense_pos_clifford_basis(q, tf)
+    eyep = np.eye(efam[0].shape[0] if efam else 1, dtype=np.int64)
+    eyeq = np.eye(ffam[0].shape[0] if ffam else 1, dtype=np.int64)
+    mats = [np.kron(e, eyeq) for e in efam] + [np.kron(eyep, f) for f in ffam]
+    if sector is not None:
+        splits = _dense_splitting_involutions(p, q)
+        keeps = [sector] + [1] * (len(splits) - 1)
+        while splits:
+            restricted = _dense_restrict_to_eigenspace(mats + splits[1:], splits[0], keeps[0])
+            mats, splits, keeps = restricted[: p + q], restricted[p + q :], keeps[1:]
+    return tuple(mats)
+
+
+def _dense_rep_build(p, q, mults):
+    """Reference: the block-diagonal dense basis of rep_build."""
+    blocks = [_dense_irrep_basis(p, q, ci) for ci, k in enumerate(mults) for _ in range(k)]
+    m = sum(b[0].shape[0] for b in blocks)
+    basis = []
+    for i in range(p + q):
+        s = np.zeros((m, m), dtype=np.int64)
+        off = 0
+        for blk in blocks:
+            d = blk[i].shape[0]
+            s[off : off + d, off : off + d] = blk[i]
+            off += d
+        basis.append(s)
+    return basis
+
+
+def _dense_json(p, q, mults, basis):
+    return json.dumps(
+        {"p": p, "q": q, "mults": list(mults), "m": len(basis[0]), "basis": [s.tolist() for s in basis]}
+    )
+
+
+def test_irreducibles_match_dense_construction():
+    count = 0
+    for n in range(1, 13):
+        for p in range(n + 1):
+            for ci in range(irrep_catalog(p, n - p).count):
+                perm, sign = perm_sign_of(np.stack(_dense_irrep_basis(p, n - p, ci)))
+                got = irrep_basis(p, n - p, ci)
+                assert np.array_equal(got[0], perm) and np.array_equal(got[1], sign), (p, n - p, ci)
+                assert not got[0].flags.writeable and not got[1].flags.writeable
+                count += 1
+    assert count == 147
+
+
+def test_modules_and_swaps_match_dense_construction():
+    cases = enumerate_cases(max_pq=12, max_m=64, max_total_mult=3)
+    assert len(cases) == 329
+    for p, q, mults in cases:
+        basis = _dense_rep_build(p, q, mults)
+        rep = rep_build(p, q, mults)
+        perm, sign = perm_sign_of(np.stack(basis))
+        assert np.array_equal(rep.perm, perm) and np.array_equal(rep.sign, sign)
+        assert rep_to_json(rep) == _dense_json(p, q, mults, basis)
+        assert rep_to_json(swap_pq(rep)) == _dense_json(q, p, mults, basis[p:] + basis[:p])
+
+
+@pytest.mark.parametrize(
+    "z, words",
+    [
+        # XZ (x) ZX (x) 1 (x) 1 up to sign: signed 2-cycles only
+        (("XZXT", "ZXXT"), ("XXZ1", "ZZ1T", "T1XX", "1TZZ")),
+        # Z (x) 1 (x) Z (x) Z: fixed points of both signs
+        (("Z1ZZ",), ("X1X1", "1T11", "ZX1Z", "T1TZ")),
+    ],
+)
+def test_restrict_to_eigenspace_matches_dense_code(z, words):
+    z = np.linalg.multi_dot([_dense_kron_word(w) for w in z + ("1111",)])
+    mats = [_dense_kron_word(w) for w in words]
+    for keep in (1, -1):
+        want = perm_sign_of(np.stack(_dense_restrict_to_eigenspace(mats, z, keep)))
+        got = spmat.restrict_to_eigenspace(perm_sign_of(np.stack(mats)), perm_sign_of(z), keep)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), keep
+
+
+def test_construction_builds_no_dense_matrix(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("dense matrix in module construction")
+
+    for mod in (repkit, spmat):
+        monkeypatch.setattr(mod, "perm_sign_of", refuse)
+        monkeypatch.setattr(mod, "signed_permutation_matrix", refuse)
+    for cached in (repkit.pos_clifford_basis, repkit._central_structure,
+                   repkit._quaternion_structures, repkit.irrep_basis):
+        cached.cache_clear()
+    for p, q, mults in enumerate_cases(max_pq=12, max_m=64):
+        rep = rep_build(p, q, mults)
+        assert swap_pq(rep).perm.shape == (p + q, rep.m)

@@ -13,7 +13,11 @@ from cqforms.spmat import (
     kron_word,
     perm_sign_of,
     restrict_to_eigenspace,
+    signed_permutation_matrix,
     sp_det,
+    sp_eye,
+    sp_kron,
+    sp_mul,
     symmetric_signature,
 )
 from cqforms.suite import enumerate_cases
@@ -28,9 +32,26 @@ def random_signed_perm(rng, n):
 
 
 def test_kron_word_blocks():
-    assert np.array_equal(kron_word("Z"), np.diag([1, -1]))
-    assert kron_word("XT").shape == (4, 4)
-    assert is_signed_permutation(kron_word("XZT"))
+    assert np.array_equal(signed_permutation_matrix(*kron_word("Z")), np.diag([1, -1]))
+    assert np.array_equal(signed_permutation_matrix(*kron_word("T")), [[0, -1], [1, 0]])
+    assert kron_word("XT")[0].shape == (4,)
+    assert is_signed_permutation(signed_permutation_matrix(*kron_word("XZT")))
+
+
+def test_sp_kron_and_sp_mul_match_dense_products():
+    rng = np.random.default_rng(3)
+    a = perm_sign_of(np.stack([random_signed_perm(rng, 3) for _ in range(4)]))
+    b = perm_sign_of(np.stack([random_signed_perm(rng, 2) for _ in range(4)]))
+    c = perm_sign_of(np.stack([random_signed_perm(rng, 3) for _ in range(4)]))
+    dense = [signed_permutation_matrix(*x) for x in (a, b, c)]
+    # stacks pair off row by row, and a single matrix broadcasts over a stack
+    kron = signed_permutation_matrix(*sp_kron(a, b))
+    assert np.array_equal(kron, [np.kron(x, y) for x, y in zip(dense[0], dense[1])])
+    kron = signed_permutation_matrix(*sp_kron(sp_eye(2), a))
+    assert np.array_equal(kron, [np.kron(np.eye(2, dtype=np.int64), x) for x in dense[0]])
+    assert np.array_equal(signed_permutation_matrix(*sp_mul(a, c)), dense[0] @ dense[2])
+    first = (a[0][0], a[1][0])
+    assert np.array_equal(signed_permutation_matrix(*sp_mul(first, c)), dense[0][0] @ dense[2])
 
 
 def test_perm_sign_roundtrip():
@@ -75,21 +96,28 @@ def test_signature_zero_diagonal_plane():
     assert symmetric_signature([[0, 0], [0, 0]]) == (0, 0)
 
 
+def _stack(*words):
+    perms, signs = zip(*(kron_word(w) for w in words))
+    return np.stack(perms), np.stack(signs)
+
+
 def test_restrict_to_eigenspace_exact():
     z = kron_word("XZ")  # symmetric involution with 2-cycles
     s = kron_word("X1")  # commutes with z
-    assert np.array_equal(z @ s, s @ z)
+    zd, sd = signed_permutation_matrix(*z), signed_permutation_matrix(*s)
+    assert np.array_equal(zd @ sd, sd @ zd)
     for keep in (1, -1):
-        (r,) = restrict_to_eigenspace([s], z, keep)
+        (r,) = signed_permutation_matrix(*restrict_to_eigenspace(_stack("X1"), z, keep))
         assert is_signed_permutation(r)
         assert np.array_equal(r @ r, np.eye(r.shape[0], dtype=np.int64))
 
 
 def test_restrict_rejects_noncommuting():
     z = kron_word("Z")
-    s = kron_word("X")  # anticommutes with z: swaps the eigenspaces
-    with pytest.raises(ValueError):
-        restrict_to_eigenspace([s], z, 1)
+    with pytest.raises(ValueError, match="commute"):  # X swaps the eigenspaces of Z
+        restrict_to_eigenspace(_stack("X"), z, 1)
+    with pytest.raises(ValueError, match="symmetric"):  # T is skew
+        restrict_to_eigenspace(_stack("Z"), kron_word("T"), 1)
 
 
 def test_sector_decomposition_partitions_space():
@@ -122,10 +150,7 @@ def test_sector_decomposition_partitions_space():
 
 
 def test_fixed_space_is_common_fixed():
-    z1 = kron_word("Z1")
-    z2 = kron_word("1Z")
-    perms, signs = zip(*(perm_sign_of(m) for m in (z1, z2)))
-    dec = SectorDecomposition(np.array(perms), np.array(signs))
+    dec = SectorDecomposition(*_stack("Z1", "1Z"))
     vecs = dec.fixed_space()
     assert len(vecs) == 1  # only e_0 is fixed by both sign patterns
     idxs, signs = vecs[0]

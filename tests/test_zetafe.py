@@ -265,6 +265,15 @@ def test_mc_component_masses_sum_to_one():
     assert abs(total - 1) < 0.02
 
 
+def test_mc_half_lines_of_the_line():
+    # (1,0)x(1,1) has S_1 = diag(1, -1): F > 0 almost everywhere, and the
+    # components + and - are the half-lines S_1[w] > 0 and S_1[w] < 0
+    rep = rep_build(1, 0, (1, 1))
+    for comp in ("+", "-"):
+        est = Z.zeta_quartic_mc(rep, comp, 0.0, samples=100_000, seed=7)
+        assert abs(est.value - 0.5) < 3 * est.stderr, comp
+
+
 def test_mc_reproducible_and_stderr_scaling():
     rep = rep_build(3, 2, (1,))
     a = Z.zeta_quartic_mc(rep, "+", 0.5, samples=50_000, seed=9)
