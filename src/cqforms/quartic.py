@@ -194,7 +194,15 @@ def square_detect(form: QuarticForm):
     Greedy graded-lex square root: normalize the leading coefficient to 1,
     peel off terms of q in term order, then verify the square exactly.
     Returns a QuadraticSquareWitness or None.
+
+    The remainder ``diff`` = quartic / c - q^2 is kept up to date: a term
+    t P joining q subtracts 2 t P q + t^2 P^2, and its least monomial comes
+    from a heap of every monomial that has been nonzero, stale ones dropped
+    when they reach the top.
     """
+    # imported here, not with the module, to keep it out of every start-up
+    import heapq
+
     if form.is_zero:
         raise InvalidInputError("square detection needs a nonzero quartic")
     target = {k: Fraction(v) for k, v in form.coeffs.items()}
@@ -204,17 +212,18 @@ def square_detect(form: QuarticForm):
         return None  # leading monomial x_i x_j x_k x_l is not a pair squared
     lead_pair = (i, k)
     c = target[lead_key]
-    scaled = {key: v / c for key, v in target.items()}
+    diff = {key: v / c for key, v in target.items() if key != lead_key}
+    heap = list(diff)
+    heapq.heapify(heap)
     # build q term by term: q = x_i x_k + later terms (in pair order)
     q: dict[tuple[int, int], Fraction] = {lead_pair: Fraction(1)}
     guard = form.rep.m * (form.rep.m + 1) // 2 + 1
     for _ in range(guard):
-        qq = _poly_mul(q, q)
-        diff = {key: scaled.get(key, 0) - qq.get(key, 0) for key in set(scaled) | set(qq)}
-        diff = {key: v for key, v in diff.items() if v}
-        if not diff:
+        while heap and heap[0] not in diff:
+            heapq.heappop(heap)
+        if not heap:
             break
-        dkey = min(diff)
+        dkey = heap[0]
         # next term t of q satisfies 2 * lead(q) * t = leading diff term,
         # so the pair of t is dkey with the lead pair removed as a multiset
         rest = list(dkey)
@@ -225,7 +234,17 @@ def square_detect(form: QuarticForm):
         pair = (rest[0], rest[1])
         if pair in q or pair <= lead_pair:
             return None
-        q[pair] = diff[dkey] / 2
+        t = diff[dkey] / 2
+        for other, v in [(pair, t / 2), *q.items()]:
+            key = tuple(sorted(pair + other))
+            left = diff.get(key, 0) - 2 * t * v
+            if left:
+                if key not in diff:
+                    heapq.heappush(heap, key)
+                diff[key] = left
+            else:
+                diff.pop(key, None)
+        q[pair] = t
     else:
         return None
     mat = [[Fraction(0)] * form.rep.m for _ in range(form.rep.m)]

@@ -112,57 +112,77 @@ def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
     return rows.reshape(w.shape[1], rep.m * rep.m)
 
 
-def _sector_columns(blocks):
+def _g_system(rep: CliffordRep, blocks, w: np.ndarray):
+    """``(gather, amax)`` of the g constraints at the points ``w``: columns
+    of the orbit-transformed ``_g_constraint_matrix``."""
+    a = _g_constraint_matrix(rep, w)
+    amax = float(max(a.max(), -a.min()))
+    _orbit_transform(a, blocks, amax)
+    cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
+    return (lambda pos: cols[pos]), amax
+
+
+def _sector_columns(blocks, masks=(0,)):
     """Each sector as ``(chi, pos)``, in order of first appearance: after
     ``_orbit_transform``, column ``pos[t]`` of the system is the sector's
-    column from the t-th orbit that admits ``chi``."""
-    chi = np.concatenate([c for _, c, _ in blocks])
+    column from the t-th orbit that admits ``chi``.
+
+    With ``masks``, the unknowns are ``len(masks)`` copies of the N unknowns
+    of ``blocks``, and copy i of the blocks' sector chi lies in the sector
+    ``chi ^ masks[i]``, at columns ``i * N + pos``.  The orbits come copy by
+    copy, and a sector first appears in its first orbit; sectors that first
+    appear in the same orbit come in ascending order of ``chi``.
+    """
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    chi = (masks ^ np.concatenate([c for _, c, _ in blocks])).ravel()
     pos = np.concatenate([idxs for idxs, _, _ in blocks])
+    pos = (len(pos) * np.arange(len(masks))[:, None] + pos).ravel()
+    lengths = [len(idxs) for idxs, _, _ in blocks]
+    orbit = np.repeat(np.arange(len(masks) * len(blocks)), lengths * len(masks))  # copy by copy
     keys, first, inv = np.unique(chi, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
+    by_first = np.lexsort((keys, orbit[first]))
     rank = np.argsort(by_first)[inv]  # each entry's sector, numbered by first appearance
     cols = np.split(pos[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
     return list(zip(keys[by_first].tolist(), cols))
 
 
-def _orbit_transform(a: np.ndarray, blocks) -> float:
+def _orbit_transform(a: np.ndarray, blocks, amax: float) -> None:
     """Overwrite the float64 integer system ``a`` in place so that column
     ``idxs[k]`` of each orbit block becomes ``a[:, idxs] @ coefs[k]``, the
-    orbit's column for character ``chi[k]``.  Returns max|a| from before.
+    orbit's column for character ``chi[k]``.
 
     Float sums of integers are exact, in any order, while they stay below
-    2^53; that bound is checked first.
+    2^53.  That bound is checked first, with ``amax`` the largest |entry|
+    of the system whose sector columns are read from ``a``.
     """
-    amax = float(max(a.max(), -a.min()))
     if amax * max(len(idxs) for idxs, _, _ in blocks) >= 2**53:
         raise OverflowError("sampled system too large for exact float64 sector sums")
     for idxs, _, coefs in blocks:
         a[:, idxs] = a[:, idxs] @ coefs.T
-    return amax
 
 
-def _sector_nullity(a: np.ndarray, blocks, sectors):
-    """Total kernel dimension of the sampled float64 system ``a``, sector by
-    sector; ``a`` has more rows than any sector has columns.  Consumes ``a``:
-    the orbit transform overwrites it in place.
+def _sector_nullity(gather, amax: float, rows: int, sectors):
+    """Total kernel dimension of a sampled float64 system, sector by sector.
+    The system has ``rows`` rows, more than any sector has columns, and
+    largest |entry| ``amax``; ``gather`` maps a (B, c) array of column
+    numbers of ``sectors`` to the (B, c, rows) array of those columns.
 
     The sectors of one width c are ranked together: each slice of at most
     ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one batched SVD,
     which runs the same LAPACK call on the same data as a single-matrix SVD,
     so every singular value is the same."""
-    scale = max(1.0, _orbit_transform(a, blocks))
+    scale = max(1.0, amax)
     nullity = np.zeros(len(sectors), dtype=np.int64)
     width = np.array([len(pos) for _, pos in sectors])
     flat = np.concatenate([pos for _, pos in sectors])
     start = np.cumsum(width) - width
     smallest = np.zeros(len(sectors))
-    cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
     for c in np.unique(width).tolist():
         nums = np.flatnonzero(width == c)
-        step = max(1, spmat.SECTOR_BLOCK // (a.shape[0] * c))
+        step = max(1, spmat.SECTOR_BLOCK // (rows * c))
         for b in range(0, len(nums), step):
             part = nums[b : b + step]
-            stack = cols[flat[start[part, None] + np.arange(c)]].transpose(0, 2, 1)
+            stack = gather(flat[start[part, None] + np.arange(c)]).transpose(0, 2, 1)
             sv = np.linalg.svd(stack, compute_uv=False)  # one row of c values per sector
             nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
             smallest[part] = sv[:, -1]
@@ -171,21 +191,20 @@ def _sector_nullity(a: np.ndarray, blocks, sectors):
     return int(nullity.sum()), per_sector, residual
 
 
-def _sampled_kernel(rep: CliffordRep, perms, signs, rows, seed: int, streams, name: str):
-    """Batch-1 ``(total, per_sector, residual)`` of the sampled system
-    ``rows(w)`` in the joint sign sectors of ``(perms, signs)``.  Each of the
-    two batches, keyed ``stream(seed, k)`` for k in ``streams``, has
+def _sampled_kernel(rep: CliffordRep, blocks, sectors, system, seed: int, streams, name: str):
+    """Batch-1 ``(total, per_sector, residual)`` of a sampled system in the
+    ``sectors`` of ``_sector_columns``; ``system(rep, blocks, w)`` gives
+    ``(gather, amax)`` of ``_sector_nullity`` at the points ``w``.  Each of
+    the two batches, keyed ``stream(seed, k)`` for k in ``streams``, has
     ``_ROW_MARGIN`` more rows than the largest sector has columns: a nonzero
     constraint is a degree-4 polynomial in w and vanishes at a point of
     {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
     over the unknowns is what counts, not the row total.  The batches must
     agree on every sector's nullity."""
-    blocks = SectorDecomposition(perms, signs).sectors()
-    sectors = _sector_columns(blocks)
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
     # each batch's system is released before the next one is built
     results = [
-        _sector_nullity(rows(integer_points(seed, count, rep.m, k)), blocks, sectors)
+        _sector_nullity(*system(rep, blocks, integer_points(seed, count, rep.m, k)), count, sectors)
         for k in streams
     ]
     if results[0][:2] != results[1][:2]:
@@ -210,8 +229,9 @@ def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     two disjoint batches must agree on every sector dimension.
     """
     require_relations(rep)
+    blocks = SectorDecomposition(*_g_generators(rep)).sectors()
     total, per_sector, residual = _sampled_kernel(
-        rep, *_g_generators(rep), lambda w: _g_constraint_matrix(rep, w), seed, (1, 2), "g"
+        rep, blocks, _sector_columns(blocks), _g_system, seed, (1, 2), "g"
     )
     return KernelReport(total, None, "float-svd", residual, per_sector)
 
@@ -236,34 +256,49 @@ def g_contains(rep: CliffordRep, x: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sharp_generators(rep: CliffordRep):
-    """(X_1..X_n) -> (c_ij S_j X_i S_j) on symmetric-pair unknowns.
-
-    Unknown i * npairs + t is entry (pa[t], pb[t]), pa <= pb, of X_i.
-    """
-    m, n = rep.m, rep.n
+def _sym2_generators(rep: CliffordRep):
+    """X -> S_j X S_j on one symmetric X, as signed permutations of the pair
+    unknowns (a, b), a <= b, numbered as by ``np.triu_indices``."""
+    m = rep.m
     pa, pb = np.triu_indices(m)
-    npairs = len(pa)
     pair_index = np.empty((m, m), dtype=np.int64)
-    pair_index[pa, pb] = pair_index[pb, pa] = np.arange(npairs)
+    pair_index[pa, pb] = pair_index[pb, pa] = np.arange(len(pa))
+    return pair_index[rep.perm[:, pa], rep.perm[:, pb]], rep.sign[:, pa] * rep.sign[:, pb]
+
+
+def _sharp_masks(rep: CliffordRep) -> np.ndarray:
+    """Bit j of entry i is set when generator j acts on X_i by -S_j X_i S_j:
+    (X_1..X_n) -> (c_ij S_j X_i S_j) with c_ii = 1 and c_ij = -eps_i eps_j."""
     eps = np.array(rep.eps)
-    cij = -np.outer(eps, eps)
-    np.fill_diagonal(cij, 1)
-    target = pair_index[rep.perm[:, pa], rep.perm[:, pb]]
-    pair_sign = rep.sign[:, pa] * rep.sign[:, pb]
-    perms = np.arange(n)[None, :, None] * npairs + target[:, None, :]
-    signs = cij[:, :, None] * pair_sign[:, None, :]
-    return perms.reshape(n, n * npairs), signs.reshape(n, n * npairs), (pa, pb)
+    flip = (np.outer(eps, eps) == 1) & ~np.eye(rep.n, dtype=bool)
+    return flip @ (1 << np.arange(rep.n))
 
 
-def _sharp_constraint_matrix(rep: CliffordRep, w: np.ndarray, pairs) -> np.ndarray:
-    """Rows of sum_i S_i[w] X_i[w] = 0 on the (i, pair) unknowns, as float64
-    (exact integers) and F-ordered, as in ``_g_constraint_matrix``."""
-    pa, pb = pairs
-    count = w.shape[1]
-    pairvals = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
-    rows = rep.forms(w).T.astype(float)[:, :, None] * pairvals.T[:, None, :]
-    return rows.reshape(count, rep.n * len(pa))
+def _sharp_system(rep: CliffordRep, blocks, w: np.ndarray):
+    """``(gather, amax)`` of sum_i S_i[w] X_i[w] = 0 at the points ``w``,
+    on the unknowns i * npairs + t, pair t of X_i.
+
+    The entry of unknown (i, t) is S_i[w] times the pair value w_a w_b
+    (doubled off the diagonal), and ``blocks`` decompose one copy of the
+    pairs: the sector column of (i, t) is S_i[w] times the orbit-transformed
+    pair column t.  Both factors are integers, so the product is the exact
+    integer that transforming the whole system would give."""
+    pa, pb = np.triu_indices(rep.m)
+    pairs = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
+    forms = rep.forms(w)
+    # the whole system's largest |entry|: the largest product in any row
+    amax = float((np.abs(forms).max(axis=0) * np.abs(pairs).max(axis=0)).max())
+    block = pairs.T.astype(float)  # F-ordered
+    _orbit_transform(block, blocks, amax)
+    vals, cols = forms.astype(float), block.T
+
+    def gather(pos):
+        out = cols[pos % len(pa)]
+        out *= vals[pos // len(pa)]
+        out += 0.0  # turns -0.0 into 0.0, as the integer product has it
+        return out
+
+    return gather, amax
 
 
 def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
@@ -280,11 +315,9 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     """(solution dimension, n(n-1)/2 forced by the antisymmetric span)."""
     require_relations(rep)
-    perms, signs, pairs = _sharp_generators(rep)
-    dim, _, _ = _sampled_kernel(
-        rep, perms, signs, lambda w: _sharp_constraint_matrix(rep, w, pairs), seed, (11, 12),
-        "sharp",
-    )
+    blocks = SectorDecomposition(*_sym2_generators(rep)).sectors()
+    sectors = _sector_columns(blocks, _sharp_masks(rep))
+    dim, _, _ = _sampled_kernel(rep, blocks, sectors, _sharp_system, seed, (11, 12), "sharp")
     return dim, rep.n * (rep.n - 1) // 2
 
 

@@ -494,13 +494,18 @@ def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, comp
     A label of ``components`` with representative c e_i fixes the sign of F
     as eps_i; where that sign has more than one component, it also fixes the
     sign of S_i[w] as that of c.  '+' and '-' outside the table mean F > 0
-    and F < 0.
+    and F < 0.  A module with p < q takes the labels of its swap, the
+    (q, p) module with quartic -F: its representative c e_i is c e_{i + p}
+    here (mod n), where eps has the opposite sign, so the rule holds as
+    stated; '+' and '-' outside that table mean -F > 0 and -F < 0.
     """
-    table = dict(components(rep.p, rep.q)) if rep.p >= rep.q else {}  # tabulated for p >= q
+    flip, shift = (-1, rep.p) if rep.p < rep.q else (1, 0)
+    labels = components(max(rep.p, rep.q), min(rep.p, rep.q))
+    table = {label: np.roll(v, shift) for label, v in labels}  # c e_i becomes c e_{i + shift}
     if component not in table:
         if component not in ("+", "-"):
             raise InvalidInputError(f"unknown component {component!r}")
-        return fvals > 0 if component == "+" else fvals < 0
+        return flip * fvals > 0 if component == "+" else flip * fvals < 0
     # label -> (sign of F, i, c) for the representative c e_i
     signs = {label: (rep.eps[i], i, v[i]) for label, v in table.items() for i in np.flatnonzero(v)}
     sign_f, i, c = signs[component]
@@ -589,14 +594,24 @@ def zeta_quartic_closed_square(m: int, s: complex) -> complex:
 
 def det_sv_identity_check(rep: CliffordRep, seed: int = 5) -> bool:
     """det S(v)^2 = P(v)^m, and det S(v) = +- P(v)^{m/2} for even m,
-    exactly at integer points."""
-    gen = stream(seed, 2)
-    cols = np.broadcast_to(np.arange(rep.m), rep.perm.shape)
-    for v in gen.integers(-5, 6, size=(DET_SV_POINTS, rep.n)):
-        sv = np.zeros((rep.m, rep.m), dtype=np.int64)
-        np.add.at(sv, (rep.perm, cols), v[:, None] * rep.sign)  # S(v) = sum_i v_i S_i
+    exactly at integer points.
+
+    S(v) = sum_i v_i S_i has nonzero entries only within the joint orbits
+    of the permutations ``rep.perm``, so det S(v) is the product of the
+    determinants of its diagonal blocks, one per orbit."""
+    points = stream(seed, 2).integers(-5, 6, size=(DET_SV_POINTS, rep.n))
+    sv = np.zeros((DET_SV_POINTS, rep.m, rep.m), dtype=np.int64)
+    at = np.arange(DET_SV_POINTS)[:, None, None]
+    np.add.at(sv, (at, rep.perm, np.arange(rep.m)), points[:, :, None] * rep.sign)
+    # the least index of each joint orbit, spread along the permutations
+    base, prev = np.arange(rep.m), None
+    while not np.array_equal(base, prev):
+        base, prev = np.minimum(base, base[rep.perm].min(axis=0)), base
+    orbits = [np.flatnonzero(base == b) for b in np.unique(base).tolist()]
+    blocks = [sv[:, idx[:, None], idx].tolist() for idx in orbits]  # per orbit, every point
+    for k, v in enumerate(points):
         pv = sum(e * int(c) ** 2 for e, c in zip(rep.eps, v))
-        d = int_det(sv.tolist())
+        d = math.prod(int_det(block[k]) for block in blocks)
         if d * d != pv**rep.m:
             return False
         if rep.m % 2 == 0 and abs(d) != abs(pv ** (rep.m // 2)):

@@ -116,6 +116,54 @@ def test_square_witness_verifies():
         assert witness.c * qv * qv == Q.eval_quartic(rep, w)
 
 
+def _greedy_square_root(form):
+    """The square root loop before it kept its remainder: q^2 and the
+    whole remainder recomputed at every step.  Returns (c, q) or None."""
+    target = {k: Fraction(v) for k, v in form.coeffs.items()}
+    i, j, k, l = lead_key = min(target)
+    if i != j or k != l:
+        return None
+    lead_pair, c = (i, k), target[lead_key]
+    scaled = {key: v / c for key, v in target.items()}
+    q = {lead_pair: Fraction(1)}
+    for _ in range(form.rep.m * (form.rep.m + 1) // 2 + 1):
+        qq = Q._poly_mul(q, q)
+        diff = {key: scaled.get(key, 0) - qq.get(key, 0) for key in set(scaled) | set(qq)}
+        diff = {key: v for key, v in diff.items() if v}
+        if not diff:
+            return c, q
+        dkey = min(diff)
+        rest = list(dkey)
+        for idx in lead_pair:
+            if idx not in rest:
+                return None
+            rest.remove(idx)
+        pair = (rest[0], rest[1])
+        if pair in q or pair <= lead_pair:
+            return None
+        q[pair] = diff[dkey] / 2
+    return None
+
+
+def test_square_detect_matches_the_recomputing_loop():
+    squares = 0
+    for p, q, mults in enumerate_cases(max_pq=11, max_m=16):
+        form = Q.expand_coeffs(rep_build(p, q, mults))
+        if form.is_zero:
+            continue
+        got, want = Q.square_detect(form), _greedy_square_root(form)
+        assert (got is None) == (want is None), (p, q, mults)
+        if want is None:
+            continue
+        squares += 1
+        c, terms = want
+        mat = [[Fraction(0)] * form.rep.m for _ in range(form.rep.m)]
+        for (a, b), v in terms.items():
+            mat[a][b] = mat[b][a] = v if a == b else v / 2
+        assert got.c == c and got.mat == mat, (p, q, mults)
+    assert squares == 25
+
+
 def test_square_detect_requires_nonzero():
     with pytest.raises(Q.InvalidInputError):
         Q.square_detect(Q.expand_coeffs(rep_build(2, 2, (1,))))

@@ -245,8 +245,8 @@ def _sectors_bit_loop(orbits, r):
 def _generator_families():
     for p, q, mults in enumerate_cases(max_pq=6, max_m=16) + [(6, 2, (1,))]:
         rep = rep_build(p, q, mults)
-        for family in (SY._g_generators, SY._sharp_generators, SY._h_generators):
-            perms, signs = family(rep)[:2]
+        for family in (SY._g_generators, SY._sym2_generators, SY._h_generators):
+            perms, signs = family(rep)
             yield f"({p},{q})x{mults} {family.__name__}", perms, signs
 
 

@@ -182,6 +182,48 @@ def test_exceptional_g_dim_purity_split():
 # ---------------------------------------------------------------------------
 
 
+def _sharp_generators(rep):
+    """Oracle: (X_1..X_n) -> (c_ij S_j X_i S_j) on all n copies of the
+    symmetric-pair unknowns, unknown i * npairs + t being entry
+    (pa[t], pb[t]), pa <= pb, of X_i; c_ii = 1 and c_ij = -eps_i eps_j."""
+    m, n = rep.m, rep.n
+    pa, pb = np.triu_indices(m)
+    npairs = len(pa)
+    pair_index = np.empty((m, m), dtype=np.int64)
+    pair_index[pa, pb] = pair_index[pb, pa] = np.arange(npairs)
+    eps = np.array(rep.eps)
+    cij = -np.outer(eps, eps)
+    np.fill_diagonal(cij, 1)
+    target = pair_index[rep.perm[:, pa], rep.perm[:, pb]]
+    pair_sign = rep.sign[:, pa] * rep.sign[:, pb]
+    perms = np.arange(n)[None, :, None] * npairs + target[:, None, :]
+    signs = cij[:, :, None] * pair_sign[:, None, :]
+    return perms.reshape(n, n * npairs), signs.reshape(n, n * npairs)
+
+
+def _sharp_constraint_matrix(rep, w):
+    """Oracle: rows of sum_i S_i[w] X_i[w] = 0 on all n * npairs unknowns,
+    as F-ordered float64 (exact integers)."""
+    pa, pb = np.triu_indices(rep.m)
+    pairvals = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
+    rows = rep.forms(w).T.astype(float)[:, :, None] * pairvals.T[:, None, :]
+    return rows.reshape(w.shape[1], rep.n * len(pa))
+
+
+def _transform(a, blocks):
+    """Orbit-transform the whole system ``a`` in place; returns its max |entry|."""
+    amax = float(np.abs(a).max())
+    SY._orbit_transform(a, blocks, amax)
+    return amax
+
+
+def _nullity(a, blocks, sectors):
+    """``_sector_nullity`` of the whole float64 system ``a`` (consumed)."""
+    amax = _transform(a, blocks)
+    cols = a.T
+    return SY._sector_nullity(lambda pos: cols[pos], amax, a.shape[0], sectors)
+
+
 def _columns(blocks):
     """{chi: [(idxs, coefs)]}: each sector's columns, one per orbit, in order."""
     cols = {}
@@ -201,15 +243,26 @@ def _batch_rows(blocks):
     return max(len(cols) for cols in _columns(blocks).values()) + 64
 
 
+def _sharp_oracle(rep, stream_index=11):
+    """(sector blocks, float64 system) of the n-copy sharp system, batch 1
+    by default (stream 11)."""
+    blocks = SectorDecomposition(*_sharp_generators(rep)).sectors()
+    w = integer_points(0, _batch_rows(blocks), rep.m, stream_index)
+    return blocks, _sharp_constraint_matrix(rep, w)
+
+
 def _sampled_systems(rep):
-    """(sector blocks, batch-1 float64 system) of the g and the sharp system."""
+    """(sector blocks, batch-1 float64 system) of the g and of the n-copy
+    sharp system."""
     g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
     g_rows = SY._g_constraint_matrix(rep, integer_points(0, _batch_rows(g_blocks), rep.m, 1))
-    perms, signs, pairs = SY._sharp_generators(rep)
-    sharp_blocks = SectorDecomposition(perms, signs).sectors()
-    count = _batch_rows(sharp_blocks)
-    sharp_rows = SY._sharp_constraint_matrix(rep, integer_points(0, count, rep.m, 11), pairs)
-    return [(g_blocks, g_rows), (sharp_blocks, sharp_rows)]
+    return [(g_blocks, g_rows), _sharp_oracle(rep)]
+
+
+def _sharp_sectors(rep):
+    """(Sym^2 blocks, sectors) of the factored sharp system."""
+    blocks = SectorDecomposition(*SY._sym2_generators(rep)).sectors()
+    return blocks, SY._sector_columns(blocks, SY._sharp_masks(rep))
 
 
 SMALL_CASES = enumerate_cases(max_pq=6, max_m=16)
@@ -219,15 +272,16 @@ def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
     rows = []
     sector_nullity = SY._sector_nullity
 
-    def recording(a, blocks, sectors):
-        rows.append(a.shape[0])
-        return sector_nullity(a, blocks, sectors)
+    def recording(gather, amax, count, sectors):
+        assert gather(sectors[0][1][None]).shape[2] == count
+        rows.append(count)
+        return sector_nullity(gather, amax, count, sectors)
 
     monkeypatch.setattr(SY, "_sector_nullity", recording)
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
         rep = rep_build(p, q, mults)
         g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-        sharp_blocks = SectorDecomposition(*SY._sharp_generators(rep)[:2]).sectors()
+        sharp_blocks = SectorDecomposition(*_sharp_generators(rep)).sectors()
         rows.clear()
         SY.g_kernel_dim(rep)
         assert rows == [_batch_rows(g_blocks)] * 2, (p, q, mults)
@@ -236,13 +290,27 @@ def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
         assert rows == [_batch_rows(sharp_blocks)] * 2, (p, q, mults)
 
 
-def test_sampled_systems_are_f_ordered_float64():
-    # the orbit transform and the sector gathers read whole columns
+def test_sampled_systems_are_f_ordered_float64(monkeypatch):
+    # the orbit transform and the sector gathers read whole columns: the g
+    # system and the sharp pair block, as the transform receives them
+    seen = []
+    orbit_transform = SY._orbit_transform
+
+    def recording(a, blocks, amax):
+        seen.append((a.dtype, a.flags.f_contiguous, a.shape))
+        return orbit_transform(a, blocks, amax)
+
+    monkeypatch.setattr(SY, "_orbit_transform", recording)
     for pq, mults in [((3, 2), (1,)), ((5, 0), (2, 0)), ((6, 2), (1,)), ((3, 1), (1, 1))]:
         rep = rep_build(*pq, mults)
-        for _, a in _sampled_systems(rep):
-            assert a.dtype == np.float64, pq
-            assert a.flags.f_contiguous and a.shape[0] > 1 and a.shape[1] > 1, pq
+        seen.clear()
+        SY.g_kernel_dim(rep)
+        SY.sharp_solution_dim(rep)
+        assert len(seen) == 4, pq
+        for dtype, f_ordered, shape in seen:
+            assert dtype == np.float64, pq
+            assert f_ordered and shape[0] > 1 and shape[1] > 1, pq
+        assert seen[2][2][1] == rep.m * (rep.m + 1) // 2  # one copy of the pairs
 
 
 def test_sector_matrices_match_per_column_assembly():
@@ -256,7 +324,7 @@ def test_sector_matrices_match_per_column_assembly():
             want = {chi: _per_column(a_int, cols) for chi, cols in _columns(blocks).items()}
             sectors = SY._sector_columns(blocks)
             assert [chi for chi, _ in sectors] == list(want)
-            SY._orbit_transform(a, blocks)
+            _transform(a, blocks)
             for chi, pos in sectors:
                 got = a[:, pos]
                 assert np.array_equal(got.astype(np.int64), want[chi]), (p, q, mults, chi)
@@ -265,19 +333,59 @@ def test_sector_matrices_match_per_column_assembly():
                 assert got.tobytes() == want[chi].astype(float).tobytes(), (p, q, mults, chi)
 
 
+FACTORED_CASES = enumerate_cases(max_pq=8, max_m=32) + [(11, 0, (1,))]
+
+
+def test_factored_sharp_sectors_match_the_n_copy_system():
+    # one copy of Sym^2 times S_i[w] gives the n-copy system's sectors in
+    # the same order and width, and byte-equal transformed sector matrices
+    assert len(FACTORED_CASES) == 102
+    for p, q, mults in FACTORED_CASES:
+        rep = rep_build(p, q, mults)
+        blocks, sectors = _sharp_sectors(rep)
+        for k in (11, 12):
+            full_blocks, a = _sharp_oracle(rep, k)
+            full = SY._sector_columns(full_blocks)
+            widths = [(chi, len(pos)) for chi, pos in sectors]
+            assert [(chi, len(pos)) for chi, pos in full] == widths, (p, q, mults)
+            w = integer_points(0, a.shape[0], rep.m, k)
+            gather, amax = SY._sharp_system(rep, blocks, w)
+            assert amax == _transform(a, full_blocks), (p, q, mults)  # the whole system's max
+            for (chi, want), (_, got) in zip(full, sectors):
+                matrix = gather(got[None])[0]
+                assert matrix.dtype == np.float64
+                assert matrix.T.tobytes() == a[:, want].tobytes(), (p, q, mults, k, chi)
+
+
 def test_orbit_transform_refuses_inexact_float_sums():
     # one orbit of length 2, e_0 <-> e_1: characters 0 and 1, sums of 2 entries
     blocks = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
     sectors = SY._sector_columns(blocks)
     ok = np.full((3, 2), 2.0**52 - 1)
-    total, per_sector, _ = SY._sector_nullity(ok, blocks, sectors)
+    total, per_sector, _ = _nullity(ok, blocks, sectors)
     assert total == 1 and per_sector == {0: 0, 1: 1}
     assert ok[:, 0].tolist() == [2.0**53 - 2] * 3 and not ok[:, 1].any()
     for big in (2.0**52, -(2.0**52)):
         a = np.ones((3, 2))
         a[1, 0] = big
         with pytest.raises(OverflowError):
-            SY._orbit_transform(a, blocks)
+            _transform(a, blocks)
+    # the bound is the one given, the largest entry of the whole system
+    with pytest.raises(OverflowError):
+        SY._orbit_transform(np.ones((3, 2)), blocks, 2.0**52)
+
+
+def test_sharp_guard_uses_the_whole_systems_largest_entry():
+    # (11,0)x1 at m = 64 with points scaled by 2^10: the orbit sums of the
+    # pair block alone stay exact, those of the whole system would not
+    rep = rep_build(11, 0, (1,))
+    blocks, _ = _sharp_sectors(rep)
+    w = integer_points(0, 8, rep.m, 11) << 10
+    pa, pb = np.triu_indices(rep.m)
+    longest = max(len(idxs) for idxs, _, _ in blocks)
+    assert 2 * np.abs(w[pa] * w[pb]).max() * longest < 2**53
+    with pytest.raises(OverflowError):
+        SY._sharp_system(rep, blocks, w)
 
 
 def test_g_per_sector_nullities_sum_to_dimension():
@@ -337,11 +445,10 @@ def test_bareiss_rank_small():
     assert _bareiss_rank([[0, 0], [0, 0]]) == 0
 
 
-def _exact_nullities(blocks, a):
-    """Nullity of each orbit-transformed integer sector matrix of ``a``."""
-    SY._orbit_transform(a, blocks)
-    return {chi: len(pos) - _bareiss_rank(a[:, pos].astype(np.int64).tolist())
-            for chi, pos in SY._sector_columns(blocks)}
+def _exact_nullities(gather, sectors):
+    """Nullity of each integer sector matrix that ``gather`` reads."""
+    return {chi: len(pos) - _bareiss_rank(gather(pos[None])[0].T.astype(np.int64).tolist())
+            for chi, pos in sectors}
 
 
 ORACLE_CASES = enumerate_cases(max_pq=6, max_m=8)
@@ -354,15 +461,16 @@ def test_sector_nullities_match_exact_rational_ranks():
     for p, q, mults in ORACLE_CASES:
         rep = rep_build(p, q, mults)
         assert rep.m <= 8
-        (g_blocks, g_rows), (sharp_blocks, sharp_rows) = _sampled_systems(rep)
+        g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
+        g_sectors = SY._sector_columns(g_blocks)
+        w = integer_points(0, _batch_rows(g_blocks), rep.m, 1)
         g = SY.g_kernel_dim(rep, seed=0)
-        assert g.per_sector == _exact_nullities(g_blocks, g_rows), (p, q, mults)
-        perms, signs, pairs = SY._sharp_generators(rep)
-        _, sharp, _ = SY._sampled_kernel(
-            rep, perms, signs, lambda w: SY._sharp_constraint_matrix(rep, w, pairs), 0,
-            (11, 12), "sharp",
-        )
-        assert sharp == _exact_nullities(sharp_blocks, sharp_rows), (p, q, mults)
+        assert g.per_sector == _exact_nullities(SY._g_system(rep, g_blocks, w)[0], g_sectors)
+        blocks, sectors = _sharp_sectors(rep)
+        _, sharp, _ = SY._sampled_kernel(rep, blocks, sectors, SY._sharp_system, 0, (11, 12), "sharp")
+        w = integer_points(0, max(len(pos) for _, pos in sectors) + 64, rep.m, 11)
+        gather, _ = SY._sharp_system(rep, blocks, w)
+        assert sharp == _exact_nullities(gather, sectors), (p, q, mults)
 
 
 def _tampered_modules():
@@ -388,7 +496,7 @@ def test_module_failing_its_relations_is_refused():
 
 def _per_sector_svd(a, blocks, sectors):
     """Reference float path: one ``np.linalg.svd`` per sector matrix."""
-    scale = max(1.0, SY._orbit_transform(a, blocks))
+    scale = max(1.0, _transform(a, blocks))
     total, per_sector, residual = 0, {}, 0.0
     for chi, pos in sectors:
         sv = np.linalg.svd(a[:, pos], compute_uv=False)
@@ -402,7 +510,7 @@ def _per_sector_svd(a, blocks, sectors):
 
 def _assert_matches_per_sector_svd(blocks, a, label):
     sectors = SY._sector_columns(blocks)
-    total, per_sector, residual = SY._sector_nullity(a.copy(order="F"), blocks, sectors)
+    total, per_sector, residual = _nullity(a.copy(order="F"), blocks, sectors)
     want_total, want_per_sector, want_residual = _per_sector_svd(a.copy(order="F"), blocks, sectors)
     assert total == want_total, label
     assert list(per_sector.items()) == list(want_per_sector.items()), label
@@ -427,7 +535,7 @@ def test_stacked_svd_threshold_is_relative_to_the_largest_value():
     a[:2, 0] = [1e6, 1e6 - 1]
     a[:2, 2] = [1e6 + 1, 1e6]
     _assert_matches_per_sector_svd(blocks, a, "near-singular")
-    total, per_sector, residual = SY._sector_nullity(a, blocks, SY._sector_columns(blocks))
+    total, per_sector, residual = _nullity(a, blocks, SY._sector_columns(blocks))
     assert total == 2 and per_sector == {0: 1, 1: 1}
     assert 1e-14 < residual < 1e-12  # about 5e-7 / (1e6 + 1)
 
@@ -435,7 +543,7 @@ def test_stacked_svd_threshold_is_relative_to_the_largest_value():
 def test_stacked_svd_slice_edges(monkeypatch):
     for pq, mults in [((3, 2), (1,)), ((5, 0), (2, 0)), ((6, 2), (1,))]:
         rep = rep_build(*pq, mults)
-        families = [SY._g_generators(rep), SY._sharp_generators(rep)[:2]]
+        families = [SY._g_generators(rep), _sharp_generators(rep)]
         for (blocks, a), family in zip(_sampled_systems(rep), families):
             sectors = SY._sector_columns(blocks)
             widths = np.bincount([len(pos) for _, pos in sectors])

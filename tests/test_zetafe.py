@@ -7,9 +7,9 @@ import pytest
 
 from cqforms import zetafe as Z
 from cqforms.quartic import expected_degenerate
-from cqforms.repkit import InvalidInputError, rep_build
+from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
-from cqforms.spmat import symmetric_signature
+from cqforms.spmat import int_det, symmetric_signature
 from cqforms.suite import enumerate_cases
 
 
@@ -120,6 +120,24 @@ def test_gamma_constants_expands_only_when_every_probe_is_zero(monkeypatch):
 def test_det_identity():
     for args in [(3, 2, (1,)), (1, 1, (1, 0, 1, 0)), (9, 1, (1, 1, 0, 0)), (1, 0, (2, 1))]:
         assert Z.det_sv_identity_check(rep_build(*args))
+
+
+def test_det_blocks_multiply_to_the_full_determinant(monkeypatch):
+    # S(v) splits over the joint orbits of the generators' permutations:
+    # one block per irreducible summand here
+    for args in [(3, 2, (2,)), (1, 1, (1, 0, 1, 0)), (9, 1, (1, 1, 0, 0)), (1, 0, (2, 1)),
+                 (6, 2, (1,)), (4, 0, (3,))]:
+        rep = rep_build(*args)
+        dets = []
+        monkeypatch.setattr(Z, "int_det", lambda mat: dets.append(int_det(mat)) or dets[-1])
+        assert Z.det_sv_identity_check(rep, seed=5)
+        monkeypatch.undo()
+        blocks = sum(args[2])
+        assert len(dets) == blocks * Z.DET_SV_POINTS, args
+        points = stream(5, 2).integers(-5, 6, size=(Z.DET_SV_POINTS, rep.n))
+        for k, v in enumerate(points):
+            sv = sum(int(c) * s for c, s in zip(v, rep.basis))
+            assert math.prod(dets[k * blocks : (k + 1) * blocks]) == int_det(sv.tolist()), args
 
 
 # ------------------------------------------------------------- gamma matrices
@@ -282,6 +300,19 @@ def test_mc_reproducible_and_stderr_scaling():
     big = Z.zeta_quartic_mc(rep, "+", 0.5, samples=200_000, seed=9)
     ratio = a.stderr / big.stderr
     assert 1.5 < ratio < 2.7  # ~2 expected from quadrupling the sample count
+
+
+def test_mc_swapped_module_takes_the_labels_of_its_swap():
+    # (1,2) is the swap of (2,1)x1,1 with quartic -F: each label of the
+    # (2,1) table, and '-' outside it, names the same region of w
+    rep = rep_build(2, 1, (1, 1))
+    swapped = swap_pq(rep)
+    for label in ["+", "-+", "--", "-"]:
+        want = Z.zeta_quartic_mc(rep, label, 0.3 + 0.1j, samples=20_000, seed=4).value
+        got = Z.zeta_quartic_mc(swapped, label, 0.3 + 0.1j, samples=20_000, seed=4).value
+        assert abs(got - want) <= 1e-12 * abs(want), label
+    with pytest.raises(InvalidInputError):
+        Z.zeta_quartic_mc(swapped, "++", 0.3, samples=10)
 
 
 @pytest.mark.parametrize(
