@@ -13,7 +13,7 @@ from cqforms import (
     rep_build,
     square_detect,
 )
-from cqforms.quartic import expected_degenerate
+from cqforms.classify import expected_degenerate
 
 # ---------------------------------------------------------------------------
 # The smallest interesting example: the split rank-2 module on R^2 has

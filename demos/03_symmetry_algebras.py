@@ -6,7 +6,7 @@ g = so(p,q) + h; a finite list of low-dimensional cases is strictly larger.
 """
 
 from cqforms import g_kernel_dim, h_kernel, predict, rep_build, sharp_check
-from cqforms.symlie import expected_sharp
+from cqforms.classify import expected_sharp
 
 CASES = [
     ((3, 2), (1,)),   # exceptional: g = so(4,4)

@@ -9,7 +9,7 @@ classifies each module against the known tables, and evaluates and
 cross-checks the gamma matrices of the local functional equations.
 """
 
-from .classify import ClassificationReport, classify, table1_lookup
+from .classify import ClassificationReport, SymmetryPrediction, classify, predict, table1_lookup
 from .quartic import (
     QuadraticSquareWitness,
     QuarticForm,
@@ -34,14 +34,7 @@ from .repkit import (
     swap_pq,
     verify_relations,
 )
-from .symlie import (
-    KernelReport,
-    SymmetryPrediction,
-    g_kernel_dim,
-    h_kernel,
-    predict,
-    sharp_check,
-)
+from .symlie import KernelReport, g_kernel_dim, h_kernel, sharp_check
 from .zetafe import (
     GammaMatrix,
     SignatureConstants,

@@ -1,19 +1,193 @@
-"""Classification verdicts for a module: degenerate / exceptional / generic,
-square-of-quadratic, and whether the quartic is a relative invariant of a
-prehomogeneous vector space (with the matching space when it is one).
+"""The paper's tables, stated once: every prediction the package checks.
 
-All verdicts are table-driven; the quartic and symmetry-algebra modules
-recompute the same answers independently, which the test-suite uses as a
-cross-check of every entry within computational range.
+Which modules are degenerate and which quartics are squares of quadratic
+forms, the exceptional (p+q, m) pairs, the algebra h and the dimension of g,
+the sharp condition, and whether the quartic is a relative invariant of a
+prehomogeneous vector space (with the matching space when it is one).  Every
+entry is a rule on (p, q, multiplicities), and nothing here builds a module.
+This module is the one home of these tables: ``quartic`` and ``symlie``
+only compute, and the suite compares each computation with the prediction
+made here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quartic import SQUARE_TRIPLES, expected_degenerate
-from .repkit import InvalidInputError, irrep_catalog
-from .symlie import _EXCEPTIONAL_NM, pure_over_c
+from .repkit import InvalidInputError, irrep_catalog, module_dim
+
+# degeneracy table: the quartic vanishes identically exactly at these
+# (p, q, m) triples (up to p <-> q) and for split-signature rank-2 modules
+# whose two generators act by the same matrix up to sign ("pure").
+DEGENERATE_TRIPLES = {
+    (2, 1, 2),
+    (3, 1, 4),
+    (5, 1, 8),
+    (9, 1, 16),
+    (2, 2, 4),
+    (3, 3, 8),
+    (5, 5, 16),
+}
+
+# quartics that are squares of quadratic forms, by (p, q, m); (1, 0, m) for
+# every m is handled separately.
+SQUARE_TRIPLES = {
+    (2, 0, 2),
+    (1, 1, 2),
+    (3, 0, 4),
+    (2, 1, 4),
+    (5, 0, 8),
+    (4, 1, 8),
+    (3, 2, 8),
+    (9, 0, 16),
+    (8, 1, 16),
+    (5, 4, 16),
+}
+
+# (p + q, m) of the exceptional and of the degenerate low-dimension modules
+EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
+_DEGENERATE_NM = {(p + q, m) for p, q, m in DEGENERATE_TRIPLES}
+
+
+def is_pure(p: int, q: int, mults) -> bool:
+    """Restriction to the even subalgebra is isotypic."""
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
+    if cat.even_classes == 1:
+        return True
+    if cat.count == 1:
+        # single class restricting to both even classes
+        return False
+    return len(used) <= 1
+
+
+def pure_over_c(p: int, q: int, mults) -> bool:
+    """Is the complexified restriction to the even subalgebra isotypic?"""
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    if cat.shape == "(T,2T')":
+        return False  # the single class already mixes both even classes
+    if cat.even_field == "C":
+        return False  # complexification splits the even class in two
+    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
+    return len(used) <= 1
+
+
+def expected_degenerate(p: int, q: int, mults) -> bool:
+    """Degeneracy-table prediction: does the quartic vanish identically?"""
+    m = module_dim(p, q, mults)
+    key = (p, q, m) if p >= q else (q, p, m)
+    if key in DEGENERATE_TRIPLES:
+        return True
+    if {p, q} == {1, 1}:
+        return is_pure(p, q, mults)
+    return False
+
+
+def expected_sharp(p: int, q: int, mults) -> bool:
+    """Classification-table prediction for the sharp condition.
+
+    Fails exactly at the tabulated (p+q, m) pairs, and for rank-2 split
+    modules that are pure with m >= 2 (a pure module on the line satisfies
+    the condition trivially, the solution space being one dimensional).
+    """
+    m = module_dim(p, q, mults)
+    if (p + q, m) in _DEGENERATE_NM | EXCEPTIONAL_NM:
+        return False
+    if {p, q} == {1, 1} and is_pure(p, q, mults) and m >= 2:
+        return False
+    return True
+
+
+def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
+    """Name and real dimension of h from the structure table."""
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    ks = tuple(mults)
+    shape, field, even = cat.shape, cat.field, cat.even_field
+    if shape == "(T,T')":
+        (k,) = ks
+        return {
+            ("R", "C"): (f"so({k},C)", k * (k - 1)),
+            ("C", "R"): (f"sp({k},R)", k * (2 * k + 1)),
+            ("C", "H"): (f"so*({2 * k})", k * (2 * k - 1)),
+            ("H", "C"): (f"sp({k},C)", 2 * k * (2 * k + 1)),
+        }[(field, even)]
+    if shape == "(T,2T')":
+        (k,) = ks
+        if field == "R":
+            return f"gl({k},R)", k * k
+        return f"gl({k},H)", 4 * k * k
+    if shape == "(2T,T')":
+        k1, k2 = ks
+        kk = k1 + k2
+        if field == "R":
+            return f"so({k1},{k2})", kk * (kk - 1) // 2
+        if field == "C":
+            return f"u({k1},{k2})", kk * kk
+        return f"sp({k1},{k2})", kk * (2 * kk + 1)
+    if shape == "(2T,2T')":
+        k1, k2 = ks
+        if even == "R":
+            return f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
+        return f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
+    k1, k2, k3, k4 = ks
+    if field == "R":
+        ka, kb = k1 + k2, k3 + k4
+        return f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
+    ka, kb = k1 + k2, k3 + k4
+    return f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
+
+
+def exceptional_g_dim(p: int, q: int, mults) -> int | None:
+    """Stated symmetry-algebra dimension in the exceptional cases.
+
+    For p+q in {6, 10} the value is only identified after complexification
+    and depends on purity over C; the real dimension of the real form equals
+    the complex dimension of the stated complexification.
+    """
+    n = p + q
+    m = module_dim(p, q, mults)
+    table = {
+        (3, 4): 6,
+        (4, 8): 13,
+        (5, 8): 28,
+        (7, 16): 31,
+        (8, 16): 57,
+        (9, 16): 120,
+        (11, 32): 66,
+    }
+    if (n, m) in table:
+        return table[(n, m)]
+    if (n, m) == (6, 16):
+        return 30 if pure_over_c(p, q, mults) else 22
+    if (n, m) == (10, 32):
+        return 48 if pure_over_c(p, q, mults) else 46
+    return None
+
+
+@dataclass
+class SymmetryPrediction:
+    h_algebra: str
+    h_dim: int
+    g_dim: int | None
+    exceptional: bool
+    degenerate: bool
+    g_dim_exceptional: int | None
+
+
+def predict(p: int, q: int, mults) -> SymmetryPrediction:
+    """Structure-table prediction for the h and g dimensions."""
+    m = module_dim(p, q, mults)
+    name, h_dim = h_algebra(p, q, mults)
+    n = p + q
+    if expected_degenerate(p, q, mults):
+        return SymmetryPrediction(name, h_dim, m * m, False, True, None)
+    if (n, m) in EXCEPTIONAL_NM:
+        gexc = exceptional_g_dim(p, q, mults)
+        return SymmetryPrediction(name, h_dim, gexc, True, False, gexc)
+    return SymmetryPrediction(name, h_dim, n * (n - 1) // 2 + h_dim, False, False, None)
 
 
 @dataclass
@@ -85,14 +259,11 @@ def table1_lookup(p: int, q: int, mults) -> str | None:
     descriptor substitutes the actual multiplicities where the group depends
     on them.
     """
-    cat = irrep_catalog(p, q)
     mults = tuple(mults)
-    m = sum(mults) * cat.dim
+    if expected_degenerate(p, q, mults):  # also refuses an invalid vector
+        return None
     kt = sum(mults)
     ke, ko = _halfspin_mults(p, q, mults)
-    degenerate = expected_degenerate(p, q, mults)
-    if degenerate:
-        return None
 
     def pair01():
         return mults[0], mults[1]
@@ -193,15 +364,11 @@ def classify(p: int, q: int, mults, explain: bool = False) -> ClassificationRepo
     """Full verdict for the module with the given multiplicities."""
     if p < q:
         raise InvalidInputError("classification uses the p >= q convention")
-    cat = irrep_catalog(p, q)
     mults = tuple(int(k) for k in mults)
-    if len(mults) != cat.count or sum(mults) < 1 or min(mults) < 0:
-        raise InvalidInputError("invalid multiplicity vector")
-    m = sum(mults) * cat.dim
-    n = p + q
-    degenerate = expected_degenerate(p, q, mults)
+    m = module_dim(p, q, mults)
+    pred = predict(p, q, mults)
+    degenerate, exceptional = pred.degenerate, pred.exceptional
     poc = pure_over_c(p, q, mults)
-    exceptional = not degenerate and (n, m) in _EXCEPTIONAL_NM
     generic = not degenerate and not exceptional
     square = (not degenerate) and (
         (p, q) == (1, 0) or (p, q, m) in SQUARE_TRIPLES

@@ -26,6 +26,7 @@ from . import quartic as Q
 from . import symlie as SY
 from . import zetafe as Z
 from .classify import classify as classify_verdict
+from .classify import expected_sharp, predict
 from .repkit import (
     InvalidInputError,
     UnsupportedError,
@@ -253,7 +254,7 @@ def cmd_quartic_check32(args) -> int:
 def cmd_sym_h(args) -> int:
     rep = _rep_from_args(args)
     rpt = SY.h_kernel(rep)
-    pred = SY.predict(rep.p, rep.q, rep.mults)
+    pred = predict(rep.p, rep.q, rep.mults)
     _emit(
         {
             "computed_dim": rpt.dimension,
@@ -271,7 +272,7 @@ def cmd_sym_h(args) -> int:
 def cmd_sym_g(args) -> int:
     rep = _rep_from_args(args)
     rpt = SY.g_kernel_dim(rep, seed=args.seed)
-    want = SY.predict(rep.p, rep.q, rep.mults).g_dim
+    want = predict(rep.p, rep.q, rep.mults).g_dim
     _emit(
         {
             "computed_dim": rpt.dimension,
@@ -289,7 +290,7 @@ def cmd_sym_sharp(args) -> int:
     rep = _rep_from_args(args)
     dim, forced = SY.sharp_solution_dim(rep, seed=args.seed)
     holds = dim == forced
-    expected = SY.expected_sharp(rep.p, rep.q, rep.mults)
+    expected = expected_sharp(rep.p, rep.q, rep.mults)
     _emit(
         {
             "holds": holds,
@@ -304,7 +305,7 @@ def cmd_sym_sharp(args) -> int:
 
 
 def cmd_sym_predict(args) -> int:
-    pred = SY.predict(args.p, args.q, args.mult)
+    pred = predict(args.p, args.q, args.mult)
     _emit(
         {
             "h_algebra": pred.h_algebra,
@@ -336,7 +337,7 @@ def cmd_zeta_gamma(args) -> int:
 
 def _default_mults(p: int, q: int, m: int | None):
     cat = irrep_catalog(p, q)
-    if m is None or m % cat.dim:
+    if m is None or m < 1 or m % cat.dim:
         raise InvalidInputError(f"m must be a positive multiple of {cat.dim}")
     mults = [0] * cat.count
     mults[0] = m // cat.dim

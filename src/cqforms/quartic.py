@@ -17,37 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .repkit import CliffordRep, InvalidInputError, irrep_catalog
+from .repkit import CliffordRep, InvalidInputError
 from .rng import integer_points
 from .spmat import perm_sign_of, sp_eye, sp_kron
-
-# degeneracy table: the quartic vanishes identically exactly at these
-# (p, q, m) triples (up to p <-> q) and for split-signature rank-2 modules
-# whose two generators act by the same matrix up to sign ("pure").
-DEGENERATE_TRIPLES = {
-    (2, 1, 2),
-    (3, 1, 4),
-    (5, 1, 8),
-    (9, 1, 16),
-    (2, 2, 4),
-    (3, 3, 8),
-    (5, 5, 16),
-}
-
-# quartics that are squares of quadratic forms, by (p, q, m); (1, 0, m) for
-# every m is handled separately.
-SQUARE_TRIPLES = {
-    (2, 0, 2),
-    (1, 1, 2),
-    (3, 0, 4),
-    (2, 1, 4),
-    (5, 0, 8),
-    (4, 1, 8),
-    (3, 2, 8),
-    (9, 0, 16),
-    (8, 1, 16),
-    (5, 4, 16),
-}
 
 
 def quad_form_terms(s: list[list]) -> dict[tuple[int, int], object]:
@@ -146,29 +118,6 @@ def eval_quartic(rep: CliffordRep, w):
 def grad_quartic(rep: CliffordRep, w) -> list:
     """grad F(w) = 4 sum_i eps_i S_i[w] (S_i w) at one integral or rational point."""
     return (4 * quartic_values(rep, _column(rep, w), grad=True)[1][:, 0]).tolist()
-
-
-def expected_degenerate(p: int, q: int, mults) -> bool:
-    cat = irrep_catalog(p, q)
-    m = sum(mults) * cat.dim
-    key = (p, q, m) if p >= q else (q, p, m)
-    if key in DEGENERATE_TRIPLES:
-        return True
-    if {p, q} == {1, 1}:
-        return is_pure(p, q, mults)
-    return False
-
-
-def is_pure(p: int, q: int, mults) -> bool:
-    """Restriction to the even subalgebra is isotypic."""
-    cat = irrep_catalog(p, q)
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
-    if cat.even_classes == 1:
-        return True
-    if cat.count == 1:
-        # single class restricting to both even classes
-        return False
-    return len(used) <= 1
 
 
 @dataclass

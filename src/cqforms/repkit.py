@@ -46,6 +46,11 @@ class UnsupportedError(ValueError):
     pass
 
 
+# rep_build refuses larger modules: 16 times the largest module of the suite,
+# and a dense module file of this size already holds n * 2^20 entries
+MAX_DIM = 1 << 10
+
+
 # ---------------------------------------------------------------------------
 # Generator families for C_p (positive definite, e_i^2 = +1).
 #
@@ -209,6 +214,7 @@ class IrrepCatalog:
         return 2 if self.shape in ("(T,2T')", "(2T,2T')", "(4T,2T')") else 1
 
 
+@lru_cache(maxsize=None)  # the catalog is frozen, so callers share one per (p, q)
 def irrep_catalog(p: int, q: int) -> IrrepCatalog:
     """Count and dimension of the irreducibles of C_p (x) C_q."""
     if p < 0 or q < 0 or p + q < 1:
@@ -441,12 +447,11 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def rep_build(p: int, q: int, mults) -> CliffordRep:
-    """Block-diagonal sum of irreducibles with the given multiplicities."""
-    if p < q:
-        raise InvalidInputError("rep_build requires p >= q; use swap_pq for p < q")
+def module_dim(p: int, q: int, mults) -> int:
+    """Dimension m of the (p, q) module with these multiplicities, one per
+    irreducible class; refuses a vector of the wrong length, a negative
+    entry, or all zeros."""
     cat = irrep_catalog(p, q)
-    mults = tuple(int(k) for k in mults)
     if len(mults) != cat.count:
         raise InvalidInputError(
             f"({p},{q}) has {cat.count} irreducible classes, got {len(mults)} multiplicities"
@@ -455,6 +460,17 @@ def rep_build(p: int, q: int, mults) -> CliffordRep:
         raise InvalidInputError("multiplicities must be nonnegative")
     if sum(mults) == 0:
         raise InvalidInputError("at least one multiplicity must be positive")
+    return sum(mults) * cat.dim
+
+
+def rep_build(p: int, q: int, mults) -> CliffordRep:
+    """Block-diagonal sum of irreducibles with the given multiplicities."""
+    if p < q:
+        raise InvalidInputError("rep_build requires p >= q; use swap_pq for p < q")
+    mults = tuple(int(k) for k in mults)
+    m = module_dim(p, q, mults)
+    if m > MAX_DIM:
+        raise InvalidInputError(f"module dimension {m} exceeds the limit {MAX_DIM}")
     blocks = [irrep_basis(p, q, ci) for ci, k in enumerate(mults) for _ in range(k)]
     offsets = np.cumsum([0] + [perm.shape[1] for perm, _ in blocks[:-1]])
     perm = np.concatenate([perm + off for (perm, _), off in zip(blocks, offsets)], axis=1)

@@ -19,8 +19,8 @@ from . import quartic as Q
 from . import symlie as SY
 from . import zetafe as Z
 from .classify import classify as classify_verdict
-from .classify import table1_lookup
-from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
+from .classify import expected_degenerate, expected_sharp, predict, table1_lookup
+from .repkit import InvalidInputError, irrep_catalog, module_dim, rep_build, spin_equivariance_check
 from .rng import complex_s_samples, integer_points
 from .spmat import signed_permutation_matrix, sp_mul
 
@@ -95,7 +95,7 @@ def check_relations(case) -> tuple[bool, str]:
 
 def check_degeneracy(case) -> tuple[bool, str]:
     computed = case.form.is_zero
-    expected = Q.expected_degenerate(case.p, case.q, case.mults)
+    expected = expected_degenerate(case.p, case.q, case.mults)
     return computed == expected, f"computed={computed} expected={expected}"
 
 
@@ -103,7 +103,7 @@ def check_square(case) -> tuple[bool, str]:
     if case.form.is_zero:
         return True, "degenerate, skipped"
     witness = case.witness
-    expected = (case.p, case.q) == (1, 0) or (case.p, case.q, case.rep.m) in Q.SQUARE_TRIPLES
+    expected = classify_verdict(case.p, case.q, case.mults).square_of_quadratic
     if (witness is not None) != expected:
         return False, f"witness={'yes' if witness else 'no'} expected={expected}"
     if witness is not None:
@@ -120,19 +120,13 @@ def check_homaloidal(case) -> tuple[bool, str]:
 
 def check_symmetry_dims(case) -> tuple[bool, str]:
     rep = case.rep
-    pred = SY.predict(case.p, case.q, case.mults)
+    pred = predict(case.p, case.q, case.mults)
     hk = SY.h_kernel(rep)
     if hk.dimension != pred.h_dim:
         return False, f"h: computed {hk.dimension}, predicted {pred.h_dim} ({pred.h_algebra})"
     gk = SY.g_kernel_dim(rep, seed=case.seed + 29)
-    if pred.degenerate:
-        want = rep.m * rep.m
-    elif pred.exceptional:
-        want = pred.g_dim_exceptional
-    else:
-        want = pred.g_dim
-    if gk.dimension != want:
-        return False, f"g: computed {gk.dimension}, predicted {want}"
+    if gk.dimension != pred.g_dim:
+        return False, f"g: computed {gk.dimension}, predicted {pred.g_dim}"
     if gk.residual > 1e-8:
         return False, f"g residual {gk.residual:.2e}"
     # the infinitesimal rotations S_i S_j always lie in g
@@ -144,20 +138,20 @@ def check_symmetry_dims(case) -> tuple[bool, str]:
 
 def check_sharp(case) -> tuple[bool, str]:
     got = SY.sharp_check(case.rep, seed=case.seed + 41)
-    want = SY.expected_sharp(case.p, case.q, case.mults)
+    want = expected_sharp(case.p, case.q, case.mults)
     return got == want, f"computed={got} expected={want}"
 
 
 def gamma_applicable(p, q, mults) -> bool:
     """Cases covered by the closed quartic gamma formulas with unit twists."""
-    rep_m = sum(mults) * irrep_catalog(p, q).dim
-    return Z._closed_form_refusal(p, q, rep_m) is None and not Q.expected_degenerate(p, q, mults)
+    refusal = Z._closed_form_refusal(p, q, module_dim(p, q, mults))
+    return refusal is None and not expected_degenerate(p, q, mults)
 
 
 def check_gamma_consistency(case) -> tuple[bool, str]:
     p, q, m = case.p, case.q, case.rep.m
     consts = case.consts
-    if any(abs(g - 1) > 1e-12 for g in consts.gammas):
+    if any((plus - minus) % 8 for plus, minus in consts.signatures):
         return True, "twists not all 1, closed form not applicable"
     worst = 0.0
     for s in complex_s_samples(case.seed + 53, 20):
@@ -178,7 +172,7 @@ def check_gamma_consistency(case) -> tuple[bool, str]:
 
 
 def check_constants(case) -> tuple[bool, str]:
-    if Q.expected_degenerate(case.p, case.q, case.mults):
+    if expected_degenerate(case.p, case.q, case.mults):
         return True, "degenerate, skipped"
     case.consts  # raises on closed-form mismatch
     if not Z.det_sv_identity_check(case.rep, seed=case.seed + 71):
@@ -188,10 +182,6 @@ def check_constants(case) -> tuple[bool, str]:
 
 def check_classification(case) -> tuple[bool, str]:
     verdict = classify_verdict(case.p, case.q, case.mults)
-    if verdict.degenerate != case.form.is_zero:
-        return False, "degenerate flag disagrees with computation"
-    if not case.form.is_zero and verdict.square_of_quadratic != (case.witness is not None):
-        return False, "square flag disagrees with detection"
     if verdict.prehomogeneous != (table1_lookup(case.p, case.q, case.mults) is not None):
         return False, "prehomogeneous flag disagrees with the space catalog"
     flags = [verdict.degenerate, verdict.exceptional, verdict.generic]

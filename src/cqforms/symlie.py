@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spmat
-from .quartic import DEGENERATE_TRIPLES, expected_degenerate, is_pure, quartic_values
-from .repkit import CliffordRep, InvalidInputError, irrep_catalog, require_relations
+from .quartic import quartic_values
+from .repkit import CliffordRep, require_relations
 from .rng import integer_points
 from .spmat import SectorDecomposition
 
@@ -319,132 +319,3 @@ def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     sectors = _sector_columns(blocks, _sharp_masks(rep))
     dim, _, _ = _sampled_kernel(rep, blocks, sectors, _sharp_system, seed, (11, 12), "sharp")
     return dim, rep.n * (rep.n - 1) // 2
-
-
-# (p + q, m) of the exceptional and of the degenerate low-dimension modules
-_EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
-_DEGENERATE_NM = {(p + q, m) for p, q, m in DEGENERATE_TRIPLES}
-
-
-def expected_sharp(p: int, q: int, mults) -> bool:
-    """Classification-table prediction for the sharp condition.
-
-    Fails exactly at the tabulated (p+q, m) pairs, and for rank-2 split
-    modules that are pure with m >= 2 (a pure module on the line satisfies
-    the condition trivially, the solution space being one dimensional).
-    """
-    m = sum(mults) * irrep_catalog(p, q).dim
-    if (p + q, m) in _DEGENERATE_NM | _EXCEPTIONAL_NM:
-        return False
-    if {p, q} == {1, 1} and is_pure(p, q, mults) and m >= 2:
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Structure-table predictions
-# ---------------------------------------------------------------------------
-
-
-def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
-    """Name and real dimension of h from the structure table."""
-    cat = irrep_catalog(p, q)
-    ks = tuple(mults)
-    shape, field, even = cat.shape, cat.field, cat.even_field
-    if shape == "(T,T')":
-        (k,) = ks
-        return {
-            ("R", "C"): (f"so({k},C)", k * (k - 1)),
-            ("C", "R"): (f"sp({k},R)", k * (2 * k + 1)),
-            ("C", "H"): (f"so*({2 * k})", k * (2 * k - 1)),
-            ("H", "C"): (f"sp({k},C)", 2 * k * (2 * k + 1)),
-        }[(field, even)]
-    if shape == "(T,2T')":
-        (k,) = ks
-        if field == "R":
-            return f"gl({k},R)", k * k
-        return f"gl({k},H)", 4 * k * k
-    if shape == "(2T,T')":
-        k1, k2 = ks
-        kk = k1 + k2
-        if field == "R":
-            return f"so({k1},{k2})", kk * (kk - 1) // 2
-        if field == "C":
-            return f"u({k1},{k2})", kk * kk
-        return f"sp({k1},{k2})", kk * (2 * kk + 1)
-    if shape == "(2T,2T')":
-        k1, k2 = ks
-        if even == "R":
-            return f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
-        return f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
-    k1, k2, k3, k4 = ks
-    if field == "R":
-        ka, kb = k1 + k2, k3 + k4
-        return f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
-    ka, kb = k1 + k2, k3 + k4
-    return f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
-
-
-def pure_over_c(p: int, q: int, mults) -> bool:
-    """Is the complexified restriction to the even subalgebra isotypic?"""
-    cat = irrep_catalog(p, q)
-    if cat.shape == "(T,2T')":
-        return False  # the single class already mixes both even classes
-    if cat.even_field == "C":
-        return False  # complexification splits the even class in two
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
-    return len(used) <= 1
-
-
-def exceptional_g_dim(p: int, q: int, mults) -> int | None:
-    """Stated symmetry-algebra dimension in the exceptional cases.
-
-    For p+q in {6, 10} the value is only identified after complexification
-    and depends on purity over C; the real dimension of the real form equals
-    the complex dimension of the stated complexification.
-    """
-    cat = irrep_catalog(p, q)
-    n = p + q
-    m = sum(mults) * cat.dim
-    table = {
-        (3, 4): 6,
-        (4, 8): 13,
-        (5, 8): 28,
-        (7, 16): 31,
-        (8, 16): 57,
-        (9, 16): 120,
-        (11, 32): 66,
-    }
-    if (n, m) in table:
-        return table[(n, m)]
-    if (n, m) == (6, 16):
-        return 30 if pure_over_c(p, q, mults) else 22
-    if (n, m) == (10, 32):
-        return 48 if pure_over_c(p, q, mults) else 46
-    return None
-
-
-@dataclass
-class SymmetryPrediction:
-    h_algebra: str
-    h_dim: int
-    g_dim: int | None
-    exceptional: bool
-    degenerate: bool
-    g_dim_exceptional: int | None
-
-
-def predict(p: int, q: int, mults) -> SymmetryPrediction:
-    """Structure-table prediction for the h and g dimensions."""
-    cat = irrep_catalog(p, q)
-    if len(mults) != cat.count or sum(mults) < 1 or min(mults) < 0:
-        raise InvalidInputError("invalid multiplicity vector")
-    name, h_dim = h_algebra(p, q, mults)
-    n = p + q
-    m = sum(mults) * cat.dim
-    if expected_degenerate(p, q, mults):
-        return SymmetryPrediction(name, h_dim, m * m, False, True, None)
-    if (n, m) in _EXCEPTIONAL_NM:
-        gexc = exceptional_g_dim(p, q, mults)
-        return SymmetryPrediction(name, h_dim, gexc, True, False, gexc)
-    return SymmetryPrediction(name, h_dim, n * (n - 1) // 2 + h_dim, False, False, None)

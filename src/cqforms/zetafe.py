@@ -163,16 +163,18 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
         sigs.append((plus, minus))
         gammas.append(eof(Fraction(plus - minus, 8)))
     expected = _closed_form_gammas(rep, labels)
-    for lab, got, want in zip(labels, gammas, expected):
-        if want is not None and abs(got - want) > 1e-12:
-            raise AssertionError(f"gamma mismatch on component {lab}: {got} vs {want}")
+    for lab, (plus, minus), want in zip(labels, sigs, expected):
+        got = Fraction(plus - minus, 8)
+        if want is not None and (got - want) % 1:
+            raise AssertionError(f"gamma mismatch on component {lab}: e({got}) vs e({want})")
     alpha = sp_det(rep.perm[0], rep.sign[0])
     beta = (-1) ** (rep.q + 1)
     return SignatureConstants(labels, sigs, gammas, alpha, beta, rep.p, rep.q, rep.m)
 
 
 def _closed_form_gammas(rep: CliffordRep, labels):
-    """Multiplicity formulas for the signature constants, where stated."""
+    """Multiplicity formulas for the signature constants, where stated, as
+    exponents x of e(x) = exp(2 pi i x): Fractions, exact mod 1."""
     p, q, m = rep.p, rep.q, rep.m
     cat = irrep_catalog(p, q)
     out = []
@@ -181,7 +183,7 @@ def _closed_form_gammas(rep: CliffordRep, labels):
         km = m - kp
         for lab in labels:
             sgn = 1 if lab == "+" else -1
-            out.append(eof(Fraction(sgn * (kp - km), 8)))
+            out.append(Fraction(sgn * (kp - km), 8))
         return out
     if (p, q) == (1, 1):
         k = [0, 0, 0, 0]
@@ -192,10 +194,10 @@ def _closed_form_gammas(rep: CliffordRep, labels):
             eta = 1 if lab[0] == "+" else -1
             tau = 1 if lab[1] == "+" else -1
             val = tau * (k11 - k22) + tau * eta * (k33 - k44)
-            out.append(eof(Fraction(val, 8)))
+            out.append(Fraction(val, 8))
         return out
     if q == 0:
-        return [1.0 for _ in labels]
+        return [Fraction(0) for _ in labels]
     if q == 1:
         if cat.f_signs is None:
             return [None for _ in labels]
@@ -204,12 +206,12 @@ def _closed_form_gammas(rep: CliffordRep, labels):
         d = cat.dim
         for lab in labels:
             if lab == "+":
-                out.append(1.0)
+                out.append(Fraction(0))
             else:
                 sgn = 1 if lab == "-+" else -1
-                out.append(eof(Fraction(sgn * d * (kp - km), 8)))
+                out.append(Fraction(sgn * d * (kp - km), 8))
         return out
-    return [1.0 for _ in labels]
+    return [Fraction(0) for _ in labels]
 
 
 # ---------------------------------------------------------------------------

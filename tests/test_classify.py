@@ -1,9 +1,39 @@
+import ast
+import importlib
 import itertools
+from pathlib import Path
 
 import pytest
 
-from cqforms.classify import classify, table1_lookup
+import cqforms
+from cqforms.classify import (
+    classify,
+    exceptional_g_dim,
+    expected_degenerate,
+    expected_sharp,
+    h_algebra,
+    is_pure,
+    predict,
+    pure_over_c,
+    table1_lookup,
+)
 from cqforms.repkit import InvalidInputError, irrep_catalog
+
+# the prediction tables, each stated in classify and nowhere else
+TABLE_NAMES = [
+    "DEGENERATE_TRIPLES",
+    "SQUARE_TRIPLES",
+    "EXCEPTIONAL_NM",
+    "_DEGENERATE_NM",
+    "expected_degenerate",
+    "is_pure",
+    "expected_sharp",
+    "h_algebra",
+    "pure_over_c",
+    "exceptional_g_dim",
+    "SymmetryPrediction",
+    "predict",
+]
 
 
 def test_generic_non_pv_example():
@@ -61,6 +91,43 @@ def test_invalid_mults():
         classify(3, 2, (0,))
     with pytest.raises(InvalidInputError):
         classify(2, 3, (1,))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [table1_lookup, expected_sharp, expected_degenerate, is_pure, pure_over_c, h_algebra,
+     exceptional_g_dim, predict, classify],
+)
+@pytest.mark.parametrize(
+    "p,q,mults",
+    [(1, 0, (1,)), (3, 0, (-1,)), (3, 2, (1, 1)), (3, 2, (0,)), (5, 1, (1, -1, 0, 0))],
+)
+def test_table_functions_refuse_invalid_mults(fn, p, q, mults):
+    with pytest.raises(InvalidInputError):
+        fn(p, q, mults)
+
+
+def _package_imports(module: str) -> set[tuple[str | None, str]]:
+    """(submodule, name) of every relative import in a cqforms module."""
+    path = Path(importlib.import_module(module).__file__)
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+def test_every_table_lives_in_classify():
+    CL = importlib.import_module("cqforms.classify")
+    for name in ("quartic", "symlie"):
+        module = importlib.import_module(f"cqforms.{name}")
+        assert not {*TABLE_NAMES, "_EXCEPTIONAL_NM"} & set(vars(module)), name
+    assert all(hasattr(CL, name) for name in TABLE_NAMES)
+    assert {mod for mod, _ in _package_imports("cqforms.classify")} == {"repkit"}
+    from_quartic = {name for mod, name in _package_imports("cqforms.symlie") if mod == "quartic"}
+    assert from_quartic == {"quartic_values"}
+    assert cqforms.predict is CL.predict and cqforms.SymmetryPrediction is CL.SymmetryPrediction
 
 
 def test_verdicts_mutually_exclusive_and_pv_iff_table():

@@ -257,6 +257,22 @@ def test_zeta_mc_non_positive_samples_exits_2(capsys, samples):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_rep_build_above_max_dim_exits_2(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    assert main(["rep", "build", "--p", "3", "--q", "0", "--mult", "257", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "1028" in lines[0]
+
+
+@pytest.mark.parametrize("m", ["0", "-4"])
+def test_zeta_gamma_pullback_non_positive_m_exits_2(capsys, m):
+    argv = ["zeta", "gamma", "--formula", "pullback", "--p", "3", "--q", "0", "--m", m, "--s", "0.3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: m must be a positive multiple of 4"]
+
+
 MODULE_ARG_COMMANDS = [
     ["quartic", "coeffs"],
     ["quartic", "eval", "--w", "1,2"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqforms import quartic as Q
+from cqforms.classify import expected_degenerate
 from cqforms.repkit import CliffordRep, rep_build
 from cqforms.rng import integer_points
 from cqforms.spmat import int_det
@@ -86,7 +87,7 @@ DEGENERATE_EXPECTED = [
 def test_degeneracy(pq, mults, expected):
     rep = rep_build(*pq, mults)
     assert Q.expand_coeffs(rep).is_zero == expected
-    assert Q.expected_degenerate(*pq, mults) == expected
+    assert expected_degenerate(*pq, mults) == expected
 
 
 def test_square_detect_examples():

@@ -11,6 +11,7 @@ from cqforms import repkit, spmat
 from cqforms.quartic import eval_quartic, expand_coeffs, quad_form_terms
 from cqforms.repkit import (
     FORMS_BLOCK,
+    MAX_DIM,
     CliffordRep,
     InvalidInputError,
     UnsupportedError,
@@ -128,6 +129,13 @@ def test_rep_build_input_validation():
         rep_build(2, 2, (0,))  # all zero
     with pytest.raises(InvalidInputError):
         rep_build(1, 2, (1, 0))  # p < q
+
+
+def test_rep_build_refuses_a_module_above_max_dim():
+    assert MAX_DIM == 1 << 10
+    assert rep_build(3, 0, (256,)).m == MAX_DIM
+    with pytest.raises(InvalidInputError, match="dimension 1028"):
+        rep_build(3, 0, (257,))
 
 
 def test_verify_relations_passes_on_build():

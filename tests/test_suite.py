@@ -1,6 +1,7 @@
 """The suite driver: input checks, one shared module per case, and rows that
 do not depend on which other checks ran."""
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 import cqforms.quartic
 import cqforms.repkit
 import cqforms.suite
-import cqforms.symlie
 import cqforms.zetafe
 from cqforms.repkit import InvalidInputError, rep_build
 from cqforms.rng import integer_points
@@ -96,14 +96,13 @@ def test_enumerate_cases_bounds_are_keyword_only():
 
 def test_exceptional_module_without_a_stated_g_dimension_fails(monkeypatch):
     # a missing prediction is a failed row, not a pass
-    exceptional = [
-        c for c in enumerate_cases(max_pq=4, max_m=8)
-        if cqforms.symlie.predict(*c).exceptional
-    ]
+    # the package binds the name classify to the function, not the module
+    CL = importlib.import_module("cqforms.classify")
+    exceptional = [c for c in enumerate_cases(max_pq=4, max_m=8) if CL.predict(*c).exceptional]
     assert exceptional
     p, q, mults = exceptional[0]
     assert cqforms.suite.check_symmetry_dims(Case(p, q, mults))[0]
-    monkeypatch.setattr(cqforms.symlie, "exceptional_g_dim", lambda *args: None)
+    monkeypatch.setattr(CL, "exceptional_g_dim", lambda *args: None)
     ok, detail = cqforms.suite.check_symmetry_dims(Case(p, q, mults))
     assert not ok, detail
 

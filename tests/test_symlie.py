@@ -8,6 +8,7 @@ import pytest
 
 from cqforms import spmat
 from cqforms import symlie as SY
+from cqforms.classify import exceptional_g_dim, expected_sharp, predict, pure_over_c
 from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
 from cqforms.rng import integer_points
 from cqforms.spmat import SectorDecomposition
@@ -33,7 +34,7 @@ def test_h_kernel_matches_table(pq, mults, dim, name):
     rep = rep_build(*pq, mults)
     report = SY.h_kernel(rep)
     assert report.dimension == dim
-    pred = SY.predict(*pq, mults)
+    pred = predict(*pq, mults)
     assert pred.h_dim == dim
     assert pred.h_algebra == name
     # exact basis elements satisfy the constraints identically
@@ -82,7 +83,7 @@ def test_h_exact_budget_error():
     assert rep.m == 64
     report = SY.h_kernel(rep)
     assert report.method == "exact"
-    assert report.dimension == SY.predict(10, 1, (2, 0)).h_dim
+    assert report.dimension == predict(10, 1, (2, 0)).h_dim
 
 
 G_CASES = [
@@ -125,7 +126,7 @@ SHARP_CASES = [
 def test_sharp_condition(pq, mults, expected):
     rep = rep_build(*pq, mults)
     assert SY.sharp_check(rep, seed=1) == expected
-    assert SY.expected_sharp(*pq, mults) == expected
+    assert expected_sharp(*pq, mults) == expected
 
 
 def test_sharp_forced_solutions_in_kernel():
@@ -140,41 +141,41 @@ def test_sharp_forced_solutions_in_kernel():
 
 
 def test_predictions_against_structure_table():
-    pred = SY.predict(5, 1, (1, 1, 0, 0))
+    pred = predict(5, 1, (1, 1, 0, 0))
     assert pred.h_algebra == "sp(1,1)+sp(0,0)"
     assert pred.h_dim == 2 * 5  # sp(1,1): K=2 -> K(2K+1) = 10
-    pred = SY.predict(3, 3, (1, 1))
+    pred = predict(3, 3, (1, 1))
     assert pred.h_algebra == "sp(1,R)+sp(1,R)"
     assert pred.h_dim == 6
-    pred = SY.predict(10, 1, (1, 0))
+    pred = predict(10, 1, (1, 0))
     assert pred.exceptional and pred.g_dim_exceptional == 66
     # p + q = 10: degenerate at m = 16, exceptional at m = 32, generic at m = 64
-    assert SY.predict(9, 1, (1, 0, 0, 0)).degenerate
-    pred = SY.predict(9, 1, (2, 0, 0, 0))
+    assert predict(9, 1, (1, 0, 0, 0)).degenerate
+    pred = predict(9, 1, (2, 0, 0, 0))
     assert pred.exceptional and not pred.degenerate and pred.g_dim == 48
-    pred = SY.predict(9, 1, (4, 0, 0, 0))
+    pred = predict(9, 1, (4, 0, 0, 0))
     assert not pred.exceptional and not pred.degenerate
     assert pred.g_dim == 10 * 9 // 2 + pred.h_dim
     # rank 2: a pure module is degenerate, a mixed one generic
-    assert SY.predict(1, 1, (2, 0, 0, 0)).degenerate
-    pred = SY.predict(1, 1, (1, 0, 1, 0))
+    assert predict(1, 1, (2, 0, 0, 0)).degenerate
+    pred = predict(1, 1, (1, 0, 1, 0))
     assert not pred.exceptional and not pred.degenerate
 
 
 def test_pure_over_c():
-    assert SY.pure_over_c(3, 3, (2, 0))
-    assert not SY.pure_over_c(3, 3, (1, 1))
-    assert not SY.pure_over_c(4, 2, (1,))  # complex even part: always mixed
-    assert not SY.pure_over_c(8, 0, (1,))  # both half-spins in one class
-    assert SY.pure_over_c(9, 1, (1, 1, 0, 0))
-    assert not SY.pure_over_c(9, 1, (1, 0, 1, 0))
+    assert pure_over_c(3, 3, (2, 0))
+    assert not pure_over_c(3, 3, (1, 1))
+    assert not pure_over_c(4, 2, (1,))  # complex even part: always mixed
+    assert not pure_over_c(8, 0, (1,))  # both half-spins in one class
+    assert pure_over_c(9, 1, (1, 1, 0, 0))
+    assert not pure_over_c(9, 1, (1, 0, 1, 0))
 
 
 def test_exceptional_g_dim_purity_split():
-    assert SY.exceptional_g_dim(9, 1, (2, 0, 0, 0)) == 48
-    assert SY.exceptional_g_dim(9, 1, (1, 0, 1, 0)) == 46
-    assert SY.exceptional_g_dim(3, 3, (2, 0)) == 30
-    assert SY.exceptional_g_dim(3, 3, (1, 1)) == 22
+    assert exceptional_g_dim(9, 1, (2, 0, 0, 0)) == 48
+    assert exceptional_g_dim(9, 1, (1, 0, 1, 0)) == 46
+    assert exceptional_g_dim(3, 3, (2, 0)) == 30
+    assert exceptional_g_dim(3, 3, (1, 1)) == 22
 
 
 # ---------------------------------------------------------------------------

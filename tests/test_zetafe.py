@@ -1,12 +1,13 @@
 import cmath
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cqforms import zetafe as Z
-from cqforms.quartic import expected_degenerate
+from cqforms.classify import expected_degenerate
 from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
 from cqforms.spmat import int_det, symmetric_signature
@@ -95,6 +96,20 @@ def test_gamma_signatures_match_exact_elimination():
         assert Z.gamma_constants(rep).signatures == want, (p, q, mults)
         checked += len(want)
     assert checked > 100
+
+
+def test_closed_form_off_by_an_eighth_is_a_gamma_mismatch(monkeypatch):
+    rep = rep_build(1, 1, (1, 0, 2, 0))
+    closed = Z._closed_form_gammas
+
+    def shifted(by):
+        return lambda rep, labels: [x + by for x in closed(rep, labels)]
+
+    monkeypatch.setattr(Z, "_closed_form_gammas", shifted(1))  # e(x + 1) = e(x)
+    Z.gamma_constants(rep)
+    monkeypatch.setattr(Z, "_closed_form_gammas", shifted(Fraction(1, 8)))
+    with pytest.raises(AssertionError, match="gamma mismatch on component"):
+        Z.gamma_constants(rep)
 
 
 def test_gamma_constants_reject_degenerate():
