@@ -3,16 +3,18 @@
 Which modules are degenerate and which quartics are squares of quadratic
 forms, the exceptional (p+q, m) pairs, the algebra h and the dimension of g,
 the sharp condition, and whether the quartic is a relative invariant of a
-prehomogeneous vector space (with the matching space when it is one).  Every
-entry is a rule on (p, q, multiplicities), and nothing here builds a module.
-This module is the one home of these tables: ``quartic`` and ``symlie``
-only compute, and the suite compares each computation with the prediction
-made here.
+prehomogeneous vector space (with the matching space when it is one); the
+eighth-root twists of the quartic gamma matrix, and the cases that the
+closed quartic gamma matrices cover.  Every entry is a rule on (p, q,
+multiplicities), and nothing here builds a module.  This module is the one
+home of these tables: ``quartic``, ``symlie`` and ``zetafe`` only compute,
+and the suite compares each computation with the prediction made here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .repkit import InvalidInputError, irrep_catalog, module_dim
 
@@ -188,6 +190,42 @@ def predict(p: int, q: int, mults) -> SymmetryPrediction:
         gexc = exceptional_g_dim(p, q, mults)
         return SymmetryPrediction(name, h_dim, gexc, True, False, gexc)
     return SymmetryPrediction(name, h_dim, n * (n - 1) // 2 + h_dim, False, False, None)
+
+
+def expected_twists(p: int, q: int, mults, labels) -> list[Fraction]:
+    """Multiplicity formulas for the signature constants of the components
+    ``labels`` (of ``zetafe.components``), as exponents x of the twists
+    e(x) = exp(2 pi i x): Fractions, exact mod 1."""
+    m = module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    sign = {"+": 1, "-": -1}
+    if (p, q) == (1, 0):
+        kp = mults[0] * cat.dim  # class 0 is the generator acting by +1
+        return [Fraction(sign[lab] * (kp - (m - kp)), 8) for lab in labels]
+    if (p, q) == (1, 1):
+        k11, k22, k33, k44 = mults  # classes ordered (+,+), (-,-), (+,-), (-,+)
+        return [Fraction(sign[tau] * ((k11 - k22) + sign[eta] * (k33 - k44)), 8) for eta, tau in labels]
+    if q == 1:
+        # kp - km, f_signs being the scalar by which the last generator acts in each class
+        diff = sum(k * f for k, f in zip(mults, cat.f_signs))
+        at = {"+": 0, "-+": 1, "--": -1}
+        return [Fraction(at[lab] * cat.dim * diff, 8) for lab in labels]
+    return [Fraction(0) for _ in labels]
+
+
+def closed_form_refusal(p: int, q: int, m: int) -> str | None:
+    """Why the closed quartic gamma matrices do not cover (p, q, m), or None."""
+    if (p, q) in {(1, 0), (1, 1), (2, 1), (3, 1)}:
+        return f"(p, q) = {(p, q)} excluded; use gamma_pullback"
+    if m < 8 or m % 8:
+        return "closed forms require m >= 8 with 8 | m"
+    return None
+
+
+def gamma_applicable(p: int, q: int, mults) -> bool:
+    """Cases covered by the closed quartic gamma formulas with unit twists."""
+    refusal = closed_form_refusal(p, q, module_dim(p, q, mults))
+    return refusal is None and not expected_degenerate(p, q, mults)
 
 
 @dataclass

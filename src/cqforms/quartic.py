@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .repkit import CliffordRep, InvalidInputError
+from .repkit import CliffordRep, InvalidInputError, require_dim
 from .rng import integer_points
 from .spmat import perm_sign_of, sp_eye, sp_kron
 
@@ -128,7 +128,8 @@ class QuadraticSquareWitness:
     mat: list[list[Fraction]]
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def poly_mul(a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {sorted index tuple: coefficient}."""
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
@@ -270,6 +271,7 @@ def check_32_identity(k: int, seed: int = 2024) -> bool:
     """
     if k < 1:
         raise InvalidInputError("k must be positive")
+    require_dim(8 * k)
     perm, sign = sp_kron(sp_eye(k), perm_sign_of(np.stack(split32_basis())))
     rep = CliffordRep.from_perm_sign(3, 2, (k,), perm, sign)
     jk = np.kron(np.eye(k, dtype=np.int64), _J)

@@ -46,8 +46,9 @@ class UnsupportedError(ValueError):
     pass
 
 
-# rep_build refuses larger modules: 16 times the largest module of the suite,
-# and a dense module file of this size already holds n * 2^20 entries
+# require_dim refuses larger modules in rep_build, rep_from_json and
+# check_32_identity: 16 times the largest module of the suite, and a dense
+# module file of this size already holds n * 2^20 entries
 MAX_DIM = 1 << 10
 
 
@@ -463,14 +464,18 @@ def module_dim(p: int, q: int, mults) -> int:
     return sum(mults) * cat.dim
 
 
+def require_dim(m: int) -> None:
+    """Refuse a module of dimension m above MAX_DIM, before it is allocated."""
+    if m > MAX_DIM:
+        raise InvalidInputError(f"module dimension {m} exceeds the limit {MAX_DIM}")
+
+
 def rep_build(p: int, q: int, mults) -> CliffordRep:
     """Block-diagonal sum of irreducibles with the given multiplicities."""
     if p < q:
         raise InvalidInputError("rep_build requires p >= q; use swap_pq for p < q")
     mults = tuple(int(k) for k in mults)
-    m = module_dim(p, q, mults)
-    if m > MAX_DIM:
-        raise InvalidInputError(f"module dimension {m} exceeds the limit {MAX_DIM}")
+    require_dim(module_dim(p, q, mults))
     blocks = [irrep_basis(p, q, ci) for ci, k in enumerate(mults) for _ in range(k)]
     offsets = np.cumsum([0] + [perm.shape[1] for perm, _ in blocks[:-1]])
     perm = np.concatenate([perm + off for (perm, _), off in zip(blocks, offsets)], axis=1)
@@ -662,12 +667,21 @@ def _json_ints(value, name: str, ndim: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+_MALFORMED = (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError)
+
+
 def rep_from_json(text: str | bytes) -> CliffordRep:
+    """The module of a JSON module file; its declared m is held to MAX_DIM
+    before any basis matrix is converted."""
     try:
         data = json.loads(text)
         p, q, m = (int(_json_ints(data[key], key, 0)) for key in ("p", "q", "m"))
+    except _MALFORMED as exc:
+        raise InvalidInputError(f"malformed module JSON: {exc}") from exc
+    require_dim(m)
+    try:
         mults = tuple(int(k) for k in _json_ints(data["mults"], "mults", 1))
         basis = tuple(_json_ints(b, "every basis matrix", 2) for b in data["basis"])
         return CliffordRep(p, q, mults, basis, m)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc

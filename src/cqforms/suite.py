@@ -11,16 +11,22 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from . import quartic as Q
 from . import symlie as SY
 from . import zetafe as Z
 from .classify import classify as classify_verdict
-from .classify import expected_degenerate, expected_sharp, predict, table1_lookup
-from .repkit import InvalidInputError, irrep_catalog, module_dim, rep_build, spin_equivariance_check
+from .classify import (
+    expected_degenerate,
+    expected_sharp,
+    expected_twists,
+    gamma_applicable,
+    predict,
+    table1_lookup,
+)
+from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
 from .rng import complex_s_samples, integer_points
 from .spmat import signed_permutation_matrix, sp_mul
 
@@ -108,7 +114,7 @@ def check_square(case) -> tuple[bool, str]:
         return False, f"witness={'yes' if witness else 'no'} expected={expected}"
     if witness is not None:
         pairs = Q.quad_form_terms(witness.mat)
-        want = {k: witness.c * v for k, v in Q._poly_mul(pairs, pairs).items()}
+        want = {k: witness.c * v for k, v in Q.poly_mul(pairs, pairs).items()}
         if want != dict(case.form.coeffs):
             return False, "witness square does not reproduce the quartic"
     return True, ""
@@ -142,23 +148,9 @@ def check_sharp(case) -> tuple[bool, str]:
     return got == want, f"computed={got} expected={want}"
 
 
-def gamma_applicable(p, q, mults) -> bool:
-    """Cases covered by the closed quartic gamma formulas with unit twists."""
-    refusal = Z._closed_form_refusal(p, q, module_dim(p, q, mults))
-    return refusal is None and not expected_degenerate(p, q, mults)
-
-
 def check_gamma_consistency(case) -> tuple[bool, str]:
     p, q, m = case.p, case.q, case.rep.m
-    consts = case.consts
-    if any((plus - minus) % 8 for plus, minus in consts.signatures):
-        return True, "twists not all 1, closed form not applicable"
-    worst = 0.0
-    for s in complex_s_samples(case.seed + 53, 20):
-        gq = Z.gamma_quartic(p, q, m, s)
-        gp = Z.gamma_pullback(consts, s)
-        scale = np.max(np.abs(gq.values))
-        worst = max(worst, float(np.max(np.abs(gq.values - gp.values)) / scale))
+    worst = max(Z.pullback_error(case.consts, s) for s in complex_s_samples(case.seed + 53, 20))
     if worst >= 1e-10:
         return False, f"pullback vs closed relative error {worst:.2e}"
     inv_bad = [
@@ -174,7 +166,12 @@ def check_gamma_consistency(case) -> tuple[bool, str]:
 def check_constants(case) -> tuple[bool, str]:
     if expected_degenerate(case.p, case.q, case.mults):
         return True, "degenerate, skipped"
-    case.consts  # raises on closed-form mismatch
+    consts = case.consts
+    want = expected_twists(case.p, case.q, case.mults, consts.labels)
+    for label, (plus, minus), x in zip(consts.labels, consts.signatures, want):
+        got = Fraction(plus - minus, 8)
+        if (got - x) % 1:
+            return False, f"gamma mismatch on component {label}: e({got}) vs e({x})"
     if not Z.det_sv_identity_check(case.rep, seed=case.seed + 71):
         return False, "det S(v) identity failed"
     return True, ""

@@ -29,7 +29,7 @@ from . import spmat
 from .quartic import quartic_values
 from .repkit import CliffordRep, require_relations
 from .rng import integer_points
-from .spmat import SectorDecomposition
+from .spmat import SectorDecomposition, sp_kron
 
 
 class UnstableDimensionError(RuntimeError):
@@ -57,11 +57,12 @@ class KernelReport:
 
 
 def _h_generators(rep: CliffordRep):
-    """X -> -S_i X^T S_i as signed permutations of matrix-entry indices."""
-    a_idx, b_idx = np.divmod(np.arange(rep.m * rep.m), rep.m)
-    perms = rep.perm[:, b_idx] * rep.m + rep.perm[:, a_idx]
-    signs = -rep.sign[:, a_idx] * rep.sign[:, b_idx]
-    return perms, signs
+    """X -> -S_i X^T S_i as signed permutations of matrix-entry indices: the
+    family of ``_g_generators`` read through the transpose of the entry
+    index, and negated."""
+    perms, signs = _g_generators(rep)
+    t = np.arange(rep.m * rep.m).reshape(rep.m, rep.m).T.ravel()
+    return perms[:, t], -signs[:, t]
 
 
 def h_kernel(rep: CliffordRep) -> KernelReport:
@@ -95,11 +96,9 @@ def h_kernel(rep: CliffordRep) -> KernelReport:
 
 
 def _g_generators(rep: CliffordRep):
-    """X -> S_j X S_j as signed permutations of matrix-entry indices."""
-    a_idx, b_idx = np.divmod(np.arange(rep.m * rep.m), rep.m)
-    perms = rep.perm[:, a_idx] * rep.m + rep.perm[:, b_idx]
-    signs = rep.sign[:, a_idx] * rep.sign[:, b_idx]
-    return perms, signs
+    """X -> S_j X S_j as signed permutations of matrix-entry indices: the
+    Kronecker square of each generator, entry (a, b) at index a m + b."""
+    return sp_kron((rep.perm, rep.sign), (rep.perm, rep.sign))
 
 
 def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from cqforms.classify import (
     exceptional_g_dim,
     expected_degenerate,
     expected_sharp,
+    expected_twists,
+    gamma_applicable,
     h_algebra,
     is_pure,
     predict,
@@ -18,6 +20,8 @@ from cqforms.classify import (
     table1_lookup,
 )
 from cqforms.repkit import InvalidInputError, irrep_catalog
+from cqforms.suite import enumerate_cases
+from cqforms.zetafe import components
 
 # the prediction tables, each stated in classify and nowhere else
 TABLE_NAMES = [
@@ -33,6 +37,9 @@ TABLE_NAMES = [
     "exceptional_g_dim",
     "SymmetryPrediction",
     "predict",
+    "expected_twists",
+    "closed_form_refusal",
+    "gamma_applicable",
 ]
 
 
@@ -96,7 +103,8 @@ def test_invalid_mults():
 @pytest.mark.parametrize(
     "fn",
     [table1_lookup, expected_sharp, expected_degenerate, is_pure, pure_over_c, h_algebra,
-     exceptional_g_dim, predict, classify],
+     exceptional_g_dim, predict, classify, gamma_applicable,
+     pytest.param(lambda p, q, mults: expected_twists(p, q, mults, ["+"]), id="expected_twists")],
 )
 @pytest.mark.parametrize(
     "p,q,mults",
@@ -128,6 +136,46 @@ def test_every_table_lives_in_classify():
     from_quartic = {name for mod, name in _package_imports("cqforms.symlie") if mod == "quartic"}
     assert from_quartic == {"quartic_values"}
     assert cqforms.predict is CL.predict and cqforms.SymmetryPrediction is CL.SymmetryPrediction
+    # zetafe and suite hold no table of their own, only names imported from classify
+    moved = {"_closed_form_gammas", "_closed_form_refusal", "_EXCLUDED_QUARTIC"}
+    for name in ("zetafe", "suite"):
+        module = vars(importlib.import_module(f"cqforms.{name}"))
+        assert not moved & set(module), name
+        assert all(module[t] is getattr(CL, t) for t in TABLE_NAMES if t in module), name
+
+
+def test_no_module_reads_a_private_name_of_another():
+    src = Path(importlib.import_module("cqforms.classify").__file__).parent
+    names = {path.stem for path in src.glob("*.py")}
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # names bound to a sibling module: from . import x [as y], import cqforms.x as y
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.level and node.module is None) or node.module == "cqforms":
+                    modules |= {a.asname or a.name for a in node.names if a.name in names}
+                elif node.level or (node.module or "").startswith("cqforms."):
+                    found += [f"{path.stem} imports {a.name}" for a in node.names if private(a.name)]
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname for a in node.names if a.name.startswith("cqforms.") and a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    found.append(f"{path.stem} reads {node.value.id}.{node.attr}")
+    assert len(names) > 8 and not found, found
+
+
+def test_gamma_applicable_means_unit_twists():
+    applicable = 0
+    for p, q, mults in enumerate_cases(max_pq=12, max_m=64):
+        if gamma_applicable(p, q, mults):
+            applicable += 1
+            labels = [label for label, _ in components(p, q)]
+            assert all(x % 1 == 0 for x in expected_twists(p, q, mults, labels)), (p, q, mults)
+    assert applicable == 139
 
 
 def test_verdicts_mutually_exclusive_and_pv_iff_table():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import cqforms.repkit
@@ -257,13 +258,33 @@ def test_zeta_mc_non_positive_samples_exits_2(capsys, samples):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _one_error_line(capsys, *needles):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(needle in lines[0] for needle in needles), lines[0]
+
+
 def test_rep_build_above_max_dim_exits_2(tmp_path, capsys):
     out = tmp_path / "big.json"
     assert main(["rep", "build", "--p", "3", "--q", "0", "--mult", "257", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "1028" in lines[0]
+    _one_error_line(capsys, "1028")
+    assert not out.exists()
+
+
+def test_rep_verify_above_max_dim_exits_2(tmp_path, capsys):
+    # a well-formed module file whose declared m is over the limit: refused
+    # before its basis is converted, though its relations would hold
+    path = tmp_path / "big.json"
+    eye = np.eye(1025, dtype=np.int64).tolist()
+    path.write_text(json.dumps({"p": 1, "q": 0, "mults": [1025, 0], "m": 1025, "basis": [eye]}))
+    assert main(["rep", "verify", str(path)]) == 2
+    _one_error_line(capsys, "1025", "1024")
+
+
+def test_check_32_above_max_dim_exits_2(capsys):
+    assert main(["quartic", "check-32", "--k", "129"]) == 2  # m = 8k = 1032
+    _one_error_line(capsys, "1032", "1024")
 
 
 @pytest.mark.parametrize("m", ["0", "-4"])

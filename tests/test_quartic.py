@@ -128,7 +128,7 @@ def _greedy_square_root(form):
     scaled = {key: v / c for key, v in target.items()}
     q = {lead_pair: Fraction(1)}
     for _ in range(form.rep.m * (form.rep.m + 1) // 2 + 1):
-        qq = Q._poly_mul(q, q)
+        qq = Q.poly_mul(q, q)
         diff = {key: scaled.get(key, 0) - qq.get(key, 0) for key in set(scaled) | set(qq)}
         diff = {key: v for key, v in diff.items() if v}
         if not diff:

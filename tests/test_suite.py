@@ -1,8 +1,10 @@
 """The suite driver: input checks, one shared module per case, and rows that
 do not depend on which other checks ran."""
 
+import dataclasses
 import importlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,9 +12,10 @@ import cqforms.quartic
 import cqforms.repkit
 import cqforms.suite
 import cqforms.zetafe
+from cqforms.classify import gamma_applicable
 from cqforms.repkit import InvalidInputError, rep_build
 from cqforms.rng import integer_points
-from cqforms.suite import CHECKS, Case, enumerate_cases, gamma_applicable, run_suite
+from cqforms.suite import CHECKS, Case, enumerate_cases, run_suite
 
 
 def _key(rep):
@@ -118,3 +121,38 @@ def test_gamma_applicable_is_where_the_closed_forms_hold():
         probes = cqforms.quartic.quartic_values(rep, integer_points(0, 4, rep.m))
         nondegenerate = bool(probes.any()) or not cqforms.quartic.expand_coeffs(rep).is_zero
         assert gamma_applicable(p, q, mults) == (covered and nondegenerate), (p, q, mults)
+
+
+def test_closed_form_off_by_an_eighth_is_a_gamma_mismatch(monkeypatch):
+    case = Case(1, 1, (1, 0, 1, 0))  # twists e(1/4), e(-1/4), 1, 1
+    closed = cqforms.suite.expected_twists
+
+    def shifted(by):
+        return lambda *args: [x + by for x in closed(*args)]
+
+    monkeypatch.setattr(cqforms.suite, "expected_twists", shifted(1))  # e(x + 1) = e(x)
+    assert cqforms.suite.check_constants(case) == (True, "")
+    monkeypatch.setattr(cqforms.suite, "expected_twists", shifted(Fraction(1, 8)))
+    ok, detail = cqforms.suite.check_constants(case)
+    assert not ok and detail.startswith("gamma mismatch on component"), detail
+
+
+def test_a_twist_other_than_1_fails_the_gamma_row(monkeypatch):
+    # (4,0)x1 is covered by the closed forms with unit twists; a computed
+    # plus - minus = 2 on its one component must fail the gamma row, not
+    # mark it inapplicable
+    constants = cqforms.zetafe.gamma_constants
+
+    def twisted(rep):
+        consts = constants(rep)
+        assert consts.labels == ["+"] and rep.m == 8
+        return dataclasses.replace(
+            consts, signatures=[(5, 3)], gammas=[cqforms.zetafe.eof(Fraction(2, 8))]
+        )
+
+    monkeypatch.setattr(cqforms.zetafe, "gamma_constants", twisted)
+    assert gamma_applicable(4, 0, (1,))
+    ok, detail = CHECKS["gamma"](Case(4, 0, (1,)))
+    assert not ok and detail.startswith("pullback vs closed relative error"), detail
+    ok, detail = CHECKS["constants"](Case(4, 0, (1,)))
+    assert not ok and detail.startswith("gamma mismatch on component +"), detail

@@ -269,6 +269,25 @@ def _sharp_sectors(rep):
 SMALL_CASES = enumerate_cases(max_pq=6, max_m=16)
 
 
+def _entry_families(rep):
+    """The g and h generator families built entry by entry: X -> S_j X S_j
+    and X -> -S_j X^T S_j on the index a m + b of X_ab."""
+    a, b = np.divmod(np.arange(rep.m * rep.m), rep.m)
+    g = rep.perm[:, a] * rep.m + rep.perm[:, b], rep.sign[:, a] * rep.sign[:, b]
+    h = rep.perm[:, b] * rep.m + rep.perm[:, a], -rep.sign[:, a] * rep.sign[:, b]
+    return g, h
+
+
+def test_generator_families_match_the_entry_by_entry_oracle():
+    cases = enumerate_cases(max_pq=12, max_m=64, max_total_mult=3)
+    assert len(cases) == 329
+    for p, q, mults in cases:
+        rep = rep_build(p, q, mults)
+        for got, want in zip((SY._g_generators(rep), SY._h_generators(rep)), _entry_families(rep)):
+            for x, y in zip(got, want):
+                assert x.dtype == np.int64 and np.array_equal(x, y), (p, q, mults)
+
+
 def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
     rows = []
     sector_nullity = SY._sector_nullity

@@ -1,7 +1,6 @@
 import cmath
 import math
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from cqforms import zetafe as Z
 from cqforms.classify import expected_degenerate
 from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
-from cqforms.spmat import int_det, symmetric_signature
+from cqforms.spmat import SectorDecomposition, int_det, symmetric_signature
 from cqforms.suite import enumerate_cases
 
 
@@ -98,20 +97,6 @@ def test_gamma_signatures_match_exact_elimination():
     assert checked > 100
 
 
-def test_closed_form_off_by_an_eighth_is_a_gamma_mismatch(monkeypatch):
-    rep = rep_build(1, 1, (1, 0, 2, 0))
-    closed = Z._closed_form_gammas
-
-    def shifted(by):
-        return lambda rep, labels: [x + by for x in closed(rep, labels)]
-
-    monkeypatch.setattr(Z, "_closed_form_gammas", shifted(1))  # e(x + 1) = e(x)
-    Z.gamma_constants(rep)
-    monkeypatch.setattr(Z, "_closed_form_gammas", shifted(Fraction(1, 8)))
-    with pytest.raises(AssertionError, match="gamma mismatch on component"):
-        Z.gamma_constants(rep)
-
-
 def test_gamma_constants_reject_degenerate():
     with pytest.raises(Z.InvalidInputError):
         Z.gamma_constants(rep_build(2, 2, (1,)))
@@ -153,6 +138,24 @@ def test_det_blocks_multiply_to_the_full_determinant(monkeypatch):
         for k, v in enumerate(points):
             sv = sum(int(c) * s for c, s in zip(v, rep.basis))
             assert math.prod(dets[k * blocks : (k + 1) * blocks]) == int_det(sv.tolist()), args
+
+
+def _fixed_point_orbits(rep):
+    """Joint orbits of the permutations ``rep.perm`` by a fix-point loop:
+    the least index of each orbit, spread along the permutations."""
+    base, prev = np.arange(rep.m), None
+    while not np.array_equal(base, prev):
+        base, prev = np.minimum(base, base[rep.perm].min(axis=0)), base
+    return [np.flatnonzero(base == b).tolist() for b in np.unique(base).tolist()]
+
+
+def test_det_blocks_are_the_joint_orbits_of_the_fix_point_oracle():
+    cases = enumerate_cases(max_pq=12, max_m=64, max_total_mult=3)
+    assert len(cases) == 329
+    for p, q, mults in cases:
+        rep = rep_build(p, q, mults)
+        got = [o.tolist() for o in SectorDecomposition(rep.perm, rep.sign).orbits]
+        assert got == _fixed_point_orbits(rep), (p, q, mults)
 
 
 # ------------------------------------------------------------- gamma matrices
