@@ -213,6 +213,17 @@ def expected_twists(p: int, q: int, mults, labels) -> list[Fraction]:
     return [Fraction(0) for _ in labels]
 
 
+def expected_det_square(p: int, q: int, mults) -> bool:
+    """Does det S(v)^2 = P(v)^m hold (with det S(v) = +- P(v)^{m/2} for even
+    m)?  Yes, except on (1, 1) modules with unequal halfspin multiplicities
+    ke != ko, where det S(v) = +-(v1 + v2)^ke (v1 - v2)^ko."""
+    module_dim(p, q, mults)
+    if {p, q} != {1, 1}:
+        return True
+    ke, ko = _halfspin_mults(p, q, mults)
+    return ke == ko
+
+
 def closed_form_refusal(p: int, q: int, m: int) -> str | None:
     """Why the closed quartic gamma matrices do not cover (p, q, m), or None."""
     if (p, q) in {(1, 0), (1, 1), (2, 1), (3, 1)}:

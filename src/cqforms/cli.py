@@ -64,36 +64,28 @@ def _parse_complex(text: str) -> complex:
         raise InvalidInputError(f"cannot parse complex number {text!r}") from exc
 
 
-def _jsonable(x):
+def _json_default(x):
+    """The JSON value of a complex, Fraction, ndarray or numpy scalar;
+    ``json.dumps`` calls this only for the types it does not know."""
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, args) -> None:
     doc = {"schema": SCHEMA}
-    doc.update(_jsonable(payload))
+    doc.update(payload)
     doc["config"] = {
         "argv": args._argv,
         "seed": getattr(args, "seed", None),
     }
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, default=_json_default)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

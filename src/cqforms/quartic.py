@@ -273,7 +273,7 @@ def check_32_identity(k: int, seed: int = 2024) -> bool:
         raise InvalidInputError("k must be positive")
     require_dim(8 * k)
     perm, sign = sp_kron(sp_eye(k), perm_sign_of(np.stack(split32_basis())))
-    rep = CliffordRep.from_perm_sign(3, 2, (k,), perm, sign)
+    rep = CliffordRep(3, 2, (k,), perm, sign)
     jk = np.kron(np.eye(k, dtype=np.int64), _J)
     j2 = np.kron(_I2, _J)
     zero = np.zeros((rep.m, 1), dtype=np.int64)

@@ -312,10 +312,12 @@ FORMS_BLOCK = 1 << 15
 class CliffordRep:
     """A C_p (x) C_q module with symmetric signed-permutation basis matrices.
 
-    Only the ``perm`` and ``sign`` arrays of shape (n, m) are stored, by
-    ``from_perm_sign``: S_i e_a = sign[i, a] e_{perm[i, a]}.  The constructor
-    takes the p + q dense m x m basis matrices instead; ``basis`` builds them
-    on each call.  Relations are not checked here; ``relations`` holds their report.
+    The one constructor stores only the ``perm`` and ``sign`` arrays of shape
+    (n, m): S_i e_a = sign[i, a] e_{perm[i, a]}.  It refuses a row of
+    ``perm`` that is not a permutation of range(m) and a sign other than +-1;
+    the arrays are copied and made read-only.  ``basis`` builds the dense
+    matrices on each call.  Relations are not checked here; ``relations``
+    holds their report.
     """
 
     p: int
@@ -325,22 +327,7 @@ class CliffordRep:
     perm: np.ndarray = field(repr=False)
     sign: np.ndarray = field(repr=False)
 
-    def __init__(self, p: int, q: int, mults: tuple[int, ...], basis, m: int):
-        try:
-            if any(np.shape(s) != (m, m) for s in basis):
-                raise ValueError
-            perm, sign = perm_sign_of(np.reshape(basis, (len(basis), m, m)))
-        except ValueError:
-            raise InvalidInputError(
-                f"every basis matrix must be an {m} x {m} signed permutation"
-            ) from None
-        self.__dict__.update(CliffordRep.from_perm_sign(p, q, mults, perm, sign).__dict__)
-
-    @classmethod
-    def from_perm_sign(cls, p: int, q: int, mults: tuple[int, ...], perm, sign) -> CliffordRep:
-        """The module with S_i e_a = sign[i, a] e_{perm[i, a]}, from (n, m)
-        arrays whose every row of ``perm`` is a permutation of range(m) and
-        whose every sign is +-1; the arrays are copied and made read-only."""
+    def __init__(self, p: int, q: int, mults: tuple[int, ...], perm, sign):
         perm, sign = np.array(perm, dtype=np.int64), np.array(sign, dtype=np.int64)
         if perm.ndim != 2 or perm.shape != sign.shape:
             raise InvalidInputError("perm and sign must be (p + q, m) arrays of one shape")
@@ -351,10 +338,8 @@ class CliffordRep:
             raise InvalidInputError("every basis matrix must be a signed permutation")
         perm.setflags(write=False)
         sign.setflags(write=False)
-        out = object.__new__(cls)
         # straight into the instance dict: the frozen __setattr__ refuses assignment
-        out.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
-        return out
+        self.__dict__.update(p=p, q=q, mults=mults, m=m, perm=perm, sign=sign)
 
     @cached_property
     def relations(self) -> RelationReport:
@@ -480,7 +465,7 @@ def rep_build(p: int, q: int, mults) -> CliffordRep:
     offsets = np.cumsum([0] + [perm.shape[1] for perm, _ in blocks[:-1]])
     perm = np.concatenate([perm + off for (perm, _), off in zip(blocks, offsets)], axis=1)
     sign = np.concatenate([sign for _, sign in blocks], axis=1)
-    return CliffordRep.from_perm_sign(p, q, mults, perm, sign)
+    return CliffordRep(p, q, mults, perm, sign)
 
 
 def swap_pq(rep: CliffordRep) -> CliffordRep:
@@ -489,7 +474,7 @@ def swap_pq(rep: CliffordRep) -> CliffordRep:
     The quartic form of the swapped module is the negative of the original.
     """
     perm, sign = (np.roll(a, -rep.p, axis=0) for a in (rep.perm, rep.sign))
-    return CliffordRep.from_perm_sign(rep.q, rep.p, rep.mults, perm, sign)
+    return CliffordRep(rep.q, rep.p, rep.mults, perm, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -604,39 +589,44 @@ def spin_equivariance_check(rep: CliffordRep) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _conjugate(g, perm, sign) -> tuple[np.ndarray, np.ndarray]:
+    """g S g^-1 for every S of the (k, m) stack (perm, sign), with g one
+    (perm, sign) pair: g^-1 e_b = gsign[a] e_a for b = gperm[a]."""
+    inv = np.argsort(g[0])
+    return sp_mul(sp_mul(g, (perm, sign)), (inv, g[1][inv]))
+
+
 def canonicalize(rep: CliffordRep):
     """Conjugate by a signed permutation into split block form.
 
-    Returns (canonical rep, [A_1..A_q], [B_2..B_p]).  Exactness is preserved
-    because S_1 is kept diagonal by construction, so sorting eigenvalues and
-    absorbing B_2 are both signed permutation conjugations.
+    Returns (canonical rep, [A_1..A_q], [B_2..B_p]).  S_1 is kept diagonal
+    by construction, so sorting its eigenvalues (U) and absorbing B_2
+    (V = diag(1, B_2)) are both signed-permutation conjugations of the
+    (perm, sign) stack; only the returned d x d blocks are dense.
     """
     if rep.p < 2:
         raise UnsupportedError("canonical form needs p >= 2")
-    s1 = rep.basis[0]
-    if np.any(s1 != np.diag(np.diag(s1))):
+    if np.any(rep.perm[0] != np.arange(rep.m)):
         raise UnsupportedError("S_1 must be diagonal (rep_build output is)")
-    m = rep.m
-    d = m // 2
-    order = np.argsort(-np.diag(s1), kind="stable")
-    u = np.zeros((m, m), dtype=np.int64)
-    u[np.arange(m), order] = 1
-    basis = [u @ s @ u.T for s in rep.basis]
-    assert np.array_equal(np.diag(basis[0]), np.concatenate([np.ones(d), -np.ones(d)]))
-    b2 = basis[1][:d, d:]
-    v = np.zeros((m, m), dtype=np.int64)
-    v[:d, :d] = np.eye(d, dtype=np.int64)
-    v[d:, d:] = b2
-    basis = [v @ s @ v.T for s in basis]
-    a_list = [basis[rep.p + j][:d, :d].copy() for j in range(rep.q)]
-    b_list = [basis[i][:d, d:].copy() for i in range(1, rep.p)]
-    out = CliffordRep(rep.p, rep.q, rep.mults, tuple(basis), m)
-    # structural post-conditions from the commutation relations
-    assert np.array_equal(b_list[0], np.eye(d, dtype=np.int64))
-    for b in b_list[1:]:
-        assert np.array_equal(b.T, -b) and np.array_equal(b @ b.T, np.eye(d, dtype=np.int64))
-    for j, a in enumerate(a_list):
-        assert np.array_equal(out.basis[rep.p + j][d:, d:], a)
+    p, m, d = rep.p, rep.m, rep.m // 2
+    # U e_order[a] = e_a puts the +1 entries of S_1 first
+    order = np.argsort(-rep.sign[0], kind="stable")
+    perm, sign = _conjugate((np.argsort(order), np.ones(m, dtype=np.int64)), rep.perm, rep.sign)
+    assert np.array_equal(sign[0], np.repeat([1, -1], d)) and np.all(perm[1:p, d:] < d)
+    # V = diag(1, B_2): V e_(d+c) = B_2 e_c, read off column d + c of S_2
+    ones = np.ones(d, dtype=np.int64)
+    v = np.concatenate([np.arange(d), d + perm[1, d:]]), np.concatenate([ones, sign[1, d:]])
+    perm, sign = _conjugate(v, perm, sign)
+    out = CliffordRep(p, rep.q, rep.mults, perm, sign)
+    # structural post-conditions from the commutation relations: B_2 = I,
+    # B_i skew (B_i^2 = -1 for a signed permutation), A_j in both diagonal blocks
+    assert np.array_equal(perm[1, d:], np.arange(d)) and np.all(sign[1, d:] == 1)
+    b = perm[2:p, d:], sign[2:p, d:]
+    b_square = sp_mul(b, b)
+    assert np.all(b_square[0] == np.arange(d)) and np.all(b_square[1] == -1)
+    assert np.array_equal(perm[p:, d:], perm[p:, :d] + d) and np.array_equal(sign[p:, d:], sign[p:, :d])
+    a_list = list(signed_permutation_matrix(perm[p:, :d], sign[p:, :d]))
+    b_list = list(signed_permutation_matrix(perm[1:p, d:], sign[1:p, d:]))
     return out, a_list, b_list
 
 
@@ -681,7 +671,13 @@ def rep_from_json(text: str | bytes) -> CliffordRep:
     require_dim(m)
     try:
         mults = tuple(int(k) for k in _json_ints(data["mults"], "mults", 1))
-        basis = tuple(_json_ints(b, "every basis matrix", 2) for b in data["basis"])
-        return CliffordRep(p, q, mults, basis, m)
+        basis = [_json_ints(b, "every basis matrix", 2) for b in data["basis"]]
+        try:
+            if any(b.shape != (m, m) for b in basis):
+                raise ValueError
+            perm, sign = perm_sign_of(np.reshape(basis, (len(basis), m, m)))
+        except ValueError:
+            raise InvalidInputError(f"every basis matrix must be an {m} x {m} signed permutation") from None
+        return CliffordRep(p, q, mults, perm, sign)
     except _MALFORMED as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc

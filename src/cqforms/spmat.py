@@ -95,25 +95,6 @@ def signed_permutation_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return out
 
 
-def sp_det(perm: np.ndarray, sign: np.ndarray) -> int:
-    """Determinant of the signed permutation S e_a = sign[a] e_perm[a] (always +1 or -1)."""
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    parity = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity * int(np.prod(sign))
-
-
 def int_det(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     a = [[int(x) for x in row] for row in mat]

@@ -20,6 +20,7 @@ from . import zetafe as Z
 from .classify import classify as classify_verdict
 from .classify import (
     expected_degenerate,
+    expected_det_square,
     expected_sharp,
     expected_twists,
     gamma_applicable,
@@ -172,7 +173,8 @@ def check_constants(case) -> tuple[bool, str]:
         got = Fraction(plus - minus, 8)
         if (got - x) % 1:
             return False, f"gamma mismatch on component {label}: e({got}) vs e({x})"
-    if not Z.det_sv_identity_check(case.rep, seed=case.seed + 71):
+    holds = Z.det_sv_identity_check(case.rep, seed=case.seed + 71)
+    if holds != expected_det_square(case.p, case.q, case.mults):
         return False, "det S(v) identity failed"
     return True, ""
 

@@ -45,7 +45,7 @@ G_CONTAINS_SEED = 11
 @dataclass
 class KernelReport:
     dimension: int
-    basis: list[np.ndarray] | None  # None means dimension-only (g)
+    basis: list[tuple[np.ndarray, np.ndarray]] | None  # (idxs, signs) orbit vectors; None for g
     method: str
     residual: float
     per_sector: dict[int, int] | None = None  # nullity by character bitmask (g only)
@@ -69,24 +69,32 @@ def h_kernel(rep: CliffordRep) -> KernelReport:
     """Common solution space of the n orthogonality constraints.
 
     The constraints are decomposed into signed orbits of matrix entries; the
-    basis consists of {-1, 0, 1} matrices and satisfies the constraints
-    identically.
+    basis is one {-1, 1} orbit vector ``(idxs, signs)`` per fixed orbit, over
+    the flat entry index a m + b, and satisfies the constraints identically.
     """
     require_relations(rep)
     m = rep.m
-    dec = SectorDecomposition(*_h_generators(rep))
-    # exactness guarantee, for all i at once: row r of S_i X is
-    # sign[i, inv[i, r]] X[inv[i, r]] and column c of X^T S_i is sign[i, c] X[perm[i, c]]
-    inv = np.argsort(rep.perm, axis=1)
-    sign_inv = np.take_along_axis(rep.sign, inv, 1)[:, :, None]
-    basis = []
-    for idxs, signs in dec.fixed_space():
-        x = np.zeros(m * m, dtype=np.int64)
-        x[idxs] = signs
-        x = x.reshape(m, m)
-        if np.any(sign_inv * x[inv] + (rep.sign[:, :, None] * x[rep.perm]).transpose(0, 2, 1)):
+    basis = SectorDecomposition(*_h_generators(rep)).fixed_space()
+    # exactness guarantee for every vector at once: all of them written into
+    # one X, each entry labelled with its vector's number
+    empty = [np.zeros(0, dtype=np.int64)]
+    idxs = np.concatenate(empty + [i for i, _ in basis])
+    x, label = np.zeros(m * m, dtype=np.int64), np.full(m * m, -1)
+    x[idxs] = np.concatenate(empty + [s for _, s in basis])
+    label[idxs] = np.repeat(np.arange(len(basis)), [len(i) for i, _ in basis])
+    if np.count_nonzero(label >= 0) != len(idxs):
+        raise AssertionError("h basis vectors overlap")
+    x, label = x.reshape(m, m), label.reshape(m, m)
+    # row r of S_i X is sign[inv[r]] X[inv[r]] and column c of X^T S_i is
+    # sign[c] X[perm[c]]: entry (r, c) of their sum joins two entries of X,
+    # and every vector passes on its own exactly when each sum vanishes and
+    # the two entries of each pair carry one label
+    for perm, sign in zip(rep.perm, rep.sign):
+        inv = np.argsort(perm)
+        if np.any(sign[inv, None] * x[inv] + (sign[:, None] * x[perm]).T) or np.any(
+            label[inv] != label[perm].T
+        ):
             raise AssertionError("h basis element violates X^T S_i + S_i X = 0")
-        basis.append(x)
     return KernelReport(len(basis), basis, "exact", 0.0)
 
 

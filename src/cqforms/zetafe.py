@@ -31,7 +31,7 @@ from .classify import closed_form_refusal
 from .quartic import expand_coeffs, quartic_values
 from .repkit import CliffordRep, InvalidInputError
 from .rng import MC_CHUNK, integer_points, stream
-from .spmat import SectorDecomposition, int_det, sp_det
+from .spmat import SectorDecomposition, int_det
 
 
 class PoleError(ValueError):
@@ -165,7 +165,8 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
         labels.append(label)
         sigs.append((plus, minus))
         gammas.append(eof(Fraction(plus - minus, 8)))
-    alpha = sp_det(rep.perm[0], rep.sign[0])
+    # det S_1 of the symmetric involution S_1: the first component is at e_1
+    alpha = (-1) ** sigs[0][1]
     beta = (-1) ** (rep.q + 1)
     return SignatureConstants(labels, sigs, gammas, alpha, beta, rep.p, rep.q, rep.m)
 

@@ -10,6 +10,7 @@ from cqforms.classify import (
     classify,
     exceptional_g_dim,
     expected_degenerate,
+    expected_det_square,
     expected_sharp,
     expected_twists,
     gamma_applicable,
@@ -40,6 +41,7 @@ TABLE_NAMES = [
     "expected_twists",
     "closed_form_refusal",
     "gamma_applicable",
+    "expected_det_square",
 ]
 
 
@@ -103,7 +105,7 @@ def test_invalid_mults():
 @pytest.mark.parametrize(
     "fn",
     [table1_lookup, expected_sharp, expected_degenerate, is_pure, pure_over_c, h_algebra,
-     exceptional_g_dim, predict, classify, gamma_applicable,
+     exceptional_g_dim, predict, classify, gamma_applicable, expected_det_square,
      pytest.param(lambda p, q, mults: expected_twists(p, q, mults, ["+"]), id="expected_twists")],
 )
 @pytest.mark.parametrize(

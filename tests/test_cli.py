@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,17 @@ from cqforms import cli
 from cqforms.cli import build_parser, main
 from cqforms.repkit import rep_build
 from cqforms.zetafe import zeta_quartic_mc
+
+
+def test_json_default_covers_numpy_and_exact_values():
+    values = [np.int64(3), np.bool_(True), np.float32(0.5), np.arange(2), 1 + 2j, Fraction(1, 3),
+              np.complex64(1j), np.array([0.5 + 1j])]
+    assert json.loads(json.dumps(values, default=cli._json_default)) == [
+        3, True, 0.5, [0, 1], {"re": 1.0, "im": 2.0}, "1/3", {"re": 0.0, "im": 1.0},
+        [{"re": 0.5, "im": 1.0}],
+    ]
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"x": {1}}, default=cli._json_default)
 
 
 def run(capsys, *argv):

@@ -9,8 +9,13 @@ from cqforms import quartic as Q
 from cqforms.classify import expected_degenerate
 from cqforms.repkit import CliffordRep, rep_build
 from cqforms.rng import integer_points
-from cqforms.spmat import int_det
+from cqforms.spmat import int_det, perm_sign_of
 from cqforms.suite import enumerate_cases
+
+
+def _dense_rep(p, q, mults, basis):
+    """The module with the dense basis matrices ``basis``, through perm_sign_of."""
+    return CliffordRep(p, q, mults, *perm_sign_of(np.stack(basis)))
 
 
 def _object_column(w):
@@ -183,7 +188,7 @@ def test_homaloidal_fails_with_a_negated_column(p, q, mults):
     basis = list(rep.basis)
     basis[1] = basis[1].copy()
     basis[1][:, 0] *= -1  # S_2 with its first column negated
-    bad = CliffordRep(p, q, mults, tuple(basis), rep.m)
+    bad = _dense_rep(p, q, mults, basis)
     assert not Q.homaloidal_check(bad, trials=20, seed=7)
 
 

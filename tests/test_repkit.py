@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,11 @@ from cqforms.spmat import (
     signed_permutation_matrix,
 )
 from cqforms.suite import enumerate_cases
+
+
+def _dense_rep(p, q, mults, basis):
+    """The module with the dense basis matrices ``basis``, through perm_sign_of."""
+    return CliffordRep(p, q, mults, *perm_sign_of(np.stack(basis)))
 
 
 def assert_anticommuting_family(fam):
@@ -147,7 +153,7 @@ def test_verify_relations_passes_on_build():
 def test_verify_relations_detects_tampering():
     rep = rep_build(2, 0, (1,))
     broken = rep.basis[0], -rep.basis[0]
-    bad = type(rep)(rep.p, rep.q, rep.mults, broken, rep.m)
+    bad = _dense_rep(rep.p, rep.q, rep.mults, broken)
     report = verify_relations(bad)
     assert not report.ok
     assert any("commutation" in name for name, _ in report.failures)
@@ -184,7 +190,7 @@ def test_spin_equivariance_matches_dense_products():
     rep = rep_build(3, 2, (1,))
     basis = [s.copy() for s in rep.basis]
     basis[1][basis[1][:, 0] != 0, 0] *= -1
-    bad = CliffordRep(rep.p, rep.q, rep.mults, tuple(basis), rep.m)
+    bad = _dense_rep(rep.p, rep.q, rep.mults, basis)
     assert not _spin_equivariance_dense(bad)
     assert not spin_equivariance_check(bad)
 
@@ -299,7 +305,7 @@ def test_rep_stores_only_perm_and_sign():
 @pytest.mark.parametrize("rep", SMALL_REPS, ids=lambda r: f"({r.p},{r.q})x{r.mults}")
 def test_perm_sign_code_matches_dense_code(rep):
     assert verify_relations(rep).checks == _verify_relations_dense(rep)
-    assert CliffordRep(rep.p, rep.q, rep.mults, rep.basis, rep.m) == rep
+    assert _dense_rep(rep.p, rep.q, rep.mults, rep.basis) == rep
     perm, sign = perm_sign_of(np.stack(rep.basis))
     assert np.array_equal(perm, rep.perm) and np.array_equal(sign, rep.sign)
     form = expand_coeffs(rep)
@@ -332,7 +338,7 @@ def test_verify_relations_matches_dense_code_on_tampered_modules(rep, how, seed)
     else:
         basis[j] = np.zeros_like(basis[j])
         basis[j][rng.permutation(rep.m), np.arange(rep.m)] = rng.choice([-1, 1], size=rep.m)
-    bad = CliffordRep(rep.p, rep.q, rep.mults, tuple(basis), rep.m)
+    bad = _dense_rep(rep.p, rep.q, rep.mults, basis)
     assert verify_relations(bad).checks == _verify_relations_dense(bad)
     if verify_relations(bad).checks[1][1]:  # symmetric: the upper triangles suffice
         assert expand_coeffs(bad).coeffs == _expand_coeffs_dense(bad)
@@ -381,6 +387,46 @@ def test_canonicalize_idempotent():
     can2, a2, b2 = canonicalize(can)
     assert all(np.array_equal(x, y) for x, y in zip(a1, a2))
     assert all(np.array_equal(x, y) for x, y in zip(b1, b2))
+
+
+def _canonicalize_dense(rep):
+    """Reference: both conjugations as dense m x m products, and the blocks
+    cut from the dense result."""
+    m, d = rep.m, rep.m // 2
+    order = np.argsort(-np.diag(rep.basis[0]), kind="stable")
+    u = np.zeros((m, m), dtype=np.int64)
+    u[np.arange(m), order] = 1
+    basis = [u @ s @ u.T for s in rep.basis]
+    v = np.zeros((m, m), dtype=np.int64)
+    v[:d, :d] = np.eye(d, dtype=np.int64)
+    v[d:, d:] = basis[1][:d, d:]
+    basis = [v @ s @ v.T for s in basis]
+    return basis, [s[:d, :d] for s in basis[rep.p :]], [s[:d, d:] for s in basis[1 : rep.p]]
+
+
+def _same_matrices(got, want):
+    return len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_canonicalize_matches_the_dense_conjugation():
+    cases = [case for case in enumerate_cases(max_pq=12, max_m=64, max_total_mult=3) if case[0] >= 2]
+    assert len(cases) == 286
+    for p, q, mults in cases:
+        rep = rep_build(p, q, mults)
+        can, a_list, b_list = canonicalize(rep)
+        basis, want_a, want_b = _canonicalize_dense(rep)
+        assert (can.p, can.q, can.mults, can.m) == (p, q, mults, rep.m)
+        assert _same_matrices(can.basis, basis), (p, q, mults)
+        assert _same_matrices(a_list, want_a) and _same_matrices(b_list, want_b), (p, q, mults)
+
+
+def test_canonicalize_at_m_512_is_fast():
+    rep = rep_build(6, 2, (16,))
+    assert rep.m == 512
+    start = time.perf_counter()
+    can, a_list, b_list = canonicalize(rep)
+    assert time.perf_counter() - start < 1.0
+    assert len(a_list) == 2 and len(b_list) == 5 and a_list[0].shape == (256, 256)
 
 
 def test_canonicalize_needs_p_at_least_2():
@@ -497,7 +543,7 @@ def _assert_row_sum_rounding(rep, w):
 
 def test_forms_float_rounding_beyond_128_coordinates():
     s = signed_permutation_matrix(*kron_word("XZ1XZX1Z"))  # a symmetric involution
-    rep = CliffordRep(1, 0, (), (s,), 256)
+    rep = _dense_rep(1, 0, (), (s,))
     _assert_row_sum_rounding(rep, np.random.default_rng(5).standard_normal((256, 64)))
 
 
@@ -507,7 +553,7 @@ def test_forms_scatter_on_non_symmetric_signed_permutation():
     s = np.zeros((m, m), dtype=np.int64)
     s[rng.permutation(m), np.arange(m)] = rng.choice([-1, 1], size=m)
     assert not np.array_equal(s, s.T)
-    rep = CliffordRep(1, 0, (), (s,), m)
+    rep = _dense_rep(1, 0, (), (s,))
     w = rng.integers(-9, 10, size=(m, 7))
     vals, images = rep.forms(w, images=True)
     assert np.array_equal(images[0], s @ w)
@@ -572,14 +618,26 @@ def test_forms_block_edges(args):
     ],
 )
 def test_clifford_rep_rejects_malformed_basis(basis, m):
-    with pytest.raises(InvalidInputError):
-        CliffordRep(2, 0, (1,), basis, m)
+    # a module file is the one dense input
+    text = json.dumps({"p": 2, "q": 0, "mults": [1], "m": m, "basis": [b.tolist() for b in basis]})
+    if len(basis) < 2:
+        want = "needs p [+] q >= 1 basis matrices, got 1"
+    else:
+        want = f"every basis matrix must be an {m} x {m} signed permutation"
+    with pytest.raises(InvalidInputError, match=want):
+        rep_from_json(text)
+
+
+def test_clifford_rep_refuses_dense_matrices():
+    rep = rep_build(3, 2, (1,))
+    with pytest.raises(InvalidInputError, match="perm and sign must be"):
+        CliffordRep(rep.p, rep.q, rep.mults, rep.basis, rep.m)
 
 
 def test_from_perm_sign_copies_and_freezes():
     perm, sign = np.array([[1, 0]]), np.array([[1, 1]])
-    rep = CliffordRep.from_perm_sign(1, 0, (1,), perm, sign)
-    assert rep == CliffordRep(1, 0, (1,), (np.array([[0, 1], [1, 0]]),), 2)
+    rep = CliffordRep(1, 0, (1,), perm, sign)
+    assert rep == _dense_rep(1, 0, (1,), (np.array([[0, 1], [1, 0]]),))
     perm[0, 0] = 0  # the module owns its arrays
     assert rep.perm.tolist() == [[1, 0]] and not rep.perm.flags.writeable
 
@@ -598,7 +656,7 @@ def test_from_perm_sign_copies_and_freezes():
 )
 def test_from_perm_sign_rejects_malformed_arrays(p, q, perm, sign):
     with pytest.raises(InvalidInputError):
-        CliffordRep.from_perm_sign(p, q, (1,), perm, sign)
+        CliffordRep(p, q, (1,), perm, sign)
 
 
 # ---------------------------------------------------------------------------

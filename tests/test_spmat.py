@@ -14,7 +14,6 @@ from cqforms.spmat import (
     perm_sign_of,
     restrict_to_eigenspace,
     signed_permutation_matrix,
-    sp_det,
     sp_eye,
     sp_kron,
     sp_mul,
@@ -62,13 +61,6 @@ def test_perm_sign_roundtrip():
         rebuilt = np.zeros_like(mat)
         rebuilt[perm, np.arange(7)] = sign
         assert np.array_equal(rebuilt, mat)
-
-
-def test_sp_det_matches_bareiss():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        mat = random_signed_perm(rng, 6)
-        assert sp_det(*perm_sign_of(mat)) == int_det(mat.tolist())
 
 
 @given(st.integers(2, 5), st.integers(0, 10**6))

@@ -156,3 +156,12 @@ def test_a_twist_other_than_1_fails_the_gamma_row(monkeypatch):
     assert not ok and detail.startswith("pullback vs closed relative error"), detail
     ok, detail = CHECKS["constants"](Case(4, 0, (1,)))
     assert not ok and detail.startswith("gamma mismatch on component +"), detail
+
+
+def test_constants_row_compares_the_det_identity_with_the_table(monkeypatch):
+    # (1,1)x1,0,2,0: det S(v) = (v1+v2)(v1-v2)^2, so det S(v)^2 != P(v)^3
+    # by the table, and the row passes
+    assert CHECKS["constants"](Case(1, 1, (1, 0, 2, 0))) == (True, "")
+    for mults, told in [((1, 0, 2, 0), True), ((1, 0, 1, 0), False)]:
+        monkeypatch.setattr(cqforms.suite, "expected_det_square", lambda *args: told)
+        assert CHECKS["constants"](Case(1, 1, mults)) == (False, "det S(v) identity failed")

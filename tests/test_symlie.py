@@ -11,8 +11,13 @@ from cqforms import symlie as SY
 from cqforms.classify import exceptional_g_dim, expected_sharp, predict, pure_over_c
 from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
 from cqforms.rng import integer_points
-from cqforms.spmat import SectorDecomposition
+from cqforms.spmat import SectorDecomposition, perm_sign_of
 from cqforms.suite import enumerate_cases
+
+
+def _dense_rep(p, q, mults, basis):
+    """The module with the dense basis matrices ``basis``, through perm_sign_of."""
+    return CliffordRep(p, q, mults, *perm_sign_of(np.stack(basis)))
 
 
 H_CASES = [
@@ -37,8 +42,14 @@ def test_h_kernel_matches_table(pq, mults, dim, name):
     pred = predict(*pq, mults)
     assert pred.h_dim == dim
     assert pred.h_algebra == name
+    # one orbit vector per element, with disjoint supports
+    support = np.concatenate([np.zeros(0, dtype=np.int64)] + [idxs for idxs, _ in report.basis])
+    assert len(report.basis) == dim and len(np.unique(support)) == len(support)
     # exact basis elements satisfy the constraints identically
-    for x in report.basis:
+    for idxs, signs in report.basis:
+        x = np.zeros(rep.m * rep.m, dtype=np.int64)
+        x[idxs] = signs
+        x = x.reshape(rep.m, rep.m)
         for s in rep.basis:
             assert not np.any(x.T @ s + s @ x)
 
@@ -52,6 +63,39 @@ def test_h_guard_refuses_a_rotation(monkeypatch, i, j):
     monkeypatch.setattr(SectorDecomposition, "fixed_space", lambda self: fake)
     with pytest.raises(AssertionError, match="violates"):
         SY.h_kernel(rep)
+
+
+@pytest.mark.parametrize(
+    "fault", ["flipped sign", "non-fixed orbit", "truncated orbit", "split orbit", "overlap"]
+)
+def test_h_guard_refuses_a_bad_orbit_vector(monkeypatch, fault):
+    rep = rep_build(3, 2, (2,))
+    dec = SectorDecomposition(*SY._h_generators(rep))
+    fixed = dec.fixed_space()
+    idxs, signs = fixed[0]
+    assert len(idxs) == 8
+    if fault == "flipped sign":
+        bad = [(idxs, signs * np.where(np.arange(8) == 0, -1, 1))]
+    elif fault == "non-fixed orbit":
+        held = {int(i[0]) for i, _ in fixed}
+        orbit = next(o for o in dec.orbits if int(o[0]) not in held)
+        bad = [(orbit, dec.sign[orbit])]
+    elif fault == "truncated orbit":
+        bad = [(idxs[:-1], signs[:-1])]
+    elif fault == "split orbit":  # their sum is an h element, but neither half is
+        bad = [(idxs[:4], signs[:4]), (idxs[4:], signs[4:])]
+    else:  # each vector passes on its own, but two share their support
+        bad = [(idxs, signs), (idxs, signs)]
+    monkeypatch.setattr(SectorDecomposition, "fixed_space", lambda self: bad + fixed[1:])
+    with pytest.raises(AssertionError, match="overlap" if fault == "overlap" else "violates"):
+        SY.h_kernel(rep)
+
+
+def test_h_kernel_at_m_256_keeps_orbit_vectors():
+    # a dense basis would hold 32640 matrices of 256 x 256 entries
+    report = SY.h_kernel(rep_build(1, 0, (128, 128)))
+    assert report.dimension == len(report.basis) == 32640 == predict(1, 0, (128, 128)).h_dim
+    assert all(len(idxs) == len(signs) <= 2 for idxs, signs in report.basis)
 
 
 def _h_dim_float(rep):
@@ -501,7 +545,7 @@ def _tampered_modules():
     negated[1][:, 0] *= -1
     swapped = list(rep.basis)
     swapped[2] = np.eye(rep.m, dtype=np.int64)[[1, 0, *range(2, rep.m)]]
-    return [CliffordRep(rep.p, rep.q, rep.mults, tuple(b), rep.m) for b in (negated, swapped)]
+    return [_dense_rep(rep.p, rep.q, rep.mults, b) for b in (negated, swapped)]
 
 
 def test_module_failing_its_relations_is_refused():

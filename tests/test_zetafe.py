@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cqforms import zetafe as Z
-from cqforms.classify import expected_degenerate
+from cqforms.classify import expected_degenerate, expected_det_square
 from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
 from cqforms.spmat import SectorDecomposition, int_det, symmetric_signature
@@ -120,6 +120,31 @@ def test_gamma_constants_expands_only_when_every_probe_is_zero(monkeypatch):
 def test_det_identity():
     for args in [(3, 2, (1,)), (1, 1, (1, 0, 1, 0)), (9, 1, (1, 1, 0, 0)), (1, 0, (2, 1))]:
         assert Z.det_sv_identity_check(rep_build(*args))
+
+
+def _nondegenerate_modules():
+    cases = enumerate_cases(max_pq=12, max_m=64, max_total_mult=3)
+    cases = [case for case in cases if not expected_degenerate(*case)]
+    assert len(cases) == 292
+    return [(case, rep_build(*case)) for case in cases]
+
+
+def test_alpha_matches_bareiss_det_of_s1():
+    # alpha = det S_1 is read off the split of S_1 at the first component
+    for case, rep in _nondegenerate_modules():
+        assert Z.gamma_constants(rep).alpha == int_det(rep.basis[0].tolist()), case
+
+
+def test_det_identity_holds_exactly_where_the_table_says():
+    # (1,1) modules with unequal halfspin multiplicities, such as
+    # (1,1)x1,0,2,0 with det S(v) = (v1+v2)(v1-v2)^2, are the only failures
+    failing = []
+    for case, rep in _nondegenerate_modules():
+        holds = Z.det_sv_identity_check(rep)
+        assert holds == expected_det_square(*case), case
+        failing += [] if holds else [case]
+    assert len(failing) == 12 and {case[:2] for case in failing} == {(1, 1)}
+    assert (1, 1, (1, 0, 2, 0)) in failing
 
 
 def test_det_blocks_multiply_to_the_full_determinant(monkeypatch):
