@@ -13,7 +13,7 @@ and the suite compares each computation with the prediction made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .repkit import InvalidInputError, irrep_catalog, module_dim
@@ -255,21 +255,10 @@ class ClassificationReport:
     explain: dict[str, str] | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "q": self.q,
-            "m": self.m,
-            "mults": list(self.mults),
-            "degenerate": self.degenerate,
-            "square_of_quadratic": self.square_of_quadratic,
-            "exceptional": self.exceptional,
-            "generic": self.generic,
-            "prehomogeneous": self.prehomogeneous,
-            "pv_entry": self.pv_entry,
-            "pure_over_C": self.pure_over_C,
-        }
-        if self.explain is not None:
-            out["explain"] = self.explain
+        """The fields in order, without ``explain`` when it is None."""
+        out = asdict(self)
+        if self.explain is None:
+            del out["explain"]
         return out
 
 

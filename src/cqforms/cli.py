@@ -9,6 +9,13 @@ Every run prints a JSON document (or CSV, from quartic coeffs --format csv)
 carrying a schema version, an echo of the configuration including the seed,
 and a timestamp unless --no-timestamp is given.  Exit status: 0 success /
 checks passed, 1 a verification check failed, 2 usage or input error.
+
+Code layout: ``COMMANDS`` has one row ``(group or None, name, handler,
+arguments)`` per subcommand, and ``build_parser`` is one loop over it.  A
+handler returns ``(document, status)``, the document a dict or the text of
+a CSV table or a module file; ``main`` alone emits it (schema, config echo,
+timestamp, ``--out``) and returns the status.  ``rep build --out`` writes
+its module file itself and returns no document.
 """
 
 from __future__ import annotations
@@ -76,243 +83,181 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, args) -> None:
-    doc = {"schema": SCHEMA}
-    doc.update(payload)
-    doc["config"] = {
-        "argv": args._argv,
-        "seed": getattr(args, "seed", None),
-    }
-    if not args.no_timestamp:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(doc, indent=2, default=_json_default)
+def _emit(document: dict | str, args, argv: list[str]) -> None:
+    """Write a handler's document to --out or stdout: a dict as a JSON
+    document with schema, configuration echo and timestamp, text as it is."""
+    if isinstance(document, dict):
+        doc = {"schema": SCHEMA}
+        doc.update(document)
+        doc["config"] = {
+            "argv": argv,
+            "seed": args.seed,
+        }
+        if not args.no_timestamp:
+            doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        document = json.dumps(doc, indent=2, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(document)
     else:
-        print(text)
+        sys.stdout.write(document)
 
 
-def _emit_text(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _read_rep(path: str):
-    # read as bytes, so a file that is not UTF-8 is refused as malformed JSON
-    with open(path, "rb") as fh:
-        return rep_from_json(fh.read())
-
-
-def _load_rep(path: str):
-    """A module file whose defining relations hold; ``rep verify`` reports them."""
-    return require_relations(_read_rep(path), f"module in {path}", "rep verify")
-
-
-def _rep_from_args(args):
-    if getattr(args, "rep", None):
-        return _load_rep(args.rep)
+def _rep_from_args(args, check=True):
+    """The module in the file ``args.rep``, refused if ``check`` and its
+    defining relations fail (``rep verify`` reports them), or else the one
+    built from --p/--q/--mult."""
+    if args.rep:
+        # read as bytes, so a file that is not UTF-8 is refused as malformed JSON
+        with open(args.rep, "rb") as fh:
+            rep = rep_from_json(fh.read())
+        return require_relations(rep, f"module in {args.rep}", "rep verify") if check else rep
     if args.p is None or args.q is None or args.mult is None:
         raise InvalidInputError("give a module file or --p, --q and --mult")
     return rep_build(args.p, args.q, args.mult)
 
 
-def _gamma_payload(g: Z.GammaMatrix) -> dict:
-    return {
-        "labels": g.labels,
-        "formula": g.formula,
-        "validated": g.validated,
-        "matrix": [[{"re": v.real, "im": v.imag} for v in row] for row in g.values],
-    }
-
-
-# --------------------------------------------------------------------------
-
-
-def cmd_rep_build(args) -> int:
+def cmd_rep_build(args):
     rep = rep_build(args.p, args.q, args.mult)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rep_to_json(rep) + "\n")
-        print(f"wrote ({args.p},{args.q}) module of dimension {rep.m} to {args.out}")
-    else:
-        print(rep_to_json(rep))
-    return 0
+    if not args.out:
+        return rep_to_json(rep) + "\n", 0
+    # --out takes the module file here, not a document
+    with open(args.out, "w") as fh:
+        fh.write(rep_to_json(rep) + "\n")
+    print(f"wrote ({args.p},{args.q}) module of dimension {rep.m} to {args.out}")
+    return None, 0
 
 
-def cmd_rep_verify(args) -> int:
-    rep = _read_rep(args.rep)
+def cmd_rep_verify(args):
+    rep = _rep_from_args(args, check=False)
     report = rep.relations
-    _emit(
-        {
-            "p": rep.p,
-            "q": rep.q,
-            "m": rep.m,
-            "ok": report.ok,
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in report.checks],
-        },
-        args,
-    )
-    return 0 if report.ok else 1
+    return {
+        "p": rep.p,
+        "q": rep.q,
+        "m": rep.m,
+        "ok": report.ok,
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in report.checks],
+    }, 0 if report.ok else 1
 
 
-def cmd_rep_canonical(args) -> int:
-    rep = _load_rep(args.rep)
-    can, a_list, b_list = canonicalize(rep)
-    _emit(
-        {
-            "m": can.m,
-            "d": can.m // 2,
-            "basis": [s.tolist() for s in can.basis],
-            "A": [a.tolist() for a in a_list],
-            "B": [b.tolist() for b in b_list],
-        },
-        args,
-    )
-    return 0
+def cmd_rep_canonical(args):
+    can, a_list, b_list = canonicalize(_rep_from_args(args))
+    return {
+        "m": can.m,
+        "d": can.m // 2,
+        "basis": can.basis,
+        "A": a_list,
+        "B": b_list,
+    }, 0
 
 
-def cmd_quartic_coeffs(args) -> int:
+def cmd_quartic_coeffs(args):
     rep = _rep_from_args(args)
     form = Q.expand_coeffs(rep)
     if args.format == "csv":
-        _emit_text(form.to_csv(), args)
-    else:
-        _emit(
-            {
-                "m": rep.m,
-                "nonzero": len(form.coeffs),
-                "coeffs": [
-                    {"key": list(k), "value": v} for k, v in sorted(form.coeffs.items())
-                ],
-            },
-            args,
-        )
-    return 0
+        return form.to_csv(), 0
+    return {
+        "m": rep.m,
+        "nonzero": len(form.coeffs),
+        "coeffs": [{"key": list(k), "value": v} for k, v in sorted(form.coeffs.items())],
+    }, 0
 
 
-def cmd_quartic_eval(args) -> int:
-    rep = _rep_from_args(args)
-    _emit({"value": Q.eval_quartic(rep, args.w)}, args)
-    return 0
+def cmd_quartic_eval(args):
+    return {"value": Q.eval_quartic(_rep_from_args(args), args.w)}, 0
 
 
-def cmd_quartic_grad(args) -> int:
-    rep = _rep_from_args(args)
-    _emit({"gradient": Q.grad_quartic(rep, args.w)}, args)
-    return 0
+def cmd_quartic_grad(args):
+    return {"gradient": Q.grad_quartic(_rep_from_args(args), args.w)}, 0
 
 
-def cmd_quartic_homaloidal(args) -> int:
-    rep = _rep_from_args(args)
-    ok = Q.homaloidal_check(rep, args.trials, args.seed)
-    _emit(
-        {"ok": ok, "trials": args.trials, "identity": "F(grad F) = 256 F^3", "probabilistic": True},
-        args,
-    )
-    return 0 if ok else 1
+def cmd_quartic_homaloidal(args):
+    ok = Q.homaloidal_check(_rep_from_args(args), args.trials, args.seed)
+    return {
+        "ok": ok,
+        "trials": args.trials,
+        "identity": "F(grad F) = 256 F^3",
+        "probabilistic": True,
+    }, 0 if ok else 1
 
 
-def cmd_quartic_square(args) -> int:
-    rep = _rep_from_args(args)
-    form = Q.expand_coeffs(rep)
+def cmd_quartic_square(args):
+    form = Q.expand_coeffs(_rep_from_args(args))
     if form.is_zero:
-        _emit({"square": False, "detail": "quartic vanishes identically"}, args)
-        return 0
+        return {"square": False, "detail": "quartic vanishes identically"}, 0
     witness = Q.square_detect(form)
     if witness is None:
-        _emit({"square": False}, args)
-        return 0
-    _emit(
-        {
-            "square": True,
-            "c": str(witness.c),
-            "matrix": [[str(v) for v in row] for row in witness.mat],
-        },
-        args,
-    )
-    return 0
+        return {"square": False}, 0
+    return {
+        "square": True,
+        "c": str(witness.c),
+        "matrix": [[str(v) for v in row] for row in witness.mat],
+    }, 0
 
 
-def cmd_quartic_check32(args) -> int:
+def cmd_quartic_check32(args):
     ok = Q.check_32_identity(args.k, seed=args.seed)
-    _emit({"ok": ok, "k": args.k, "points": Q.CHECK32_POINTS, "probabilistic": True}, args)
-    return 0 if ok else 1
+    doc = {"ok": ok, "k": args.k, "points": Q.CHECK32_POINTS, "probabilistic": True}
+    return doc, 0 if ok else 1
 
 
-def cmd_sym_h(args) -> int:
+def cmd_sym_h(args):
     rep = _rep_from_args(args)
     rpt = SY.h_kernel(rep)
     pred = predict(rep.p, rep.q, rep.mults)
-    _emit(
-        {
-            "computed_dim": rpt.dimension,
-            "predicted_dim": pred.h_dim,
-            "algebra": pred.h_algebra,
-            "match": pred.h_dim == rpt.dimension,
-            "method": rpt.method,
-            "residual": rpt.residual,
-        },
-        args,
-    )
-    return 0 if pred.h_dim == rpt.dimension else 1
+    match = pred.h_dim == rpt.dimension
+    return {
+        "computed_dim": rpt.dimension,
+        "predicted_dim": pred.h_dim,
+        "algebra": pred.h_algebra,
+        "match": match,
+        "method": rpt.method,
+        "residual": rpt.residual,
+    }, 0 if match else 1
 
 
-def cmd_sym_g(args) -> int:
+def cmd_sym_g(args):
     rep = _rep_from_args(args)
     rpt = SY.g_kernel_dim(rep, seed=args.seed)
     want = predict(rep.p, rep.q, rep.mults).g_dim
-    _emit(
-        {
-            "computed_dim": rpt.dimension,
-            "predicted_dim": want,
-            "match": want == rpt.dimension,
-            "method": rpt.method,
-            "residual": rpt.residual,
-        },
-        args,
-    )
-    return 0 if want == rpt.dimension else 1
+    match = want == rpt.dimension
+    return {
+        "computed_dim": rpt.dimension,
+        "predicted_dim": want,
+        "match": match,
+        "method": rpt.method,
+        "residual": rpt.residual,
+    }, 0 if match else 1
 
 
-def cmd_sym_sharp(args) -> int:
+def cmd_sym_sharp(args):
     rep = _rep_from_args(args)
     dim, forced = SY.sharp_solution_dim(rep, seed=args.seed)
     holds = dim == forced
     expected = expected_sharp(rep.p, rep.q, rep.mults)
-    _emit(
-        {
-            "holds": holds,
-            "solution_dim": dim,
-            "forced_dim": forced,
-            "expected": expected,
-            "match": holds == expected,
-        },
-        args,
-    )
-    return 0 if holds == expected else 1
+    match = holds == expected
+    return {
+        "holds": holds,
+        "solution_dim": dim,
+        "forced_dim": forced,
+        "expected": expected,
+        "match": match,
+    }, 0 if match else 1
 
 
-def cmd_sym_predict(args) -> int:
+def cmd_sym_predict(args):
     pred = predict(args.p, args.q, args.mult)
-    _emit(
-        {
-            "h_algebra": pred.h_algebra,
-            "h_dim": pred.h_dim,
-            "g_dim": pred.g_dim,
-            "exceptional": pred.exceptional,
-            "degenerate": pred.degenerate,
-            "g_dim_exceptional": pred.g_dim_exceptional,
-        },
-        args,
-    )
-    return 0
+    return {
+        "h_algebra": pred.h_algebra,
+        "h_dim": pred.h_dim,
+        "g_dim": pred.g_dim,
+        "exceptional": pred.exceptional,
+        "degenerate": pred.degenerate,
+        "g_dim_exceptional": pred.g_dim_exceptional,
+    }, 0
 
 
-def cmd_zeta_gamma(args) -> int:
+def cmd_zeta_gamma(args):
     s = _parse_complex(args.s)
     if args.formula == "quadratic":
         g = Z.gamma_quadratic(args.p, args.q, s)
@@ -322,69 +267,67 @@ def cmd_zeta_gamma(args) -> int:
         g = Z.gamma_quartic(args.p, args.q, args.m, s)
     else:
         mults = args.mult or _default_mults(args.p, args.q, args.m)
-        g = Z.gamma_pullback(Z.gamma_constants(rep_build(args.p, args.q, mults)), s)
-    _emit(_gamma_payload(g) | {"s": s}, args)
-    return 0
+        rep = rep_build(args.p, args.q, mults)
+        if args.m not in (None, rep.m):
+            given = ",".join(map(str, mults))
+            raise InvalidInputError(f"--m {args.m} contradicts --mult {given} (m = {rep.m})")
+        g = Z.gamma_pullback(Z.gamma_constants(rep), s)
+    return {
+        "labels": g.labels,
+        "formula": g.formula,
+        "validated": g.validated,
+        "matrix": g.values,
+        "s": s,
+    }, 0
 
 
 def _default_mults(p: int, q: int, m: int | None):
     cat = irrep_catalog(p, q)
     if m is None or m < 1 or m % cat.dim:
         raise InvalidInputError(f"m must be a positive multiple of {cat.dim}")
-    mults = [0] * cat.count
-    mults[0] = m // cat.dim
-    return tuple(mults)
+    return (m // cat.dim,) + (0,) * (cat.count - 1)
 
 
-def cmd_zeta_involution(args) -> int:
+def cmd_zeta_involution(args):
     s = _parse_complex(args.s)
     ok = Z.fe_involution_check(args.p, args.q, args.m, s, args.tol)
-    _emit({"ok": ok, "s": s, "tol": args.tol}, args)
-    return 0 if ok else 1
+    return {"ok": ok, "s": s, "tol": args.tol}, 0 if ok else 1
 
 
-def cmd_zeta_pullback(args) -> int:
+def cmd_zeta_pullback(args):
     s = _parse_complex(args.s)
     err = Z.pullback_error(Z.gamma_constants(rep_build(args.p, args.q, args.mult)), s)
     ok = err < args.tol
-    _emit({"ok": ok, "relative_error": err, "tol": args.tol, "s": s}, args)
-    return 0 if ok else 1
+    return {"ok": ok, "relative_error": err, "tol": args.tol, "s": s}, 0 if ok else 1
 
 
-def cmd_zeta_fe_quadratic(args) -> int:
+def cmd_zeta_fe_quadratic(args):
     s = _parse_complex(args.s)
     ok = Z.fe_quadratic_numeric_check(args.p, args.q, s, args.tol)
-    _emit({"ok": ok, "s": s, "tol": args.tol}, args)
-    return 0 if ok else 1
+    return {"ok": ok, "s": s, "tol": args.tol}, 0 if ok else 1
 
 
-def cmd_zeta_mc(args) -> int:
+def cmd_zeta_mc(args):
     rep = _rep_from_args(args)
     s = _parse_complex(args.s)
     est = Z.zeta_quartic_mc(rep, args.component, s, samples=args.samples, seed=args.seed)
-    _emit(
-        {
-            "value": est.value,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "component": est.component,
-            "s": s,
-        },
-        args,
-    )
-    return 0
+    return {
+        "value": est.value,
+        "stderr": est.stderr,
+        "samples": est.samples,
+        "component": est.component,
+        "s": s,
+    }, 0
 
 
-def cmd_classify(args) -> int:
-    verdict = classify_verdict(args.p, args.q, args.mult, explain=args.explain)
-    _emit(verdict.as_dict(), args)
-    return 0
+def cmd_classify(args):
+    return classify_verdict(args.p, args.q, args.mult, explain=args.explain).as_dict(), 0
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args):
     rows = run_suite(max_pq=args.max_pq, max_m=args.max_m, seed=args.seed)
     ok = all(r.ok for r in rows)
-    payload = {
+    return {
         "ok": ok,
         "cases": len({r.case for r in rows}),
         "rows": [
@@ -397,159 +340,104 @@ def cmd_verify_all(args) -> int:
             }
             for r in rows
         ],
-    }
-    _emit(payload, args)
-    return 0 if ok else 1
+    }, 0 if ok else 1
 
 
-# --------------------------------------------------------------------------
+# An argument is (name, add_argument options); the shared ones are named once.
 
 
-def _sub_factory(common: argparse.ArgumentParser):
-    """Parser class that carries the global flags into every subcommand."""
-
-    class SubParser(argparse.ArgumentParser):
-        def __init__(self, **kwargs):
-            parents = list(kwargs.pop("parents", []))
-            parents.append(common)
-            super().__init__(parents=parents, **kwargs)
-
-    return SubParser
+def _with(arg, **options):
+    """The argument ``arg`` with more add_argument options."""
+    return arg[0], arg[1] | options
 
 
-def _add_module_args(sub):
-    sub.add_argument("rep", nargs="?", help="module JSON file (else use --p/--q/--mult)")
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--mult", type=_int_list)
+_P = ("--p", {"type": int})
+_Q = ("--q", {"type": int})
+_MULT = ("--mult", {"type": _int_list})
+_FILE = ("rep", {})
+_MODULE = (
+    _with(_FILE, nargs="?", help="module JSON file (else use --p/--q/--mult)"), _P, _Q, _MULT
+)
+_PQ = (_with(_P, required=True), _with(_Q, required=True))
+_PQ_MULT = _PQ + (_with(_MULT, required=True),)
+_S = ("--s", {"required": True})
+_W = ("--w", {"type": _int_list, "required": True, "help": "comma separated integer point"})
+_TOL = ("--tol", {"type": float, "default": 1e-10})
+_COMPONENT = ("--component", {
+    "type": _component,
+    "required": True,
+    "help": "+, -, -+, --, ++ or +-, with p for + and m for - (mm is --)",
+})
+
+COMMANDS = (
+    ("rep", "build", cmd_rep_build, _PQ_MULT),
+    ("rep", "verify", cmd_rep_verify, (_FILE,)),
+    ("rep", "canonical", cmd_rep_canonical, (_FILE,)),
+    ("quartic", "coeffs", cmd_quartic_coeffs,
+     _MODULE + (("--format", {"choices": ("json", "csv"), "default": "json"}),)),
+    ("quartic", "square-detect", cmd_quartic_square, _MODULE),
+    ("quartic", "eval", cmd_quartic_eval, _MODULE + (_W,)),
+    ("quartic", "grad", cmd_quartic_grad, _MODULE + (_W,)),
+    ("quartic", "homaloidal", cmd_quartic_homaloidal,
+     _MODULE + (("--trials", {"type": int, "default": 20}),)),
+    ("quartic", "check-32", cmd_quartic_check32, (("--k", {"type": int, "required": True}),)),
+    ("sym", "h", cmd_sym_h, _MODULE),
+    ("sym", "g", cmd_sym_g, _MODULE),
+    ("sym", "sharp", cmd_sym_sharp, _MODULE),
+    ("sym", "predict", cmd_sym_predict, _PQ_MULT),
+    ("zeta", "gamma", cmd_zeta_gamma, _PQ + (
+        ("--m", {"type": int}),
+        _with(_S, help="complex, e.g. 0.4+0.2i"),
+        ("--formula", {"choices": ("quartic", "pullback", "quadratic"), "required": True}),
+        _MULT,
+    )),
+    ("zeta", "check-involution", cmd_zeta_involution,
+     _PQ + (("--m", {"type": int, "required": True}), _S, _TOL)),
+    ("zeta", "check-pullback", cmd_zeta_pullback, _PQ_MULT + (_S, _TOL)),
+    ("zeta", "check-fe-quadratic", cmd_zeta_fe_quadratic, _PQ + (_S, _with(_TOL, default=1e-4))),
+    ("zeta", "mc", cmd_zeta_mc,
+     _MODULE + (_COMPONENT, _S, ("--samples", {"type": int, "default": 10**6}))),
+    (None, "classify", cmd_classify, _PQ_MULT + (("--explain", {"action": "store_true"}),)),
+    (None, "verify-all", cmd_verify_all, (
+        ("--max-pq", {"type": int, "default": 6}),
+        ("--max-m", {"type": int, "default": 16}),
+    )),
+)
 
 
 @functools.cache  # parse_args keeps no state in the parser, so main() reuses one
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="cqforms", description=__doc__)
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--out")
-    top.add_argument("--no-timestamp", action="store_true")
+    # --help shows the docstring up to its code layout paragraph
+    top = argparse.ArgumentParser(prog="cqforms", description=__doc__.split("\n\nCode layout")[0])
     # the same global flags are accepted after any subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--no-timestamp", action="store_true")
-    groups = top.add_subparsers(dest="group", required=True, parser_class=_sub_factory(common))
-
-    rep = groups.add_parser("rep").add_subparsers(dest="cmd", required=True)
-    b = rep.add_parser("build")
-    b.add_argument("--p", type=int, required=True)
-    b.add_argument("--q", type=int, required=True)
-    b.add_argument("--mult", type=_int_list, required=True)
-    b.set_defaults(fn=cmd_rep_build)
-    v = rep.add_parser("verify")
-    v.add_argument("rep")
-    v.set_defaults(fn=cmd_rep_verify)
-    c = rep.add_parser("canonical")
-    c.add_argument("rep")
-    c.set_defaults(fn=cmd_rep_canonical)
-
-    qt = groups.add_parser("quartic").add_subparsers(dest="cmd", required=True)
-    s = qt.add_parser("coeffs")
-    _add_module_args(s)
-    s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.set_defaults(fn=cmd_quartic_coeffs)
-    s = qt.add_parser("square-detect")
-    _add_module_args(s)
-    s.set_defaults(fn=cmd_quartic_square)
-    for name, fn in (("eval", cmd_quartic_eval), ("grad", cmd_quartic_grad)):
-        s = qt.add_parser(name)
-        _add_module_args(s)
-        s.add_argument("--w", type=_int_list, required=True, help="comma separated integer point")
-        s.set_defaults(fn=fn)
-    s = qt.add_parser("homaloidal")
-    _add_module_args(s)
-    s.add_argument("--trials", type=int, default=20)
-    s.set_defaults(fn=cmd_quartic_homaloidal)
-    s = qt.add_parser("check-32")
-    s.add_argument("--k", type=int, required=True)
-    s.set_defaults(fn=cmd_quartic_check32)
-
-    sym = groups.add_parser("sym").add_subparsers(dest="cmd", required=True)
-    s = sym.add_parser("h")
-    _add_module_args(s)
-    s.set_defaults(fn=cmd_sym_h)
-    s = sym.add_parser("g")
-    _add_module_args(s)
-    s.set_defaults(fn=cmd_sym_g)
-    s = sym.add_parser("sharp")
-    _add_module_args(s)
-    s.set_defaults(fn=cmd_sym_sharp)
-    s = sym.add_parser("predict")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_int_list, required=True)
-    s.set_defaults(fn=cmd_sym_predict)
-
-    zt = groups.add_parser("zeta").add_subparsers(dest="cmd", required=True)
-    s = zt.add_parser("gamma")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--m", type=int)
-    s.add_argument("--s", required=True, help="complex, e.g. 0.4+0.2i")
-    s.add_argument("--formula", choices=("quartic", "pullback", "quadratic"), required=True)
-    s.add_argument("--mult", type=_int_list)
-    s.set_defaults(fn=cmd_zeta_gamma)
-    s = zt.add_parser("check-involution")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--s", required=True)
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.set_defaults(fn=cmd_zeta_involution)
-    s = zt.add_parser("check-pullback")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_int_list, required=True)
-    s.add_argument("--s", required=True)
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.set_defaults(fn=cmd_zeta_pullback)
-    s = zt.add_parser("check-fe-quadratic")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--s", required=True)
-    s.add_argument("--tol", type=float, default=1e-4)
-    s.set_defaults(fn=cmd_zeta_fe_quadratic)
-    s = zt.add_parser("mc")
-    _add_module_args(s)
-    s.add_argument(
-        "--component", type=_component, required=True,
-        help="+, -, -+, --, ++ or +-, with p for + and m for - (mm is --)",
-    )
-    s.add_argument("--s", required=True)
-    s.add_argument("--samples", type=int, default=10**6)
-    s.set_defaults(fn=cmd_zeta_mc)
-
-    s = groups.add_parser("classify")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--mult", type=_int_list, required=True)
-    s.add_argument("--explain", action="store_true")
-    s.set_defaults(fn=cmd_classify)
-
-    s = groups.add_parser("verify-all")
-    s.add_argument("--max-pq", type=int, default=6)
-    s.add_argument("--max-m", type=int, default=16)
-    s.set_defaults(fn=cmd_verify_all)
+    for parser, seed in ((top, 0), (common, argparse.SUPPRESS)):
+        parser.add_argument("--seed", type=int, default=seed)
+        parser.add_argument("--out")
+        parser.add_argument("--no-timestamp", action="store_true")
+    subparsers = {None: top.add_subparsers(dest="group", required=True)}
+    for group, name, fn, arguments in COMMANDS:
+        if group not in subparsers:
+            parser = subparsers[None].add_parser(group, parents=[common])
+            subparsers[group] = parser.add_subparsers(dest="cmd", required=True)
+        leaf = subparsers[group].add_parser(name, parents=[common])
+        for flag, options in arguments:
+            leaf.add_argument(flag, **options)
+        leaf.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._argv = argv
     try:
-        return args.fn(args)
+        document, status = args.fn(args)
+        if document is not None:
+            _emit(document, args, argv)
+        return status
     except (InvalidInputError, UnsupportedError, Z.UnsupportedCaseError, Z.PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

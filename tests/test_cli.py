@@ -395,3 +395,11 @@ def test_zeta_mc_half_line(capsys):
     assert complex(doc["value"]["re"], doc["value"]["im"]) == est.value
     assert doc["stderr"] == est.stderr
     assert 0.4 < est.value.real < 0.6  # the mass of one of two symmetric half-lines
+
+
+def test_zeta_gamma_pullback_refuses_m_contradicting_mult(capsys):
+    argv = ["zeta", "gamma", "--formula", "pullback", "--p", "3", "--q", "2", "--s", "0.3"]
+    assert main(argv + ["--m", "16", "--mult", "1"]) == 2  # (3,2)x1 has m = 8
+    assert capsys.readouterr().err.splitlines() == ["error: --m 16 contradicts --mult 1 (m = 8)"]
+    code, doc = run_json(capsys, *argv, "--m", "16", "--mult", "2")
+    assert code == 0 and doc["labels"] == ["+", "-"]
