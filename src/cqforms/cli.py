@@ -258,6 +258,10 @@ def cmd_sym_predict(args):
 
 
 def cmd_zeta_gamma(args):
+    unread = {"quartic": ("mult",), "quadratic": ("m", "mult")}.get(args.formula, ())
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise InvalidInputError(f"--formula {args.formula} does not take {' or '.join(given)}")
     s = _parse_complex(args.s)
     if args.formula == "quadratic":
         g = Z.gamma_quadratic(args.p, args.q, s)

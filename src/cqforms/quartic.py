@@ -19,7 +19,7 @@ import numpy as np
 
 from .repkit import CliffordRep, InvalidInputError, require_dim
 from .rng import integer_points
-from .spmat import perm_sign_of, sp_eye, sp_kron
+from .spmat import kron_word, sp_eye, sp_kron
 
 
 def quad_form_terms(s: list[list]) -> dict[tuple[int, int], object]:
@@ -237,27 +237,17 @@ def pfaffian4(a) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _J = np.array([[0, -1], [1, 0]], dtype=np.int64)
-_H = np.array([[-1, 0], [0, 1]], dtype=np.int64)
-_K = np.array([[0, 1], [1, 0]], dtype=np.int64)
 _I2 = np.eye(2, dtype=np.int64)
-_O2 = np.zeros((2, 2), dtype=np.int64)
-
-
-def _blocks(rows):
-    return np.block([[np.asarray(b) for b in row] for row in rows])
-
 
 CHECK32_POINTS = 30  # random points of check_32_identity, besides w = 0
 
 
-def split32_basis() -> list[np.ndarray]:
-    """The five 8x8 basis matrices of the irreducible (3, 2) module."""
-    s1 = _blocks([[_O2, _O2, _O2, _I2], [_O2, _O2, -_I2, _O2], [_O2, -_I2, _O2, _O2], [_I2, _O2, _O2, _O2]])
-    s2 = _blocks([[_O2, _O2, _J, _O2], [_O2, _O2, _O2, -_J], [-_J, _O2, _O2, _O2], [_O2, _J, _O2, _O2]])
-    s3 = _blocks([[_O2, _O2, _O2, _J], [_O2, _O2, _J, _O2], [_O2, -_J, _O2, _O2], [-_J, _O2, _O2, _O2]])
-    s4 = _blocks([[_O2, _O2, _O2, _H], [_O2, _O2, -_H, _O2], [_O2, -_H, _O2, _O2], [_H, _O2, _O2, _O2]])
-    s5 = _blocks([[_O2, _O2, _O2, _K], [_O2, _O2, -_K, _O2], [_O2, -_K, _O2, _O2], [_K, _O2, _O2, _O2]])
-    return [s1, s2, s3, s4, s5]
+def split32_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The five basis matrices of the irreducible (3, 2) module on R^8 as
+    the (5, 8) ``(perm, sign)`` stack of the signed Kronecker words TT1,
+    -TZT, -TXT, -TTZ and TTX."""
+    perms, signs = zip(*(kron_word(w) for w in ("TT1", "TZT", "TXT", "TTZ", "TTX")))
+    return np.stack(perms), np.array([1, -1, -1, -1, 1])[:, None] * np.stack(signs)
 
 
 def check_32_identity(k: int, seed: int = 2024) -> bool:
@@ -272,7 +262,7 @@ def check_32_identity(k: int, seed: int = 2024) -> bool:
     if k < 1:
         raise InvalidInputError("k must be positive")
     require_dim(8 * k)
-    perm, sign = sp_kron(sp_eye(k), perm_sign_of(np.stack(split32_basis())))
+    perm, sign = sp_kron(sp_eye(k), split32_basis())
     rep = CliffordRep(3, 2, (k,), perm, sign)
     jk = np.kron(np.eye(k, dtype=np.int64), _J)
     j2 = np.kron(_I2, _J)

@@ -11,9 +11,13 @@ Two Lie algebras are attached to a module with basis matrices S_i:
 Both computations exploit that conjugation by the S_j permutes basis
 unknowns with signs: the unknown space splits into joint sign sectors of a
 family of commuting signed-permutation involutions, the kernel splits along
-the sectors, and each sector system is small.  The sampled dimensions are
-probabilistic in the choice of points, so every run solves two independent
-batches and insists they agree.  ``h_kernel``, ``g_kernel_dim`` and
+the sectors, and each sector system is small.  A sampled system is copies
+of one block of unknowns, each copy with a character mask and row values
+(``g`` is one copy, the sharp system n copies of Sym^2), and both take one
+path with one exactness guard, one orbit transform and one gather, sectors
+in ascending character order.  The sampled dimensions are probabilistic in
+the choice of points, so every run solves two independent batches and
+insists they agree.  ``h_kernel``, ``g_kernel_dim`` and
 ``sharp_solution_dim`` refuse a module whose defining relations fail with an
 ``InvalidInputError`` that names the failed checks; all three read the
 module's one relation report, ``rep.relations``.
@@ -109,48 +113,33 @@ def _g_generators(rep: CliffordRep):
     return sp_kron((rep.perm, rep.sign), (rep.perm, rep.sign))
 
 
-def _g_constraint_matrix(rep: CliffordRep, w: np.ndarray) -> np.ndarray:
-    """One row per sample w: entries G_a(w) w_b on unknown X_ab, with
-    G = grad F / 4, as float64 (every entry is an integer far below 2^53, so
-    exact) and F-ordered, since the orbit transform and the sector gathers
-    read whole columns."""
+def _g_block(rep: CliffordRep, w: np.ndarray):
+    """``(a, vals)`` of g at the points ``w``, one copy of a block: a row per
+    sample with entries G_a(w) w_b on unknown X_ab, G = grad F / 4, as
+    F-ordered float64 (exact integers far below 2^53; the orbit transform and
+    the gathers read whole columns), and unit row values of shape (1, 1)."""
     # the (n, m, count) images are freed before the (count, m^2) rows exist
     rows = quartic_values(rep, w, grad=True)[1].T.astype(float)[:, :, None] * w.T[:, None, :]
-    return rows.reshape(w.shape[1], rep.m * rep.m)
-
-
-def _g_system(rep: CliffordRep, blocks, w: np.ndarray):
-    """``(gather, amax)`` of the g constraints at the points ``w``: columns
-    of the orbit-transformed ``_g_constraint_matrix``."""
-    a = _g_constraint_matrix(rep, w)
-    amax = float(max(a.max(), -a.min()))
-    _orbit_transform(a, blocks, amax)
-    cols = a.T  # a is F-ordered, so each gathered matrix is F-ordered too
-    return (lambda pos: cols[pos]), amax
+    return rows.reshape(w.shape[1], rep.m * rep.m), np.ones((1, 1))
 
 
 def _sector_columns(blocks, masks=(0,)):
-    """Each sector as ``(chi, pos)``, in order of first appearance: after
+    """Each sector as ``(chi, pos)``, in ascending order of ``chi``: after
     ``_orbit_transform``, column ``pos[t]`` of the system is the sector's
     column from the t-th orbit that admits ``chi``.
 
-    With ``masks``, the unknowns are ``len(masks)`` copies of the N unknowns
-    of ``blocks``, and copy i of the blocks' sector chi lies in the sector
-    ``chi ^ masks[i]``, at columns ``i * N + pos``.  The orbits come copy by
-    copy, and a sector first appears in its first orbit; sectors that first
-    appear in the same orbit come in ascending order of ``chi``.
+    The unknowns are ``len(masks)`` copies of the N unknowns of ``blocks``,
+    and copy i of the blocks' sector chi lies in the sector
+    ``chi ^ masks[i]``, at columns ``i * N + pos``.  Within a sector the
+    columns come copy by copy, then orbit by orbit.
     """
     masks = np.asarray(masks, dtype=np.int64)[:, None]
     chi = (masks ^ np.concatenate([c for _, c, _ in blocks])).ravel()
     pos = np.concatenate([idxs for idxs, _, _ in blocks])
     pos = (len(pos) * np.arange(len(masks))[:, None] + pos).ravel()
-    lengths = [len(idxs) for idxs, _, _ in blocks]
-    orbit = np.repeat(np.arange(len(masks) * len(blocks)), lengths * len(masks))  # copy by copy
-    keys, first, inv = np.unique(chi, return_index=True, return_inverse=True)
-    by_first = np.lexsort((keys, orbit[first]))
-    rank = np.argsort(by_first)[inv]  # each entry's sector, numbered by first appearance
-    cols = np.split(pos[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
-    return list(zip(keys[by_first].tolist(), cols))
+    keys, inv = np.unique(chi, return_inverse=True)
+    cols = np.split(pos[np.argsort(inv, kind="stable")], np.cumsum(np.bincount(inv))[:-1])
+    return list(zip(keys.tolist(), cols))
 
 
 def _orbit_transform(a: np.ndarray, blocks, amax: float) -> None:
@@ -168,16 +157,17 @@ def _orbit_transform(a: np.ndarray, blocks, amax: float) -> None:
         a[:, idxs] = a[:, idxs] @ coefs.T
 
 
-def _sector_nullity(gather, amax: float, rows: int, sectors):
+def _sector_nullity(cols: np.ndarray, vals: np.ndarray, amax: float, sectors):
     """Total kernel dimension of a sampled float64 system, sector by sector.
-    The system has ``rows`` rows, more than any sector has columns, and
-    largest |entry| ``amax``; ``gather`` maps a (B, c) array of column
-    numbers of ``sectors`` to the (B, c, rows) array of those columns.
+    The system is copies of a block of N unknowns with the (N, rows) columns
+    ``cols``, rows more than any sector has columns: its column u is
+    ``vals[u // N] * cols[u % N]``, and its largest |entry| is ``amax``.
 
     The sectors of one width c are ranked together: each slice of at most
     ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one batched SVD,
     which runs the same LAPACK call on the same data as a single-matrix SVD,
     so every singular value is the same."""
+    size, rows = cols.shape
     scale = max(1.0, amax)
     nullity = np.zeros(len(sectors), dtype=np.int64)
     width = np.array([len(pos) for _, pos in sectors])
@@ -189,8 +179,11 @@ def _sector_nullity(gather, amax: float, rows: int, sectors):
         step = max(1, spmat.SECTOR_BLOCK // (rows * c))
         for b in range(0, len(nums), step):
             part = nums[b : b + step]
-            stack = gather(flat[start[part, None] + np.arange(c)]).transpose(0, 2, 1)
-            sv = np.linalg.svd(stack, compute_uv=False)  # one row of c values per sector
+            pos = flat[start[part, None] + np.arange(c)]
+            stack = cols[pos % size]  # each product of two integers is exact
+            stack *= vals[pos // size]
+            stack += 0.0  # turns -0.0 into 0.0, as the integer product has it
+            sv = np.linalg.svd(stack.transpose(0, 2, 1), compute_uv=False)  # c values per sector
             nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
             smallest[part] = sv[:, -1]
     residual = float((smallest[nullity > 0] / scale).max(initial=0.0))
@@ -198,22 +191,29 @@ def _sector_nullity(gather, amax: float, rows: int, sectors):
     return int(nullity.sum()), per_sector, residual
 
 
-def _sampled_kernel(rep: CliffordRep, blocks, sectors, system, seed: int, streams, name: str):
-    """Batch-1 ``(total, per_sector, residual)`` of a sampled system in the
-    ``sectors`` of ``_sector_columns``; ``system(rep, blocks, w)`` gives
-    ``(gather, amax)`` of ``_sector_nullity`` at the points ``w``.  Each of
-    the two batches, keyed ``stream(seed, k)`` for k in ``streams``, has
-    ``_ROW_MARGIN`` more rows than the largest sector has columns: a nonzero
-    constraint is a degree-4 polynomial in w and vanishes at a point of
-    {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
-    over the unknowns is what counts, not the row total.  The batches must
-    agree on every sector's nullity."""
+def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, streams, name: str):
+    """Batch-1 ``(total, per_sector, residual)`` of ``len(masks)`` copies of
+    ``block(rep, w) = (a, vals)``: copy i, character mask ``masks[i]``, has
+    the columns ``vals[i] * a``, and ``generators`` act on those of ``a``.
+    Each of the two batches, keyed ``stream(seed, k)`` for k in ``streams``,
+    has ``_ROW_MARGIN`` more rows than the largest sector has columns: a
+    nonzero constraint is a degree-4 polynomial in w and vanishes at a point
+    of {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the
+    margin over the unknowns is what counts, not the row total.  The batches
+    must agree on every sector's nullity."""
+    require_relations(rep)
+    blocks = SectorDecomposition(*generators).sectors()
+    sectors = _sector_columns(blocks, masks)
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
-    # each batch's system is released before the next one is built
-    results = [
-        _sector_nullity(*system(rep, blocks, integer_points(seed, count, rep.m, k)), count, sectors)
-        for k in streams
-    ]
+    results = []
+    for k in streams:  # each batch's system is released before the next one is built
+        a, vals = block(rep, integer_points(seed, count, rep.m, k))
+        # the whole system's largest |entry|: the largest product in any row
+        row_max = np.maximum(a.max(axis=1), -a.min(axis=1))
+        amax = float((np.maximum(vals.max(axis=0), -vals.min(axis=0)) * row_max).max())
+        _orbit_transform(a, blocks, amax)
+        results.append(_sector_nullity(a.T, vals, amax, sectors))
+        del a, vals
     if results[0][:2] != results[1][:2]:
         (total1, by_chi1, _), (total2, by_chi2, _) = results
         moved = ", ".join(
@@ -235,10 +235,8 @@ def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     kernel over enough samples equals g with overwhelming probability, and
     two disjoint batches must agree on every sector dimension.
     """
-    require_relations(rep)
-    blocks = SectorDecomposition(*_g_generators(rep)).sectors()
     total, per_sector, residual = _sampled_kernel(
-        rep, blocks, _sector_columns(blocks), _g_system, seed, (1, 2), "g"
+        rep, _g_generators(rep), (0,), _g_block, seed, (1, 2), "g"
     )
     return KernelReport(total, None, "float-svd", residual, per_sector)
 
@@ -281,31 +279,15 @@ def _sharp_masks(rep: CliffordRep) -> np.ndarray:
     return flip @ (1 << np.arange(rep.n))
 
 
-def _sharp_system(rep: CliffordRep, blocks, w: np.ndarray):
-    """``(gather, amax)`` of sum_i S_i[w] X_i[w] = 0 at the points ``w``,
-    on the unknowns i * npairs + t, pair t of X_i.
-
-    The entry of unknown (i, t) is S_i[w] times the pair value w_a w_b
-    (doubled off the diagonal), and ``blocks`` decompose one copy of the
-    pairs: the sector column of (i, t) is S_i[w] times the orbit-transformed
-    pair column t.  Both factors are integers, so the product is the exact
-    integer that transforming the whole system would give."""
+def _sharp_block(rep: CliffordRep, w: np.ndarray):
+    """The sharp system sum_i S_i[w] X_i[w] = 0 at the points ``w`` as n
+    copies of the pair block: unknown i * npairs + t, pair t = (a, b) of
+    X_i, has the entry S_i[w] times the pair value w_a w_b (doubled off the
+    diagonal).  Returns the F-ordered (count, npairs) pairs and the (n,
+    count) values S_i[w], both float64 arrays of exact integers."""
     pa, pb = np.triu_indices(rep.m)
     pairs = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
-    forms = rep.forms(w)
-    # the whole system's largest |entry|: the largest product in any row
-    amax = float((np.abs(forms).max(axis=0) * np.abs(pairs).max(axis=0)).max())
-    block = pairs.T.astype(float)  # F-ordered
-    _orbit_transform(block, blocks, amax)
-    vals, cols = forms.astype(float), block.T
-
-    def gather(pos):
-        out = cols[pos % len(pa)]
-        out *= vals[pos // len(pa)]
-        out += 0.0  # turns -0.0 into 0.0, as the integer product has it
-        return out
-
-    return gather, amax
+    return pairs.T.astype(float), rep.forms(w).astype(float)
 
 
 def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
@@ -321,8 +303,6 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
 
 def sharp_solution_dim(rep: CliffordRep, seed: int = 0) -> tuple[int, int]:
     """(solution dimension, n(n-1)/2 forced by the antisymmetric span)."""
-    require_relations(rep)
-    blocks = SectorDecomposition(*_sym2_generators(rep)).sectors()
-    sectors = _sector_columns(blocks, _sharp_masks(rep))
-    dim, _, _ = _sampled_kernel(rep, blocks, sectors, _sharp_system, seed, (11, 12), "sharp")
+    generators, masks = _sym2_generators(rep), _sharp_masks(rep)
+    dim, _, _ = _sampled_kernel(rep, generators, masks, _sharp_block, seed, (11, 12), "sharp")
     return dim, rep.n * (rep.n - 1) // 2

@@ -443,8 +443,9 @@ def zeta_quadratic_closed(p: int, q: int, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, component: str):
-    """Samples in ``component``, from F and the (n, count) S_i[w] values.
+def _component_rule(rep: CliffordRep, component: str):
+    """``(sign, test)`` of the samples in ``component``: those with
+    ``sign * F > 0`` and, for ``test = (i, c)``, ``c * S_i[w] > 0``.
 
     A label of ``components`` with representative c e_i fixes the sign of F
     as eps_i; where that sign has more than one component, it also fixes the
@@ -460,14 +461,11 @@ def _component_mask(rep: CliffordRep, qvals: np.ndarray, fvals: np.ndarray, comp
     if component not in table:
         if component not in ("+", "-"):
             raise InvalidInputError(f"unknown component {component!r}")
-        return flip * fvals > 0 if component == "+" else flip * fvals < 0
+        return (flip if component == "+" else -flip), None
     # label -> (sign of F, i, c) for the representative c e_i
     signs = {label: (rep.eps[i], i, v[i]) for label, v in table.items() for i in np.flatnonzero(v)}
     sign_f, i, c = signs[component]
-    mask = sign_f * fvals > 0
-    if sum(s == sign_f for s, _, _ in signs.values()) > 1:
-        mask &= c * qvals[i] > 0
-    return mask
+    return sign_f, ((i, c) if sum(s == sign_f for s, _, _ in signs.values()) > 1 else None)
 
 
 def _normal_blocks(seed: int, samples: int, bufs):
@@ -506,6 +504,7 @@ def zeta_quartic_mc(
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
+    sign, test = _component_rule(rep, component)  # an unknown label is refused before any draw
     s = complex(s)
     if s.real < 0:
         warnings.warn("Re(s) < 0: integrand unbounded near the zero set", RuntimeWarning)
@@ -528,7 +527,9 @@ def zeta_quartic_mc(
             fvals = np.zeros(len(w))
             for e, v in zip(rep.eps, qvals):
                 fvals += e * v * v
-            mask = _component_mask(rep, qvals, fvals, component)
+            mask = sign * fvals > 0
+            if test is not None:
+                mask &= test[1] * qvals[test[0]] > 0
             nz = mask & (fvals != 0)
             vals[lo : lo + len(w)][nz] = np.exp(s * np.log(np.abs(fvals[nz])))
             if lo + len(w) == count:

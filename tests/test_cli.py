@@ -397,6 +397,20 @@ def test_zeta_mc_half_line(capsys):
     assert 0.4 < est.value.real < 0.6  # the mass of one of two symmetric half-lines
 
 
+@pytest.mark.parametrize("formula,options,named", [
+    ("quartic", ["--m", "16", "--mult", "1"], "--mult"),
+    ("quadratic", ["--m", "8"], "--m"),
+    ("quadratic", ["--mult", "1"], "--mult"),
+    ("quadratic", ["--m", "8", "--mult", "1"], "--m or --mult"),
+])
+def test_zeta_gamma_refuses_options_its_formula_does_not_take(capsys, formula, options, named):
+    argv = ["zeta", "gamma", "--p", "3", "--q", "2", "--s", "0.4", "--formula", formula]
+    assert main(argv + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --formula {formula} does not take {named}"]
+
+
 def test_zeta_gamma_pullback_refuses_m_contradicting_mult(capsys):
     argv = ["zeta", "gamma", "--formula", "pullback", "--p", "3", "--q", "2", "--s", "0.3"]
     assert main(argv + ["--m", "16", "--mult", "1"]) == 2  # (3,2)x1 has m = 8

@@ -76,6 +76,8 @@ COMMANDS = [
     "classify --p 2 --q 3 --mult 1",
     "zeta gamma --p 4 --q 0 --s 0.3 --formula quartic",
     "zeta gamma --formula pullback --p 3 --q 0 --m 0 --s 0.3",
+    "zeta gamma --p 3 --q 2 --m 16 --mult 1 --s 0.4 --formula quartic",
+    "zeta gamma --p 3 --q 2 --m 8 --mult 1 --s 0.4 --formula quadratic",
     "quartic eval --p 3 --q 0 --mult 1 --w 1,x,0,0",
     "sym predict --p 3 --q 2 --mult 1 --format csv",
     "quartic coeffs",

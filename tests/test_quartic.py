@@ -9,7 +9,7 @@ from cqforms import quartic as Q
 from cqforms.classify import expected_degenerate
 from cqforms.repkit import CliffordRep, rep_build
 from cqforms.rng import integer_points
-from cqforms.spmat import int_det, perm_sign_of
+from cqforms.spmat import int_det, perm_sign_of, signed_permutation_matrix, sp_eye, sp_mul
 from cqforms.suite import enumerate_cases
 
 
@@ -211,16 +211,39 @@ def test_pfaffian_squares_to_determinant(seed):
     assert Q.pfaffian4(a.tolist()) ** 2 == int_det(a.tolist())
 
 
+def _split32_dense():
+    """Oracle: the five 8x8 basis matrices of the irreducible (3, 2) module,
+    as 4 x 4 arrays of 2x2 blocks."""
+    j, h, k = np.array([[0, -1], [1, 0]]), np.diag([-1, 1]), np.array([[0, 1], [1, 0]])
+    i2, o = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+    return [np.block(rows) for rows in (
+        [[o, o, o, i2], [o, o, -i2, o], [o, -i2, o, o], [i2, o, o, o]],
+        [[o, o, j, o], [o, o, o, -j], [-j, o, o, o], [o, j, o, o]],
+        [[o, o, o, j], [o, o, j, o], [o, -j, o, o], [-j, o, o, o]],
+        [[o, o, o, h], [o, o, -h, o], [o, -h, o, o], [h, o, o, o]],
+        [[o, o, o, k], [o, o, -k, o], [o, -k, o, o], [k, o, o, o]],
+    )]
+
+
+def test_split32_basis_is_the_dense_block_basis():
+    perm, sign = Q.split32_basis()
+    assert perm.shape == sign.shape == (5, 8)
+    assert np.array_equal(signed_permutation_matrix(perm, sign), np.stack(_split32_dense()))
+
+
 def test_split32_basis_satisfies_relations():
-    mats = Q.split32_basis()
-    eye = np.eye(8, dtype=np.int64)
+    perm, sign = Q.split32_basis()
+    mats = list(zip(perm, sign))
+    eye = sp_eye(8)
     for i, a in enumerate(mats):
-        assert np.array_equal(a, a.T) and np.array_equal(a @ a, eye)
+        # a signed permutation is orthogonal: S^2 = 1 makes S symmetric
+        assert all(np.array_equal(x, y) for x, y in zip(sp_mul(a, a), eye)), i
         for j in range(i + 1, 5):
             b = mats[j]
             same_block = (i < 3) == (j < 3)
-            want = -b @ a if same_block else b @ a
-            assert np.array_equal(a @ b, want), (i, j)
+            (ab_perm, ab_sign), (ba_perm, ba_sign) = sp_mul(a, b), sp_mul(b, a)
+            assert np.array_equal(ab_perm, ba_perm), (i, j)
+            assert np.array_equal(ab_sign, -ba_sign if same_block else ba_sign), (i, j)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -236,9 +259,9 @@ def test_32_identity_zero_point(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_32_identity_fails_for_swapped_basis(monkeypatch, k):
-    basis = Q.split32_basis()
-    basis[0], basis[3] = basis[3], basis[0]
-    monkeypatch.setattr(Q, "split32_basis", lambda: basis)
+    perm, sign = Q.split32_basis()
+    swapped = [3, 1, 2, 0, 4]
+    monkeypatch.setattr(Q, "split32_basis", lambda: (perm[swapped], sign[swapped]))
     assert not Q.check_32_identity(k, seed=2024)
 
 

@@ -9,6 +9,7 @@ import pytest
 from cqforms import spmat
 from cqforms import symlie as SY
 from cqforms.classify import exceptional_g_dim, expected_sharp, predict, pure_over_c
+from cqforms.quartic import quartic_values
 from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
 from cqforms.rng import integer_points
 from cqforms.spmat import SectorDecomposition, perm_sign_of
@@ -263,10 +264,34 @@ def _transform(a, blocks):
 
 
 def _nullity(a, blocks, sectors):
-    """``_sector_nullity`` of the whole float64 system ``a`` (consumed)."""
+    """``_sector_nullity`` of the whole float64 system ``a``, one copy with
+    unit row values (consumed)."""
     amax = _transform(a, blocks)
-    cols = a.T
-    return SY._sector_nullity(lambda pos: cols[pos], amax, a.shape[0], sectors)
+    return SY._sector_nullity(a.T, np.ones((1, 1)), amax, sectors)
+
+
+def _recorded_batches(monkeypatch):
+    """A list that gains ``(amax, {chi: SVD input})`` for each sampled batch
+    ranked from now on: each sector's (rows, c) matrix as ``_sector_nullity``
+    hands it to the SVD."""
+    batches, stacks = [], []
+    sector_nullity, svd = SY._sector_nullity, np.linalg.svd
+
+    def recording_svd(a, **options):
+        stacks.extend(a)
+        return svd(a, **options)
+
+    def recording(cols, vals, amax, sectors):
+        stacks.clear()
+        result = sector_nullity(cols, vals, amax, sectors)
+        # the sectors are ranked width by width, each width in sector order
+        order = sorted(range(len(sectors)), key=lambda t: len(sectors[t][1]))
+        batches.append((amax, {sectors[t][0]: mat for t, mat in zip(order, stacks, strict=True)}))
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(SY, "_sector_nullity", recording)
+    return batches
 
 
 def _columns(blocks):
@@ -300,8 +325,13 @@ def _sampled_systems(rep):
     """(sector blocks, batch-1 float64 system) of the g and of the n-copy
     sharp system."""
     g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-    g_rows = SY._g_constraint_matrix(rep, integer_points(0, _batch_rows(g_blocks), rep.m, 1))
+    g_rows, _ = SY._g_block(rep, integer_points(0, _batch_rows(g_blocks), rep.m, 1))
     return [(g_blocks, g_rows), _sharp_oracle(rep)]
+
+
+def _sharp_family(rep):
+    """(generators, character masks) of the factored sharp system."""
+    return SY._sym2_generators(rep), SY._sharp_masks(rep)
 
 
 def _sharp_sectors(rep):
@@ -336,10 +366,10 @@ def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
     rows = []
     sector_nullity = SY._sector_nullity
 
-    def recording(gather, amax, count, sectors):
-        assert gather(sectors[0][1][None]).shape[2] == count
-        rows.append(count)
-        return sector_nullity(gather, amax, count, sectors)
+    def recording(cols, vals, amax, sectors):
+        assert vals.shape[1] in (1, cols.shape[1])
+        rows.append(cols.shape[1])
+        return sector_nullity(cols, vals, amax, sectors)
 
     monkeypatch.setattr(SY, "_sector_nullity", recording)
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
@@ -387,7 +417,7 @@ def test_sector_matrices_match_per_column_assembly():
             assert np.array_equal(a_int, a)  # the system holds integers
             want = {chi: _per_column(a_int, cols) for chi, cols in _columns(blocks).items()}
             sectors = SY._sector_columns(blocks)
-            assert [chi for chi, _ in sectors] == list(want)
+            assert [chi for chi, _ in sectors] == sorted(want)
             _transform(a, blocks)
             for chi, pos in sectors:
                 got = a[:, pos]
@@ -400,25 +430,27 @@ def test_sector_matrices_match_per_column_assembly():
 FACTORED_CASES = enumerate_cases(max_pq=8, max_m=32) + [(11, 0, (1,))]
 
 
-def test_factored_sharp_sectors_match_the_n_copy_system():
+def test_factored_sharp_sectors_match_the_n_copy_system(monkeypatch):
     # one copy of Sym^2 times S_i[w] gives the n-copy system's sectors in
     # the same order and width, and byte-equal transformed sector matrices
     assert len(FACTORED_CASES) == 102
+    batches = _recorded_batches(monkeypatch)
     for p, q, mults in FACTORED_CASES:
         rep = rep_build(p, q, mults)
-        blocks, sectors = _sharp_sectors(rep)
-        for k in (11, 12):
+        _, sectors = _sharp_sectors(rep)
+        batches.clear()
+        SY.sharp_solution_dim(rep)
+        assert len(batches) == 2, (p, q, mults)
+        for k, (amax, matrices) in zip((11, 12), batches):
             full_blocks, a = _sharp_oracle(rep, k)
             full = SY._sector_columns(full_blocks)
             widths = [(chi, len(pos)) for chi, pos in sectors]
             assert [(chi, len(pos)) for chi, pos in full] == widths, (p, q, mults)
-            w = integer_points(0, a.shape[0], rep.m, k)
-            gather, amax = SY._sharp_system(rep, blocks, w)
             assert amax == _transform(a, full_blocks), (p, q, mults)  # the whole system's max
-            for (chi, want), (_, got) in zip(full, sectors):
-                matrix = gather(got[None])[0]
-                assert matrix.dtype == np.float64
-                assert matrix.T.tobytes() == a[:, want].tobytes(), (p, q, mults, k, chi)
+            for chi, want in full:
+                matrix = matrices[chi]
+                assert matrix.dtype == np.float64 and matrix.shape == (a.shape[0], len(want))
+                assert matrix.tobytes() == a[:, want].tobytes(), (p, q, mults, k, chi)
 
 
 def test_orbit_transform_refuses_inexact_float_sums():
@@ -443,13 +475,14 @@ def test_sharp_guard_uses_the_whole_systems_largest_entry():
     # (11,0)x1 at m = 64 with points scaled by 2^10: the orbit sums of the
     # pair block alone stay exact, those of the whole system would not
     rep = rep_build(11, 0, (1,))
-    blocks, _ = _sharp_sectors(rep)
-    w = integer_points(0, 8, rep.m, 11) << 10
+    blocks, sectors = _sharp_sectors(rep)
+    w = integer_points(0, max(len(pos) for _, pos in sectors) + 64, rep.m, 11) << 10
     pa, pb = np.triu_indices(rep.m)
     longest = max(len(idxs) for idxs, _, _ in blocks)
     assert 2 * np.abs(w[pa] * w[pb]).max() * longest < 2**53
+    scaled = lambda rep, w: SY._sharp_block(rep, w << 10)  # noqa: E731
     with pytest.raises(OverflowError):
-        SY._sharp_system(rep, blocks, w)
+        SY._sampled_kernel(rep, *_sharp_family(rep), scaled, 0, (11, 12), "sharp")
 
 
 def test_g_per_sector_nullities_sum_to_dimension():
@@ -509,32 +542,109 @@ def test_bareiss_rank_small():
     assert _bareiss_rank([[0, 0], [0, 0]]) == 0
 
 
-def _exact_nullities(gather, sectors):
-    """Nullity of each integer sector matrix that ``gather`` reads."""
-    return {chi: len(pos) - _bareiss_rank(gather(pos[None])[0].T.astype(np.int64).tolist())
-            for chi, pos in sectors}
+def _exact_nullities(matrices):
+    """Nullity of each integer sector matrix of ``{chi: (rows, c) matrix}``."""
+    return {chi: mat.shape[1] - _bareiss_rank(mat.astype(np.int64).tolist())
+            for chi, mat in matrices.items()}
 
 
 ORACLE_CASES = enumerate_cases(max_pq=6, max_m=8)
 
 
-def test_sector_nullities_match_exact_rational_ranks():
+def test_sector_nullities_match_exact_rational_ranks(monkeypatch):
     # the float rank of every g and sharp sector (batch 1: streams 1 and 11)
     # against the exact rank of the same integer matrix
     assert len(ORACLE_CASES) == 47
+    batches = _recorded_batches(monkeypatch)
     for p, q, mults in ORACLE_CASES:
         rep = rep_build(p, q, mults)
         assert rep.m <= 8
-        g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-        g_sectors = SY._sector_columns(g_blocks)
-        w = integer_points(0, _batch_rows(g_blocks), rep.m, 1)
+        batches.clear()
         g = SY.g_kernel_dim(rep, seed=0)
-        assert g.per_sector == _exact_nullities(SY._g_system(rep, g_blocks, w)[0], g_sectors)
-        blocks, sectors = _sharp_sectors(rep)
-        _, sharp, _ = SY._sampled_kernel(rep, blocks, sectors, SY._sharp_system, 0, (11, 12), "sharp")
-        w = integer_points(0, max(len(pos) for _, pos in sectors) + 64, rep.m, 11)
-        gather, _ = SY._sharp_system(rep, blocks, w)
-        assert sharp == _exact_nullities(gather, sectors), (p, q, mults)
+        family = _sharp_family(rep)
+        _, sharp, _ = SY._sampled_kernel(rep, *family, SY._sharp_block, 0, (11, 12), "sharp")
+        (_, g_batch), _, (_, sharp_batch), _ = batches
+        assert g.per_sector == _exact_nullities(g_batch), (p, q, mults)
+        assert sharp == _exact_nullities(sharp_batch), (p, q, mults)
+
+
+def _per_system_g(rep, blocks, w):
+    """Oracle: ``(gather, amax)`` of the g system built on its own, as it
+    was before g became the one-copy sampled system: rows G_a(w) w_b on
+    unknown X_ab, orbit-transformed as a whole."""
+    rows = quartic_values(rep, w, grad=True)[1].T.astype(float)[:, :, None] * w.T[:, None, :]
+    a = rows.reshape(w.shape[1], rep.m * rep.m)
+    amax = float(max(a.max(), -a.min()))
+    SY._orbit_transform(a, blocks, amax)
+    cols = a.T
+    return (lambda pos: cols[pos]), amax
+
+
+def _per_system_sharp(rep, blocks, w):
+    """Oracle: ``(gather, amax)`` of the sharp system built on its own: the
+    orbit-transformed pair block times S_i[w], gathered column by column."""
+    pa, pb = np.triu_indices(rep.m)
+    pairs = w[pa] * w[pb] * np.where(pa == pb, 1, 2)[:, None]
+    forms = rep.forms(w)
+    amax = float((np.abs(forms).max(axis=0) * np.abs(pairs).max(axis=0)).max())
+    block = pairs.T.astype(float)
+    SY._orbit_transform(block, blocks, amax)
+    vals, cols = forms.astype(float), block.T
+
+    def gather(pos):
+        out = cols[pos % len(pa)]
+        out *= vals[pos // len(pa)]
+        out += 0.0
+        return out
+
+    return gather, amax
+
+
+def _per_system_batches(rep, generators, masks, system, streams):
+    """Oracle: ``(total, per_sector, residual)`` of each seed-0 batch of
+    ``system``, one SVD per sector."""
+    blocks = SectorDecomposition(*generators).sectors()
+    sectors = SY._sector_columns(blocks, masks)
+    count = max(len(pos) for _, pos in sectors) + 64
+    out = []
+    for k in streams:
+        gather, amax = system(rep, blocks, integer_points(0, count, rep.m, k))
+        per_sector, residual = {}, 0.0
+        for chi, pos in sectors:
+            sv = np.linalg.svd(gather(pos[None])[0].T, compute_uv=False)
+            per_sector[chi] = int((sv <= SY.FLOAT_RANK_TOL * max(sv[0], 1.0)).sum())
+            if per_sector[chi]:
+                residual = max(residual, float(sv[-1]) / max(1.0, amax))
+        out.append((sum(per_sector.values()), per_sector, residual))
+    return out
+
+
+SUITE_LARGE_CASES = enumerate_cases(max_pq=8, max_m=32, max_total_mult=1)
+
+
+def test_sampled_kernels_match_the_per_system_builders(monkeypatch):
+    # both batches of g and sharp: dimensions, per-sector nullities and
+    # residuals bit for bit, on the suite-large modules and one at m = 64
+    assert len(SUITE_LARGE_CASES) == 40
+    batches = []
+    sector_nullity = SY._sector_nullity
+
+    def recording(*args):
+        batches.append(sector_nullity(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(SY, "_sector_nullity", recording)
+    for p, q, mults in SUITE_LARGE_CASES + [(6, 2, (2,))]:
+        rep = rep_build(p, q, mults)
+        batches.clear()
+        g = SY.g_kernel_dim(rep)
+        want = _per_system_batches(rep, SY._g_generators(rep), (0,), _per_system_g, (1, 2))
+        assert batches == want, (p, q, mults)
+        assert (g.dimension, g.per_sector, g.residual) == want[0], (p, q, mults)
+        batches.clear()
+        dim, _ = SY.sharp_solution_dim(rep)
+        want = _per_system_batches(rep, *_sharp_family(rep), _per_system_sharp, (11, 12))
+        assert batches == want and dim == want[0][0], (p, q, mults)
 
 
 def _tampered_modules():

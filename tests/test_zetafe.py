@@ -374,6 +374,53 @@ def test_mc_estimate_pinned(args, value, stderr):
     assert repr(float(est.stderr)) == stderr
 
 
+def _component_mask(rep, qvals, fvals, component):
+    """Oracle: the samples in ``component``, from F and the (n, count)
+    S_i[w] values, with the label looked up for every block of samples."""
+    flip, shift = (-1, rep.p) if rep.p < rep.q else (1, 0)
+    labels = Z.components(max(rep.p, rep.q), min(rep.p, rep.q))
+    table = {label: np.roll(v, shift) for label, v in labels}
+    if component not in table:
+        if component not in ("+", "-"):
+            raise InvalidInputError(f"unknown component {component!r}")
+        return flip * fvals > 0 if component == "+" else flip * fvals < 0
+    signs = {label: (rep.eps[i], i, v[i]) for label, v in table.items() for i in np.flatnonzero(v)}
+    sign_f, i, c = signs[component]
+    mask = sign_f * fvals > 0
+    if sum(s == sign_f for s, _, _ in signs.values()) > 1:
+        mask &= c * qvals[i] > 0
+    return mask
+
+
+@pytest.mark.parametrize(
+    "args, value, stderr",
+    [
+        ((3, 1, (1, 1)), "(0.7912403705136062-0.037511153367993995j)", "0.002388211895935019"),
+        ((5, 1, (0, 0, 0, 1)), "(-6.7607954355217894e-06+2.9741375468752684e-06j)",
+         "7.959087824826793e-08"),
+        ((4, 0, (2,)), "(1.3016774687879038+0.13551050454330868j)", "0.0026809629978843215"),
+        ((5, 2, (0, 1)), "(1.1760111341474657+0.08561643437316868j)", "0.002713888943902572"),
+        ((6, 0, (2,)), "(1.8392125201549925+0.410065137906375j)", "0.002940169655397398"),
+        ((6, 2, (1,)), "(1.53944234509641+0.28594713765866897j)", "0.004225776863857852"),
+    ],
+)
+def test_mc_estimate_pinned_on_the_cli_session_modules(args, value, stderr):
+    # the component rule looked up once per call gives the estimates that a
+    # lookup per block of samples gave, bit for bit
+    est = Z.zeta_quartic_mc(rep_build(*args), "+", 0.3 + 0.1j, samples=20_000, seed=0)
+    assert repr(complex(est.value)) == value
+    assert repr(float(est.stderr)) == stderr
+
+
+def test_mc_unknown_component_is_refused_before_any_draw(monkeypatch):
+    opened = []
+    monkeypatch.setattr(Z, "stream", lambda *key: opened.append(key) or stream(*key))
+    for rep in (rep_build(2, 1, (2, 1)), rep_build(3, 2, (1,)), swap_pq(rep_build(2, 1, (1, 1)))):
+        with pytest.raises(InvalidInputError, match="unknown component 'xyz'"):
+            Z.zeta_quartic_mc(rep, "xyz", 0.3, samples=10)
+    assert opened == []
+
+
 def _sequential_mc(rep, component, s, samples, seed):
     """The estimator before its draws moved to a helper thread: one
     whole-chunk draw, evaluated and summed before the next."""
@@ -393,7 +440,7 @@ def _sequential_mc(rep, component, s, samples, seed):
         fvals = np.zeros(count)
         for e, v in zip(rep.eps, qvals):
             fvals += e * v * v
-        mask = Z._component_mask(rep, qvals, fvals, component)
+        mask = _component_mask(rep, qvals, fvals, component)
         vals = np.zeros(count, dtype=complex)
         nz = mask & (fvals != 0)
         vals[nz] = np.exp(s * np.log(np.abs(fvals[nz])))
