@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import modp
 from .repkit import CliffordRep, InvalidInputError, require_dim
 from .rng import integer_points
 from .spmat import kron_word, sp_eye, sp_kron
@@ -209,15 +210,16 @@ def square_detect(form: QuarticForm):
 def homaloidal_check(rep: CliffordRep, trials: int, seed: int) -> bool:
     """Probabilistic exact check of F(grad F(w)) = 256 F(w)^3.
 
-    Degree-12 polynomial identity tested at ``trials`` integer points drawn
-    from [-9, 9]^m.  F has degree 4, so with G = grad F / 4 it reads
-    F(G(w)) = F(w)^3, checked for all points in one exact evaluation: any
-    failure is a real counterexample.
+    F has degree 4, so with G = grad F / 4 it reads F(G(w)) = F(w)^3, a
+    degree-12 identity.  It is tested mod ``modp.P`` at ``trials`` points
+    drawn uniformly mod P, all in one evaluation: each point misses a false
+    identity with probability at most 12/P, unless P divides every
+    coefficient of the difference, and any failure is a real counterexample.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    f, g = quartic_values(rep, integer_points(seed, trials, rep.m), grad=True)
-    return bool(np.all(quartic_values(rep, g) == f.astype(object) ** 3))
+    f, g = modp.quartic_values(rep, modp.residue_points(seed, trials, rep.m), grad=True)
+    return bool(np.all(modp.quartic_values(rep, g) == f * f % modp.P * f % modp.P))
 
 
 def pfaffian4(a) -> Fraction:

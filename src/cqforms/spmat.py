@@ -215,6 +215,22 @@ def restrict_to_eigenspace(mats, z, keep: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def joint_orbits(perms) -> list[np.ndarray]:
+    """The joint orbits of commuting permutation involutions, the rows of
+    ``perms``, in order of their least index, each an ascending index array:
+    the ``orbits`` of ``SectorDecomposition`` without its characters.
+
+    Pass j joins the orbit of u under the first j generators with that of
+    ``perms[j, u]``; as the generators commute, its least index is known.
+    """
+    base = np.arange(np.shape(perms)[1])
+    for p in perms:
+        move = base[p] < base
+        base[move] = base[p[move]]
+    order = np.argsort(base, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(base[order])) + 1)
+
+
 class SectorDecomposition:
     """Joint eigenspace data for commuting signed-permutation involutions.
 

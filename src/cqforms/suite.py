@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
+from . import modp
 from . import quartic as Q
 from . import symlie as SY
 from . import zetafe as Z
@@ -28,7 +31,6 @@ from .classify import (
     table1_lookup,
 )
 from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
-from .rng import complex_s_samples, integer_points
 from .spmat import signed_permutation_matrix, sp_mul
 
 
@@ -92,11 +94,11 @@ def check_relations(case) -> tuple[bool, str]:
         return False, str(report.failures)
     if not spin_equivariance_check(rep):
         return False, "spin equivariance identities failed"
-    # the coefficient table and the matrix formula agree pointwise
-    pts = integer_points(83, 10, rep.m)
-    for w, value in zip(pts.T.tolist(), Q.quartic_values(rep, pts).tolist()):
-        if case.form.eval(w) != value:
-            return False, f"coefficient table disagrees with direct evaluation at {w}"
+    # the coefficient table and the matrix formula agree at points mod P
+    pts = modp.residue_points(83, 10, rep.m)
+    bad = np.flatnonzero(modp.table_values(case.form.coeffs, pts) != modp.quartic_values(rep, pts))
+    if bad.size:
+        return False, f"coefficient table disagrees with direct evaluation at {pts[:, bad[0]].tolist()}"
     return True, ""
 
 
@@ -150,18 +152,12 @@ def check_sharp(case) -> tuple[bool, str]:
 
 
 def check_gamma_consistency(case) -> tuple[bool, str]:
-    p, q, m = case.p, case.q, case.rep.m
-    worst = max(Z.pullback_error(case.consts, s) for s in complex_s_samples(case.seed + 53, 20))
-    if worst >= 1e-10:
-        return False, f"pullback vs closed relative error {worst:.2e}"
-    inv_bad = [
-        s
-        for s in complex_s_samples(case.seed + 67, 10)
-        if not Z.fe_involution_check(p, q, m, s, 1e-10)
-    ]
-    if inv_bad:
-        return False, f"involution failed at {inv_bad[0]}"
-    return True, f"max rel err {worst:.2e}"
+    failed = Z.gamma_identity_check(case.consts, seed=case.seed + 53)
+    if failed is not None:
+        return False, f"{failed} identity fails mod {modp.P}"
+    bound = (Z.GAMMA_DEGREE / (modp.P - 1)) ** Z.GAMMA_POINTS
+    detail = f"pullback and involution identities mod {modp.P} at {Z.GAMMA_POINTS} points, bound {bound:.0e}"
+    return True, detail
 
 
 def check_constants(case) -> tuple[bool, str]:

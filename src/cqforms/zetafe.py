@@ -8,13 +8,18 @@ quartic; its gamma matrix is a twisted product of two quadratic gamma
 matrices, the twist being eighth roots of unity read off the signatures of
 S(v) on each component.
 
-This module evaluates the closed-form gamma matrices, computes the
-signature constants exactly, measures the distance of the pullback product
-from the direct quartic formulas (``pullback_error``), and verifies
-functional equations numerically with Gaussian test functions (quadrature in
-the quadratic range, Monte Carlo for the quartic integrals).  It only
-computes: the multiplicity formulas for the twists and the cases that the
-closed quartic formulas cover are stated in ``classify``.
+This module evaluates the closed-form gamma matrices in floats, computes
+the signature constants exactly, and verifies functional equations
+numerically with Gaussian test functions (quadrature in the quadratic
+range, Monte Carlo for the quartic integrals).  With z = e^{i pi s} the
+Gamma-function prefactors cancel, so the pullback and involution identities
+of the quartic gamma matrix are identities of Laurent polynomials in z over
+Z[zeta8, 1/2]; ``gamma_identity_check`` tests them mod ``modp.P`` from the
+table of ``gamma_laurent``, and ``det_sv_identity_check`` tests
+det S(v)^2 = P(v)^m mod P.  The float ``pullback_error`` and
+``fe_involution_check`` serve the command line.  This module only computes:
+the multiplicity formulas for the twists and the cases that the closed
+quartic formulas cover are stated in ``classify``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import modp
 from .classify import closed_form_refusal
 from .quartic import expand_coeffs, quartic_values
 from .repkit import CliffordRep, InvalidInputError
 from .rng import MC_CHUNK, integer_points, stream
-from .spmat import SectorDecomposition, int_det
+from .spmat import joint_orbits
 
 
 class PoleError(ValueError):
@@ -45,12 +51,12 @@ class UnsupportedCaseError(ValueError):
 POLE_RADIUS = 1e-8
 DEGENERACY_PROBES = 4  # integer points tried before gamma_constants expands the quartic
 MC_DRAW = 1 << 12  # Monte Carlo samples drawn per hand-off to the helper thread
-DET_SV_POINTS = 10  # points v of det_sv_identity_check
+DET_SV_POINTS = 10  # points v mod P of det_sv_identity_check, each missing with probability <= 2m/P
 
 # ---------------------------------------------------------------------------
 # Complex gamma: Lanczos approximation (g = 7, 9 coefficients), with the
 # reflection formula for Re z < 1/2.  Good to ~1e-13 relative, comfortably
-# inside the 1e-10 test tolerances used downstream.
+# inside the 1e-10 tolerances of the command line's float checks.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7
@@ -328,6 +334,140 @@ def fe_involution_check(p: int, q: int, m: int, s: complex, tol: float = 1e-10) 
 
 
 # ---------------------------------------------------------------------------
+# The gamma identities as Laurent polynomials in z = e^{i pi s}
+# ---------------------------------------------------------------------------
+
+
+_HALF = Fraction(1, 2)
+
+
+def _sin(k: int, b: int = 1) -> list:
+    """sin(pi (s + k/4)) = (zeta8^k z - zeta8^-k z^-1) / 2i as Laurent terms;
+    with b = 0 the constant sin(pi k/4)."""
+    return [(_HALF, k - 2, b), (-_HALF, -k - 2, -b)]
+
+
+def _times(c, *factors) -> list:
+    """c times the product of term lists."""
+    out = [(Fraction(c), 0, 0)]
+    for terms in factors:
+        out = [(c1 * c2, a1 + a2, b1 + b2) for c1, a1, b1 in out for c2, a2, b2 in terms]
+    return out
+
+
+@dataclass(frozen=True)
+class GammaLaurent:
+    """The trig matrices of the closed gamma factors, each entry a list of
+    terms (c, a, b) that stand for c zeta8^a z^b, with c in Z[1/2],
+    zeta8 = e^{i pi/4} and z = e^{i pi s}.
+
+    ``quadratic`` is ``gamma_quadratic``'s matrix without its prefactor, and
+    ``quartic`` is ``gamma_quartic``'s without its prefactor and sin(pi s).
+    ``involution`` holds the shifts k of the four sines sin(pi (s + k/4))
+    whose product is sin(pi s) sin(pi s~) times the involution's matrix
+    product, s~ = -m/4 - s: the reflection formula turns the four pairs of
+    Gamma factors into these sines.
+    """
+
+    labels: list
+    quadratic: list
+    quartic: list
+    involution: tuple
+
+
+def gamma_laurent(p: int, q: int, m: int) -> GammaLaurent:
+    """The Laurent table of the matrix shape of (p, q): definite (q = 0),
+    Lorentzian (q = 1) or split.  Covers what ``gamma_quartic`` covers."""
+    if p < q:
+        raise InvalidInputError("need p >= q")
+    if (refusal := closed_form_refusal(p, q, m)) is not None:
+        raise UnsupportedCaseError(refusal)
+    n = p + q
+    involution = (4, 2 * n, 4 + m - 2 * n, m)
+    if q == 0:
+        return GammaLaurent(["+"], [[_times(-1, _sin(0))]], [[_sin(-2 * n)]], involution)
+    if q == 1:
+        cos_n = _times(-1, _sin(2 * n + 2, 0))
+        up, down, half = [(_HALF, 2 * n, 1)], [(_HALF, -2 * n, -1)], [(_HALF, 0, 0)]
+        quadratic = [[_times(-1, _sin(2)), cos_n, cos_n], [half, down, up], [half, up, down]]
+        sin_n, diag = _times(-1, _sin(2 * n, 0)), _times(-1, _sin(2 * n))
+        quartic = [[_times(-1, _sin(-2 * n)), [], []], [sin_n, diag, []], [sin_n, [], diag]]
+        return GammaLaurent(["+", "-+", "--"], quadratic, quartic, involution)
+    quadratic = [[_times(-1, _sin(2 * q)), _sin(2 * p, 0)], [_sin(2 * q, 0), _times(-1, _sin(2 * p))]]
+    quartic = [
+        [_sin(2 * (q - p)), _times(-2, _sin(2 * p, 0), _sin(2 * q + 2, 0))],
+        [_times(-2, _sin(2 * q, 0), _sin(2 * p + 2, 0)), _sin(2 * (p - q))],
+    ]
+    return GammaLaurent(["+", "-"], quadratic, quartic, involution)
+
+
+def _residues(matrix: list) -> np.ndarray:
+    """The coefficients of z^-1, 1 and z in the entries of a table matrix,
+    mod ``modp.P``, as a (3, rows, cols) array."""
+    coef = np.zeros((3, len(matrix), len(matrix[0])), dtype=np.int64)
+    for r, row in enumerate(matrix):
+        for c, terms in enumerate(row):
+            for x, a, b in terms:
+                coef[b + 1, r, c] += modp.residue(x) * pow(modp.ZETA8, a % 8, modp.P)
+    return coef % modp.P
+
+
+def _at(coef: np.ndarray, z: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The matrix of ``_residues`` at the points zeta8^shift z: z is a (2, k)
+    array of residues and their inverses, or the same reversed for z^-1.
+    A (k, rows, cols) array."""
+    mod, turn = modp.P, pow(modp.ZETA8, shift % 8, modp.P)
+    zpow = np.stack([z[1] * pow(turn, -1, mod) % mod, np.ones_like(z[0]), z[0] * turn % mod])
+    return (coef[:, None] * zpow[:, :, None, None] % mod).sum(axis=0) % mod
+
+
+GAMMA_POINTS = 4  # points z of gamma_identity_check
+GAMMA_DEGREE = 8  # z-degree spread of the involution identity, the larger of the two
+
+
+def gamma_identity_check(consts: SignatureConstants, seed: int = 0) -> str | None:
+    """The two identities behind the quartic gamma matrix, mod ``modp.P`` at
+    GAMMA_POINTS points z drawn uniformly from the units of F_P.  Returns
+    None when both hold, else the name of the first that fails.
+
+    With z = e^{i pi s} the Gamma, pi and 2 powers cancel identically, and
+    what is left are identities of Laurent polynomials over Z[zeta8, 1/2]:
+
+    * pullback: M1(z) diag(zeta8^(plus - minus)) M2(zeta8^(m - 2n) z)
+      = sin(pi s) Mq(z), with M1, M2 the quadratic and Mq the quartic
+      matrices of ``gamma_laurent`` and the twists from ``consts``;
+    * involution: sin(pi s) sin(pi s~) Mq(z) Mq(zeta8^-m z^-1) = the product
+      of the four ``involution`` sines times I, with s~ = -m/4 - s.
+
+    Their z-degrees spread over at most 4 and GAMMA_DEGREE = 8, so each
+    point misses a false identity with probability at most 8/(P - 1),
+    unless the difference reduces to 0 mod P.
+    """
+    p, q, m = consts.p, consts.q, consts.m
+    n, mod = p + q, modp.P
+    table = gamma_laurent(p, q, m)
+    z = stream(seed, 3).integers(1, mod, size=GAMMA_POINTS)
+    z = np.stack([z, [pow(int(x), -1, mod) for x in z]])
+    z_tilde = (z[::-1], -m)  # s~ = -m/4 - s is z~ = zeta8^-m z^-1
+    twists = np.array([pow(modp.ZETA8, (a - b) % 8, mod) for a, b in consts.signatures])
+    quadratic, quartic = _residues(table.quadratic), _residues(table.quartic)
+    sines = _residues([[_sin(k) for k in (0, *table.involution)]])  # sin(pi s), the four shifts
+    sin_s = _at(sines[:, :, :1], z)
+    quartic_z = _at(quartic, z)
+    pullback = (_at(quadratic, z) * twists % mod) @ _at(quadratic, z, m - 2 * n) % mod
+    if np.any(pullback != sin_s * quartic_z % mod):
+        return "pullback"
+    left = sin_s * _at(sines[:, :, :1], *z_tilde) % mod * quartic_z % mod
+    left = left @ _at(quartic, *z_tilde) % mod
+    right = np.eye(len(table.labels), dtype=np.int64)
+    for sine in _at(sines[:, :, 1:], z)[:, 0].T:
+        right = right * sine[:, None, None] % mod
+    if np.any(left != right):
+        return "involution"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Numerical zeta integrals with the standard Gaussian exp(-pi |v|^2)
 # ---------------------------------------------------------------------------
 
@@ -548,24 +688,36 @@ def zeta_quartic_closed_square(m: int, s: complex) -> complex:
     return cmath.exp(-2 * s * math.log(math.pi)) * cgamma(2 * s + m / 2) / cgamma(m / 2)
 
 
-def det_sv_identity_check(rep: CliffordRep, seed: int = 5) -> bool:
-    """det S(v)^2 = P(v)^m, and det S(v) = +- P(v)^{m/2} for even m,
-    exactly at integer points.
+def det_sv_residues(rep: CliffordRep, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """det S(v) and P(v) mod ``modp.P`` at DET_SV_POINTS points v drawn
+    uniformly mod P, as two (DET_SV_POINTS,) arrays.
 
     S(v) = sum_i v_i S_i has nonzero entries only within the joint orbits
     of the permutations ``rep.perm``, so det S(v) is the product of the
-    determinants of its diagonal blocks, one per orbit."""
-    points = stream(seed, 2).integers(-5, 6, size=(DET_SV_POINTS, rep.n))
+    determinants of its diagonal blocks, one per orbit.  The blocks of one
+    size are eliminated as one stack."""
+    v = modp.residue_points(seed, DET_SV_POINTS, rep.n, index=2)
     sv = np.zeros((DET_SV_POINTS, rep.m, rep.m), dtype=np.int64)
     at = np.arange(DET_SV_POINTS)[:, None, None]
-    np.add.at(sv, (at, rep.perm, np.arange(rep.m)), points[:, :, None] * rep.sign)
-    orbits = SectorDecomposition(rep.perm, rep.sign).orbits
-    blocks = [sv[:, idx[:, None], idx].tolist() for idx in orbits]  # per orbit, every point
-    for k, v in enumerate(points):
-        pv = sum(e * int(c) ** 2 for e, c in zip(rep.eps, v))
-        d = math.prod(int_det(block[k]) for block in blocks)
-        if d * d != pv**rep.m:
-            return False
-        if rep.m % 2 == 0 and abs(d) != abs(pv ** (rep.m // 2)):
-            return False
-    return True
+    np.add.at(sv, (at, rep.perm, np.arange(rep.m)), v.T[:, :, None] * rep.sign)
+    orbits = joint_orbits(rep.perm)
+    det = np.ones(DET_SV_POINTS, dtype=np.int64)
+    for size in sorted({len(idx) for idx in orbits}):
+        idx = np.array([o for o in orbits if len(o) == size])  # (blocks, size)
+        blocks = sv[:, idx[:, :, None], idx[:, None, :]].reshape(-1, size, size)
+        for d in modp.det(blocks).reshape(DET_SV_POINTS, -1).T:
+            det = det * d % modp.P
+    pv = (np.array(rep.eps)[:, None] * (v * v % modp.P)).sum(axis=0) % modp.P
+    return det, pv
+
+
+def det_sv_identity_check(rep: CliffordRep, seed: int = 5) -> bool:
+    """det S(v)^2 = P(v)^m, tested mod ``modp.P`` at the points of
+    ``det_sv_residues``.
+
+    Both sides have degree 2m, so each point misses a false identity with
+    probability at most 2m/P, unless P divides every coefficient of the
+    difference.  For even m, det S(v) = +-P(v)^{m/2} follows, since F_P is a
+    field."""
+    det, pv = det_sv_residues(rep, seed)
+    return bool(np.all(det * det % modp.P == modp.power(pv, rep.m)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqforms import modp
 from cqforms import quartic as Q
 from cqforms.classify import expected_degenerate
 from cqforms.repkit import CliffordRep, rep_build
@@ -190,6 +191,17 @@ def test_homaloidal_fails_with_a_negated_column(p, q, mults):
     basis[1][:, 0] *= -1  # S_2 with its first column negated
     bad = _dense_rep(p, q, mults, basis)
     assert not Q.homaloidal_check(bad, trials=20, seed=7)
+
+
+def test_homaloidal_identity_has_the_power_three_mod_p():
+    # F(G) = F^3 mod P at the points of homaloidal_check, and F^2 or F^4 in
+    # its place fails
+    rep = rep_build(3, 2, (1,))
+    f, g = modp.quartic_values(rep, modp.residue_points(7, 20, rep.m), grad=True)
+    fg = modp.quartic_values(rep, g)
+    assert Q.homaloidal_check(rep, trials=20, seed=7)
+    assert np.all(fg == modp.power(f, 3))
+    assert not np.any(fg == modp.power(f, 2)) and not np.any(fg == modp.power(f, 4))
 
 
 def test_pfaffian_examples():

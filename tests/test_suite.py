@@ -13,6 +13,7 @@ import cqforms.repkit
 import cqforms.suite
 import cqforms.zetafe
 from cqforms.classify import gamma_applicable
+from cqforms.modp import P
 from cqforms.repkit import InvalidInputError, rep_build
 from cqforms.rng import integer_points
 from cqforms.suite import CHECKS, Case, enumerate_cases, run_suite
@@ -153,9 +154,25 @@ def test_a_twist_other_than_1_fails_the_gamma_row(monkeypatch):
     monkeypatch.setattr(cqforms.zetafe, "gamma_constants", twisted)
     assert gamma_applicable(4, 0, (1,))
     ok, detail = CHECKS["gamma"](Case(4, 0, (1,)))
-    assert not ok and detail.startswith("pullback vs closed relative error"), detail
+    assert (ok, detail) == (False, f"pullback identity fails mod {P}")
     ok, detail = CHECKS["constants"](Case(4, 0, (1,)))
     assert not ok and detail.startswith("gamma mismatch on component +"), detail
+
+
+def test_gamma_row_names_its_evidence():
+    ok, detail = CHECKS["gamma"](Case(4, 0, (1,)))
+    bound = (8 / (P - 1)) ** cqforms.zetafe.GAMMA_POINTS
+    points = cqforms.zetafe.GAMMA_POINTS
+    assert ok and detail == f"pullback and involution identities mod {P} at {points} points, bound {bound:.0e}"
+
+
+def test_a_wrong_coefficient_fails_the_relations_row():
+    case = Case(3, 2, (1,))
+    assert CHECKS["relations"](case) == (True, "")
+    key = next(iter(case.form.coeffs))
+    case.form.coeffs[key] += 1
+    ok, detail = CHECKS["relations"](case)
+    assert not ok and detail.startswith("coefficient table disagrees with direct evaluation at ["), detail
 
 
 def test_constants_row_compares_the_det_identity_with_the_table(monkeypatch):

@@ -5,11 +5,13 @@ import threading
 import numpy as np
 import pytest
 
+from cqforms import modp
 from cqforms import zetafe as Z
+from cqforms.modp import det
 from cqforms.classify import expected_degenerate, expected_det_square
 from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
-from cqforms.spmat import SectorDecomposition, int_det, symmetric_signature
+from cqforms.spmat import SectorDecomposition, int_det, joint_orbits, symmetric_signature
 from cqforms.suite import enumerate_cases
 
 
@@ -153,16 +155,15 @@ def test_det_blocks_multiply_to_the_full_determinant(monkeypatch):
     for args in [(3, 2, (2,)), (1, 1, (1, 0, 1, 0)), (9, 1, (1, 1, 0, 0)), (1, 0, (2, 1)),
                  (6, 2, (1,)), (4, 0, (3,))]:
         rep = rep_build(*args)
-        dets = []
-        monkeypatch.setattr(Z, "int_det", lambda mat: dets.append(int_det(mat)) or dets[-1])
-        assert Z.det_sv_identity_check(rep, seed=5)
+        stacks = []
+        monkeypatch.setattr(modp, "det", lambda stack: stacks.append(len(stack)) or det(stack))
+        dets, _ = Z.det_sv_residues(rep, seed=5)
         monkeypatch.undo()
-        blocks = sum(args[2])
-        assert len(dets) == blocks * Z.DET_SV_POINTS, args
-        points = stream(5, 2).integers(-5, 6, size=(Z.DET_SV_POINTS, rep.n))
-        for k, v in enumerate(points):
-            sv = sum(int(c) * s for c, s in zip(v, rep.basis))
-            assert math.prod(dets[k * blocks : (k + 1) * blocks]) == int_det(sv.tolist()), args
+        assert sum(stacks) == sum(args[2]) * Z.DET_SV_POINTS, args
+        points = modp.residue_points(5, Z.DET_SV_POINTS, rep.n, index=2)
+        for k, v in enumerate(points.T.tolist()):
+            sv = sum(c * s.astype(object) for c, s in zip(v, rep.basis))
+            assert dets[k] == int_det(sv.tolist()) % modp.P, args
 
 
 def _fixed_point_orbits(rep):
@@ -181,6 +182,7 @@ def test_det_blocks_are_the_joint_orbits_of_the_fix_point_oracle():
         rep = rep_build(p, q, mults)
         got = [o.tolist() for o in SectorDecomposition(rep.perm, rep.sign).orbits]
         assert got == _fixed_point_orbits(rep), (p, q, mults)
+        assert [o.tolist() for o in joint_orbits(rep.perm)] == got, (p, q, mults)
 
 
 # ------------------------------------------------------------- gamma matrices
