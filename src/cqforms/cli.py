@@ -21,8 +21,10 @@ its module file itself and returns no document.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -63,12 +65,28 @@ def _component(text: str) -> str:
     return text.translate(str.maketrans("pm", "+-"))
 
 
+def _tolerance(text: str) -> float:
+    """A finite tolerance >= 0: an infinite one would pass every check and a
+    negative or NaN one fail every check, whatever the inputs."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _parse_complex(text: str) -> complex:
+    """A finite complex number, with ``i`` or ``j`` for the imaginary unit."""
     t = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(t)
+        s = complex(t)
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(s):
+        raise InvalidInputError(f"complex number {text!r} is not finite")
+    return s
 
 
 def _json_default(x):
@@ -366,7 +384,7 @@ _PQ = (_with(_P, required=True), _with(_Q, required=True))
 _PQ_MULT = _PQ + (_with(_MULT, required=True),)
 _S = ("--s", {"required": True})
 _W = ("--w", {"type": _int_list, "required": True, "help": "comma separated integer point"})
-_TOL = ("--tol", {"type": float, "default": 1e-10})
+_TOL = ("--tol", {"type": _tolerance, "default": 1e-10})
 _COMPONENT = ("--component", {
     "type": _component,
     "required": True,

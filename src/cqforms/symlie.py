@@ -16,11 +16,12 @@ of one block of unknowns, each copy with a character mask and row values
 (``g`` is one copy, the sharp system n copies of Sym^2), and both take one
 path with one exactness guard, one orbit transform and one gather, sectors
 in ascending character order.  The sampled dimensions are probabilistic in
-the choice of points, so every run solves two independent batches and
-insists they agree.  ``h_kernel``, ``g_kernel_dim`` and
-``sharp_solution_dim`` refuse a module whose defining relations fail with an
-``InvalidInputError`` that names the failed checks; all three read the
-module's one relation report, ``rep.relations``.
+the choice of points.  Sampling can only overstate a sector's kernel, never
+understate it, so a second independent batch re-ranks the sectors where the
+first found a kernel, and the two must agree there.  ``h_kernel``,
+``g_kernel_dim`` and ``sharp_solution_dim`` refuse a module whose defining
+relations fail with an ``InvalidInputError`` that names the failed checks;
+all three read the module's one relation report, ``rep.relations``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from .spmat import SectorDecomposition, sp_kron
 
 
 class UnstableDimensionError(RuntimeError):
-    """Two sample batches produced different nullspace dimensions."""
+    """A second sample batch moved the nullity of a sector where the first
+    batch found a kernel.  The message names each such sector, and its two
+    totals are summed over the re-ranked sectors; batch 1's is its full
+    total, since every other sector has nullity 0."""
 
 
 FLOAT_RANK_TOL = 1e-8
@@ -195,45 +199,62 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
     """Batch-1 ``(total, per_sector, residual)`` of ``len(masks)`` copies of
     ``block(rep, w) = (a, vals)``: copy i, character mask ``masks[i]``, has
     the columns ``vals[i] * a``, and ``generators`` act on those of ``a``.
-    Each of the two batches, keyed ``stream(seed, k)`` for k in ``streams``,
-    has ``_ROW_MARGIN`` more rows than the largest sector has columns: a
-    nonzero constraint is a degree-4 polynomial in w and vanishes at a point
-    of {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the
-    margin over the unknowns is what counts, not the row total.  The batches
-    must agree on every sector's nullity."""
+    Both batches, keyed ``stream(seed, k)`` for k in ``streams``, have
+    ``_ROW_MARGIN`` more rows than the largest sector has columns: a nonzero
+    constraint is a degree-4 polynomial in w and vanishes at a point of
+    {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
+    over the unknowns is what counts, not the row total.
+
+    Batch 2 re-ranks only the sectors where batch 1 found a kernel, and the
+    batches must agree on those.  For any sample, a sector's kernel contains
+    the true solutions in that sector, so sampling can only raise a nullity.
+    A wrong dimension thus needs a sector where batch 1 overstates the
+    kernel; that sector has nullity > 0, so batch 2 re-ranks it, and a wrong
+    verdict passes only when both batches overstate it equally.  Where batch
+    1 finds no kernel, batch 2 could only add a spurious one of its own,
+    which never changed the returned value; with no kernel at all, batch 2
+    is not drawn.  Batch 2 never guarded against float under-counting: an
+    exact kernel vector gets a computed singular value of about
+    c * rows * eps * sigma_max, over 1e4 times below ``FLOAT_RANK_TOL``
+    times sigma_max."""
     require_relations(rep)
     blocks = SectorDecomposition(*generators).sectors()
     sectors = _sector_columns(blocks, masks)
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
-    results = []
-    for k in streams:  # each batch's system is released before the next one is built
+
+    def rank(k, sectors):
+        # the batch's system is released before the next one is built
         a, vals = block(rep, integer_points(seed, count, rep.m, k))
         # the whole system's largest |entry|: the largest product in any row
         row_max = np.maximum(a.max(axis=1), -a.min(axis=1))
         amax = float((np.maximum(vals.max(axis=0), -vals.min(axis=0)) * row_max).max())
         _orbit_transform(a, blocks, amax)
-        results.append(_sector_nullity(a.T, vals, amax, sectors))
-        del a, vals
-    if results[0][:2] != results[1][:2]:
-        (total1, by_chi1, _), (total2, by_chi2, _) = results
+        return _sector_nullity(a.T, vals, amax, sectors)
+
+    first, second = streams
+    total, by_chi, residual = rank(first, sectors)
+    kernel = [(chi, pos) for chi, pos in sectors if by_chi[chi]]
+    if kernel:
+        total2, by_chi2, _ = rank(second, kernel)
         moved = ", ".join(
-            f"{chi}: {by_chi1[chi]} vs {by_chi2[chi]}"
-            for chi in by_chi1
-            if by_chi1[chi] != by_chi2[chi]
+            f"{chi}: {by_chi[chi]} vs {n}" for chi, n in by_chi2.items() if by_chi[chi] != n
         )
-        raise UnstableDimensionError(
-            f"{name} dimension unstable: {total1} vs {total2}"
-            f" (nullity by character bitmask {moved})"
-        )
-    return results[0]
+        if moved:
+            raise UnstableDimensionError(
+                f"{name} dimension unstable: {total} vs {total2}"
+                f" (nullity by character bitmask {moved})"
+            )
+    return total, by_chi, residual
 
 
 def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     """Dimension of the symmetry Lie algebra of the quartic.
 
     Each integer sample w imposes grad F(w) . (X w) = 0 on X; the joint
-    kernel over enough samples equals g with overwhelming probability, and
-    two disjoint batches must agree on every sector dimension.
+    kernel over enough samples equals g with overwhelming probability.  A
+    sample can only overstate a sector's dimension, so a second, disjoint
+    batch re-ranks the sectors where the first found a kernel and must
+    agree with it on each of them.
     """
     total, per_sector, residual = _sampled_kernel(
         rep, _g_generators(rep), (0,), _g_block, seed, (1, 2), "g"
@@ -294,8 +315,10 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
     """Do symmetric solutions of sum_i S_i[w] X_i[w] = 0 reduce to the span
     of the antisymmetric combinations X_i = sum_j a_ij S_j?
 
-    Computes the solution dimension from two sampled batches (sector by
-    sector) and compares with n(n-1)/2, the dimension of the forced span.
+    Computes the solution dimension from a sampled batch (sector by sector)
+    and compares with n(n-1)/2, the dimension of the forced span.  A sample
+    can only overstate a sector's dimension, so a second batch re-ranks the
+    sectors where the first found solutions and must agree on each of them.
     """
     dim, forced = sharp_solution_dim(rep, seed)
     return dim == forced

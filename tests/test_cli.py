@@ -417,3 +417,37 @@ def test_zeta_gamma_pullback_refuses_m_contradicting_mult(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: --m 16 contradicts --mult 1 (m = 8)"]
     code, doc = run_json(capsys, *argv, "--m", "16", "--mult", "2")
     assert code == 0 and doc["labels"] == ["+", "-"]
+
+
+ZETA_CHECKS = [
+    ["zeta", "check-involution", "--p", "3", "--q", "2", "--m", "16"],
+    ["zeta", "check-pullback", "--p", "3", "--q", "2", "--mult", "1"],
+    ["zeta", "check-fe-quadratic", "--p", "2", "--q", "0"],
+]
+
+
+@pytest.mark.parametrize("command", ZETA_CHECKS, ids=lambda c: c[1])
+@pytest.mark.parametrize("tol", ["inf", "1e400", "-1", "-0.5", "nan", "x"])
+def test_tolerance_that_is_not_finite_and_non_negative_exits_2(capsys, command, tol):
+    # inf passed every check, and -1 or nan failed every one
+    assert main(command + ["--s", "0.3", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tol: expected a finite number >= 0, got '{tol}'" in captured.err
+
+
+def test_tolerance_zero_is_accepted(capsys):
+    code, doc = run_json(capsys, *ZETA_CHECKS[1], "--s", "0.3", "--tol", "0")
+    assert code == 1 and doc["tol"] == 0.0 and not doc["ok"]
+    assert cli._tolerance("1e-10") == 1e-10 and cli._tolerance("0") == 0.0
+
+
+@pytest.mark.parametrize("command", ZETA_CHECKS + [
+    ["zeta", "gamma", "--p", "3", "--q", "2", "--formula", "quadratic"],
+    ["zeta", "mc", "--p", "3", "--q", "0", "--mult", "1", "--component", "+", "--samples", "10"],
+], ids=lambda c: c[1])
+@pytest.mark.parametrize("s", ["nan", "1e400", "0.3+1e400i", "nan+0.5i"])
+def test_s_that_is_not_finite_exits_2(capsys, command, s):
+    # nan printed NaN tokens, which are not JSON, or failed a check
+    assert main(command + ["--s", s]) == 2
+    _one_error_line(capsys, f"complex number '{s}' is not finite")

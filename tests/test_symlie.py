@@ -271,9 +271,9 @@ def _nullity(a, blocks, sectors):
 
 
 def _recorded_batches(monkeypatch):
-    """A list that gains ``(amax, {chi: SVD input})`` for each sampled batch
-    ranked from now on: each sector's (rows, c) matrix as ``_sector_nullity``
-    hands it to the SVD."""
+    """A list that gains ``(amax, {chi: SVD input}, per_sector)`` for each
+    sampled batch ranked from now on: each ranked sector's (rows, c) matrix
+    as ``_sector_nullity`` hands it to the SVD, and its nullity."""
     batches, stacks = [], []
     sector_nullity, svd = SY._sector_nullity, np.linalg.svd
 
@@ -286,7 +286,8 @@ def _recorded_batches(monkeypatch):
         result = sector_nullity(cols, vals, amax, sectors)
         # the sectors are ranked width by width, each width in sector order
         order = sorted(range(len(sectors)), key=lambda t: len(sectors[t][1]))
-        batches.append((amax, {sectors[t][0]: mat for t, mat in zip(order, stacks, strict=True)}))
+        matrices = {sectors[t][0]: mat for t, mat in zip(order, stacks, strict=True)}
+        batches.append((amax, matrices, result[1]))
         return result
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -363,25 +364,31 @@ def test_generator_families_match_the_entry_by_entry_oracle():
 
 
 def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
-    rows = []
+    # batch 1 always, and batch 2, with the same rows, when batch 1 finds a
+    # kernel
+    rows, kernels = [], []
     sector_nullity = SY._sector_nullity
 
     def recording(cols, vals, amax, sectors):
         assert vals.shape[1] in (1, cols.shape[1])
         rows.append(cols.shape[1])
-        return sector_nullity(cols, vals, amax, sectors)
+        result = sector_nullity(cols, vals, amax, sectors)
+        kernels.append(result[0] > 0)
+        return result
 
     monkeypatch.setattr(SY, "_sector_nullity", recording)
+    single = 0
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
         rep = rep_build(p, q, mults)
         g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
         sharp_blocks = SectorDecomposition(*_sharp_generators(rep)).sectors()
-        rows.clear()
-        SY.g_kernel_dim(rep)
-        assert rows == [_batch_rows(g_blocks)] * 2, (p, q, mults)
-        rows.clear()
-        SY.sharp_solution_dim(rep)
-        assert rows == [_batch_rows(sharp_blocks)] * 2, (p, q, mults)
+        for run, blocks in ((SY.g_kernel_dim, g_blocks), (SY.sharp_solution_dim, sharp_blocks)):
+            rows.clear()
+            kernels.clear()
+            run(rep)
+            assert rows == [_batch_rows(blocks)] * (1 + kernels[0]), (p, q, mults, run)
+            single += not kernels[0]
+    assert single  # some run draws one batch only
 
 
 def test_sampled_systems_are_f_ordered_float64(monkeypatch):
@@ -440,14 +447,19 @@ def test_factored_sharp_sectors_match_the_n_copy_system(monkeypatch):
         _, sectors = _sharp_sectors(rep)
         batches.clear()
         SY.sharp_solution_dim(rep)
-        assert len(batches) == 2, (p, q, mults)
-        for k, (amax, matrices) in zip((11, 12), batches):
+        # batch 2 ranks batch 1's kernel sectors, and is drawn only if any
+        kernel = [chi for chi, n in batches[0][2].items() if n]
+        assert len(batches) == 1 + bool(kernel), (p, q, mults)
+        for k, (amax, matrices, _), ranked in zip((11, 12), batches, ([*batches[0][2]], kernel)):
             full_blocks, a = _sharp_oracle(rep, k)
             full = SY._sector_columns(full_blocks)
             widths = [(chi, len(pos)) for chi, pos in sectors]
             assert [(chi, len(pos)) for chi, pos in full] == widths, (p, q, mults)
             assert amax == _transform(a, full_blocks), (p, q, mults)  # the whole system's max
+            assert sorted(matrices) == ranked, (p, q, mults, k)
             for chi, want in full:
+                if chi not in ranked:
+                    continue
                 matrix = matrices[chi]
                 assert matrix.dtype == np.float64 and matrix.shape == (a.shape[0], len(want))
                 assert matrix.tobytes() == a[:, want].tobytes(), (p, q, mults, k, chi)
@@ -561,9 +573,11 @@ def test_sector_nullities_match_exact_rational_ranks(monkeypatch):
         assert rep.m <= 8
         batches.clear()
         g = SY.g_kernel_dim(rep, seed=0)
+        g_batch = batches[0][1]
+        batches.clear()
         family = _sharp_family(rep)
         _, sharp, _ = SY._sampled_kernel(rep, *family, SY._sharp_block, 0, (11, 12), "sharp")
-        (_, g_batch), _, (_, sharp_batch), _ = batches
+        sharp_batch = batches[0][1]
         assert g.per_sector == _exact_nullities(g_batch), (p, q, mults)
         assert sharp == _exact_nullities(sharp_batch), (p, q, mults)
 
@@ -602,12 +616,17 @@ def _per_system_sharp(rep, blocks, w):
 
 def _per_system_batches(rep, generators, masks, system, streams):
     """Oracle: ``(total, per_sector, residual)`` of each seed-0 batch of
-    ``system``, one SVD per sector."""
+    ``system``, one SVD per sector: batch 1 on every sector, batch 2 on
+    those where batch 1 found a kernel, if any."""
     blocks = SectorDecomposition(*generators).sectors()
     sectors = SY._sector_columns(blocks, masks)
     count = max(len(pos) for _, pos in sectors) + 64
     out = []
     for k in streams:
+        if out:
+            sectors = [(chi, pos) for chi, pos in sectors if out[0][1][chi]]
+            if not sectors:
+                break
         gather, amax = system(rep, blocks, integer_points(0, count, rep.m, k))
         per_sector, residual = {}, 0.0
         for chi, pos in sectors:
@@ -623,8 +642,9 @@ SUITE_LARGE_CASES = enumerate_cases(max_pq=8, max_m=32, max_total_mult=1)
 
 
 def test_sampled_kernels_match_the_per_system_builders(monkeypatch):
-    # both batches of g and sharp: dimensions, per-sector nullities and
-    # residuals bit for bit, on the suite-large modules and one at m = 64
+    # both batches of g and sharp (batch 2 on batch 1's kernel sectors):
+    # dimensions, per-sector nullities and residuals bit for bit, on the
+    # suite-large modules and one at m = 64
     assert len(SUITE_LARGE_CASES) == 40
     batches = []
     sector_nullity = SY._sector_nullity
@@ -751,7 +771,72 @@ def test_unstable_dimension_names_each_sector(monkeypatch):
     with pytest.raises(SY.UnstableDimensionError) as err:
         SY.g_kernel_dim(rep, seed=0)
     message = str(err.value)
-    assert f"{stable.dimension} vs {sum(widths.values())}" in message
+    # batch 2 re-ranks only the kernel sectors of batch 1, and both totals
+    # are summed over those
+    kernel = {chi: n for chi, n in stable.per_sector.items() if n}
+    assert stable.dimension == 28 and len(kernel) < len(widths)
+    assert f"g dimension unstable: 28 vs {sum(widths[chi] for chi in kernel)} (" in message
     named = message.split("nullity by character bitmask ", 1)[1].rstrip(")").split(", ")
-    want = [f"{chi}: {n} vs {widths[chi]}" for chi, n in stable.per_sector.items() if n != widths[chi]]
+    want = [f"{chi}: {n} vs {widths[chi]}" for chi, n in kernel.items() if n != widths[chi]]
     assert want and named == want
+
+
+def _recorded_sector_lists(monkeypatch):
+    """A list that gains, for each batch ranked from now on, the sectors
+    handed to ``_sector_nullity`` and the per-sector nullities it returns."""
+    calls = []
+    sector_nullity = SY._sector_nullity
+
+    def recording(cols, vals, amax, sectors):
+        result = sector_nullity(cols, vals, amax, sectors)
+        calls.append((sectors, result[1]))
+        return result
+
+    monkeypatch.setattr(SY, "_sector_nullity", recording)
+    return calls
+
+
+def test_second_batch_ranks_exactly_the_first_batchs_kernel_sectors(monkeypatch):
+    calls = _recorded_sector_lists(monkeypatch)
+    fewer = {SY.g_kernel_dim: 0, SY.sharp_solution_dim: 0}
+    for p, q, mults in SUITE_LARGE_CASES:
+        rep = rep_build(p, q, mults)
+        for run, generators, masks in (
+            (SY.g_kernel_dim, SY._g_generators(rep), (0,)),
+            (SY.sharp_solution_dim, *_sharp_family(rep)),
+        ):
+            calls.clear()
+            run(rep)
+            every = SY._sector_columns(SectorDecomposition(*generators).sectors(), masks)
+            (first, by_chi), *rest = calls
+            assert [chi for chi, _ in first] == [chi for chi, _ in every], (p, q, mults, run)
+            kernel = [(chi, pos) for chi, pos in every if by_chi[chi]]
+            assert len(rest) == (1 if kernel else 0), (p, q, mults, run)
+            if kernel:
+                ranked = rest[0][0]
+                assert [chi for chi, _ in ranked] == [chi for chi, _ in kernel], (p, q, mults)
+                for (_, got), (_, want) in zip(ranked, kernel):
+                    assert np.array_equal(got, want), (p, q, mults, run)
+                fewer[run] += len(kernel) < len(every)
+    assert all(fewer.values())  # g and sharp each skip sectors in batch 2
+
+
+def test_no_second_batch_without_a_first_batch_kernel(monkeypatch):
+    # (1,0)x(0,1): m = 1, F = w^4, so g = 0 and sharp has no solution
+    streams = []
+    points = SY.integer_points
+
+    def recording(seed, count, dim, index=0):
+        streams.append(index)
+        return points(seed, count, dim, index)
+
+    monkeypatch.setattr(SY, "integer_points", recording)
+    calls = _recorded_sector_lists(monkeypatch)
+    rep = rep_build(1, 0, (0, 1))
+    report = SY.g_kernel_dim(rep)
+    assert report.dimension == 0 and not any(report.per_sector.values())
+    assert streams == [1] and len(calls) == 1
+    streams.clear()
+    calls.clear()
+    assert SY.sharp_solution_dim(rep) == (0, 0)
+    assert streams == [11] and len(calls) == 1
