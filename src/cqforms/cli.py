@@ -8,7 +8,8 @@ classify, verify-all.
 Every run prints a JSON document (or CSV, from quartic coeffs --format csv)
 carrying a schema version, an echo of the configuration including the seed,
 and a timestamp unless --no-timestamp is given.  Exit status: 0 success /
-checks passed, 1 a verification check failed, 2 usage or input error.
+checks passed, 1 a verification check failed, 2 usage or input error,
+including inputs at which a float result overflows or is not a number.
 
 Code layout: ``COMMANDS`` has one row ``(group or None, name, handler,
 arguments)`` per subcommand, and ``build_parser`` is one loop over it.  A
@@ -113,7 +114,10 @@ def _emit(document: dict | str, args, argv: list[str]) -> None:
         }
         if not args.no_timestamp:
             doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        document = json.dumps(doc, indent=2, default=_json_default) + "\n"
+        try:
+            document = json.dumps(doc, indent=2, default=_json_default, allow_nan=False) + "\n"
+        except ValueError:  # JSON has no NaN or infinity
+            raise OverflowError("a value of the result is not finite") from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(document)
@@ -456,12 +460,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        document, status = args.fn(args)
-        if document is not None:
-            _emit(document, args, argv)
+        # a float that overflows or is not a number refuses the inputs
+        with np.errstate(over="raise", invalid="raise"):
+            document, status = args.fn(args)
+            if document is not None:
+                _emit(document, args, argv)
         return status
     except (InvalidInputError, UnsupportedError, Z.UnsupportedCaseError, Z.PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: no finite float64 result at these inputs: {exc}", file=sys.stderr)
         return 2
     except SY.UnstableDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)

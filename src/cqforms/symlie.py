@@ -205,8 +205,9 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
     {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
     over the unknowns is what counts, not the row total.
 
-    Batch 2 re-ranks only the sectors where batch 1 found a kernel, and the
-    batches must agree on those.  For any sample, a sector's kernel contains
+    Batch 2 re-ranks only the sectors where batch 1 found a kernel, and
+    orbit-transforms only the orbits that hold their columns; the batches
+    must agree on those sectors.  For any sample, a sector's kernel contains
     the true solutions in that sector, so sampling can only raise a nullity.
     A wrong dimension thus needs a sector where batch 1 overstates the
     kernel; that sector has nullity > 0, so batch 2 re-ranks it, and a wrong
@@ -222,7 +223,7 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
     sectors = _sector_columns(blocks, masks)
     count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
 
-    def rank(k, sectors):
+    def rank(k, sectors, blocks):
         # the batch's system is released before the next one is built
         a, vals = block(rep, integer_points(seed, count, rep.m, k))
         # the whole system's largest |entry|: the largest product in any row
@@ -232,10 +233,13 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
         return _sector_nullity(a.T, vals, amax, sectors)
 
     first, second = streams
-    total, by_chi, residual = rank(first, sectors)
+    total, by_chi, residual = rank(first, sectors, blocks)
     kernel = [(chi, pos) for chi, pos in sectors if by_chi[chi]]
     if kernel:
-        total2, by_chi2, _ = rank(second, kernel)
+        # batch 2 transforms only the orbits that hold a kernel sector's column
+        held = np.zeros(sum(len(idxs) for idxs, _, _ in blocks), dtype=bool)
+        held[np.concatenate([pos for _, pos in kernel]) % len(held)] = True
+        total2, by_chi2, _ = rank(second, kernel, [b for b in blocks if held[b[0]].any()])
         moved = ", ".join(
             f"{chi}: {by_chi[chi]} vs {n}" for chi, n in by_chi2.items() if by_chi[chi] != n
         )

@@ -8,18 +8,19 @@ quartic; its gamma matrix is a twisted product of two quadratic gamma
 matrices, the twist being eighth roots of unity read off the signatures of
 S(v) on each component.
 
-This module evaluates the closed-form gamma matrices in floats, computes
-the signature constants exactly, and verifies functional equations
-numerically with Gaussian test functions (quadrature in the quadratic
-range, Monte Carlo for the quartic integrals).  With z = e^{i pi s} the
-Gamma-function prefactors cancel, so the pullback and involution identities
-of the quartic gamma matrix are identities of Laurent polynomials in z over
-Z[zeta8, 1/2]; ``gamma_identity_check`` tests them mod ``modp.P`` from the
-table of ``gamma_laurent``, and ``det_sv_identity_check`` tests
-det S(v)^2 = P(v)^m mod P.  The float ``pullback_error`` and
-``fe_involution_check`` serve the command line.  This module only computes:
-the multiplicity formulas for the twists and the cases that the closed
-quartic formulas cover are stated in ``classify``.
+The trig matrices of the closed gamma factors are stated once, as Laurent
+polynomials in z = e^{i pi s} over Z[zeta8, 1/2] (``gamma_laurent``); the
+float gamma matrices are Gamma-function prefactors times that table.  This
+module computes the signature constants exactly, and verifies functional
+equations numerically with Gaussian test functions (quadrature in the
+quadratic range, Monte Carlo for the quartic integrals).  The prefactors
+cancel from the pullback and involution identities of the quartic gamma
+matrix; ``gamma_identity_check`` proves what is left mod ``modp.P`` at 9
+points, and ``det_sv_identity_check`` tests det S(v)^2 = P(v)^m mod P.  The
+float ``pullback_error`` and ``fe_involution_check`` serve the command
+line.  This module only computes: the multiplicity formulas for the twists
+and the cases that the closed quartic formulas cover are stated in
+``classify``.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
 
 
 # ---------------------------------------------------------------------------
-# Gamma matrices of the quadratic functional equations
+# Gamma matrices: trig matrices as Laurent polynomials in z = e^{i pi s}
 # ---------------------------------------------------------------------------
 
 
@@ -189,52 +190,141 @@ class GammaMatrix:
     formula: str
     validated: bool = True
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise OverflowError(f"the {self.formula} gamma matrix has a value that is not finite")
+
     @property
     def nu(self) -> int:
         return len(self.labels)
 
 
-def gamma_quadratic(p: int, q: int, s: complex) -> GammaMatrix:
-    """Gamma matrix of the signature-(p, q) quadratic functional equation.
+_HALF = Fraction(1, 2)
 
-    Three closed forms: definite (scalar, components lumped for p = 1),
-    Lorentzian (p, 1) with its three components, and the general split case
-    with the two components {P > 0}, {P < 0}.
+
+def _sin(k: int, b: int = 1) -> list:
+    """sin(pi (s + k/4)) = (zeta8^k z - zeta8^-k z^-1) / 2i as Laurent terms;
+    with b = 0 the constant sin(pi k/4)."""
+    return [(_HALF, k - 2, b), (-_HALF, -k - 2, -b)]
+
+
+def _times(c, *factors) -> list:
+    """c times the product of term lists."""
+    out = [(Fraction(c), 0, 0)]
+    for terms in factors:
+        out = [(c1 * c2, a1 + a2, b1 + b2) for c1, a1, b1 in out for c2, a2, b2 in terms]
+    return out
+
+
+def _quadratic_table(p: int, q: int) -> tuple[list, str, list]:
+    """Labels, formula name and trig matrix of the signature-(p, q) quadratic
+    gamma matrix, p >= q >= 0: definite (q = 0, components lumped for p = 1),
+    Lorentzian (q = 1 < p) with its three components, or split with the two
+    components {P > 0}, {P < 0} (also (1, 1), in the lumped sense)."""
+    n = p + q
+    if q == 0:
+        return ["+"], "quadratic-def", [[_times(-1, _sin(0))]]
+    if q == 1 < p:
+        cos_n = _times(-1, _sin(2 * n + 2, 0))
+        up, down, half = [(_HALF, 2 * n, 1)], [(_HALF, -2 * n, -1)], [(_HALF, 0, 0)]
+        return ["+", "-+", "--"], "quadratic-lorentz", [
+            [_times(-1, _sin(2)), cos_n, cos_n], [half, down, up], [half, up, down]
+        ]
+    return ["+", "-"], "quadratic-general", [
+        [_times(-1, _sin(2 * q)), _sin(2 * p, 0)], [_sin(2 * q, 0), _times(-1, _sin(2 * p))]
+    ]
+
+
+@dataclass(frozen=True)
+class GammaLaurent:
+    """The trig matrices of the closed gamma factors, each entry a list of
+    terms (c, a, b) that stand for c zeta8^a z^b, with c in Z[1/2],
+    zeta8 = e^{i pi/4} and z = e^{i pi s}.
+
+    ``quadratic`` is ``gamma_quadratic``'s matrix without its prefactor, and
+    ``quartic`` is ``gamma_quartic``'s without its prefactor and sin(pi s).
+    ``involution`` holds the shifts k of the four sines sin(pi (s + k/4))
+    whose product is sin(pi s) sin(pi s~) times the involution's matrix
+    product, s~ = -m/4 - s: the reflection formula turns the four pairs of
+    Gamma factors into these sines.
     """
+
+    labels: list
+    quadratic: list
+    quartic: list
+    involution: tuple
+
+
+def gamma_laurent(p: int, q: int, m: int) -> GammaLaurent:
+    """The Laurent table of the matrix shape of (p, q): definite (q = 0),
+    Lorentzian (q = 1) or split.  Covers what ``gamma_quartic`` covers."""
+    if p < q:
+        raise InvalidInputError("need p >= q")
+    if (refusal := closed_form_refusal(p, q, m)) is not None:
+        raise UnsupportedCaseError(refusal)
+    labels, _, quadratic = _quadratic_table(p, q)
+    n = p + q
+    if q == 0:
+        quartic = [[_sin(-2 * n)]]
+    elif q == 1:
+        sin_n, diag = _times(-1, _sin(2 * n, 0)), _times(-1, _sin(2 * n))
+        quartic = [[_times(-1, _sin(-2 * n)), [], []], [sin_n, diag, []], [sin_n, [], diag]]
+    else:
+        quartic = [
+            [_sin(2 * (q - p)), _times(-2, _sin(2 * p, 0), _sin(2 * q + 2, 0))],
+            [_times(-2, _sin(2 * q, 0), _sin(2 * p + 2, 0)), _sin(2 * (p - q))],
+        ]
+    return GammaLaurent(labels, quadratic, quartic, (4, 2 * n, 4 + m - 2 * n, m))
+
+
+_R = math.sqrt(0.5)
+_ZETA8 = (1, complex(_R, _R), 1j, complex(-_R, _R), -1, complex(-_R, -_R), -1j, complex(_R, -_R))
+
+
+def _complex_at(scale: complex, matrix: list, s: complex) -> np.ndarray:
+    """scale times the entries of a table matrix at z = e^{i pi s}, in Python
+    complex floats: a product that overflows is inf or nan, with no warning,
+    and ``GammaMatrix`` refuses it.  The powers of zeta8 are exact where they
+    are 1, i, -1 or -i, so a constant sine that vanishes is 0."""
+    zpow = (cmath.exp(-1j * cmath.pi * s), 1, cmath.exp(1j * cmath.pi * s))
+    return np.array(
+        [[scale * sum(float(c) * _ZETA8[a % 8] * zpow[b + 1] for c, a, b in e) for e in row] for row in matrix],
+        dtype=complex,
+    )
+
+
+def _residues(matrix: list) -> np.ndarray:
+    """The coefficients of z^-1, 1 and z in the entries of a table matrix,
+    mod ``modp.P``, as a (3, rows, cols) array."""
+    coef = np.zeros((3, len(matrix), len(matrix[0])), dtype=np.int64)
+    for r, row in enumerate(matrix):
+        for c, terms in enumerate(row):
+            for x, a, b in terms:
+                coef[b + 1, r, c] += modp.residue(x) * pow(modp.ZETA8, a % 8, modp.P)
+    return coef % modp.P
+
+
+def _at(coef: np.ndarray, z: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The matrix of ``_residues`` at the points zeta8^shift z: z is a (2, k)
+    array of residues and their inverses, or the same reversed for z^-1.
+    A (k, rows, cols) array."""
+    mod, turn = modp.P, pow(modp.ZETA8, shift % 8, modp.P)
+    zpow = np.stack([z[1] * pow(turn, -1, mod) % mod, np.ones_like(z[0]), z[0] * turn % mod])
+    return (coef[:, None] * zpow[:, :, None, None] % mod).sum(axis=0) % mod
+
+
+def gamma_quadratic(p: int, q: int, s: complex) -> GammaMatrix:
+    """Gamma matrix of the signature-(p, q) quadratic functional equation:
+    its Gamma and pi prefactor times the trig matrix of ``_quadratic_table``."""
     if p < q or q < 0 or p + q < 1:
         raise InvalidInputError("need p >= q >= 0 with p + q >= 1")
     s = complex(s)
     n = p + q
     _check_poles(s + 1, s + n / 2)
     pref = cmath.exp(-(2 * s + n / 2 + 1) * math.log(math.pi)) * cgamma(s + 1) * cgamma(s + n / 2)
-    if q == 0:
-        val = -pref * cmath.sin(cmath.pi * s)
-        return GammaMatrix(["+"], np.array([[val]]), "quadratic-def")
-    if q == 1 and p >= 2:
-        c = cmath.cos
-        mat = np.array(
-            [
-                [-c(cmath.pi * s), -math.cos(math.pi * n / 2), -math.cos(math.pi * n / 2)],
-                [0.5, 0.5 * eof(-(2 * s + n) / 4), 0.5 * eof((2 * s + n) / 4)],
-                [0.5, 0.5 * eof((2 * s + n) / 4), 0.5 * eof(-(2 * s + n) / 4)],
-            ],
-            dtype=complex,
-        )
-        return GammaMatrix(["+", "-+", "--"], pref * mat, "quadratic-lorentz")
-    # p, q >= 1 split form (used for (1, 1) in the lumped two-component sense)
-    mat = np.array(
-        [
-            [-cmath.sin(cmath.pi * (2 * s + q) / 2), math.sin(math.pi * p / 2)],
-            [math.sin(math.pi * q / 2), -cmath.sin(cmath.pi * (2 * s + p) / 2)],
-        ],
-        dtype=complex,
-    )
-    return GammaMatrix(["+", "-"], pref * mat, "quadratic-general")
+    labels, formula, matrix = _quadratic_table(p, q)
+    return GammaMatrix(labels, _complex_at(pref, matrix, s), formula)
 
-
-# ---------------------------------------------------------------------------
-# Gamma matrices of the quartic functional equations
-# ---------------------------------------------------------------------------
 
 def _quartic_prefactor(n: int, m: int, s: complex) -> complex:
     _check_poles(s + 1, s + n / 2, s + 1 + (m - 2 * n) / 4, s + m / 4)
@@ -249,43 +339,18 @@ def _quartic_prefactor(n: int, m: int, s: complex) -> complex:
 
 
 def gamma_quartic(p: int, q: int, m: int, s: complex) -> GammaMatrix:
-    """Closed-form gamma matrix of the quartic functional equation.
+    """Closed-form gamma matrix of the quartic functional equation: its
+    prefactor times sin(pi s) times the quartic matrix of ``gamma_laurent``.
 
     Valid when every signature constant is 1 and m is a multiple of 8 (the
     displayed closed forms absorb a shift of the sine arguments by m/4,
     which is only sign-free for 8 | m; all module dimensions >= 8 occurring
     with unit constants in the classification have 8 | m).
     """
-    if p < q:
-        raise InvalidInputError("need p >= q")
-    if (refusal := closed_form_refusal(p, q, m)) is not None:
-        raise UnsupportedCaseError(refusal)
+    table = gamma_laurent(p, q, m)
     s = complex(s)
-    n = p + q
-    pref = _quartic_prefactor(n, m, s)
-    sin = cmath.sin
-    if q == 0:
-        val = pref * sin(cmath.pi * s) * sin(cmath.pi * (s - n / 2))
-        return GammaMatrix(["+"], np.array([[val]]), "quartic-closed")
-    if q == 1:
-        sn = math.sin(math.pi * n / 2)
-        mat = np.array(
-            [
-                [-sin(cmath.pi * (s - n / 2)), 0, 0],
-                [-sn, -sin(cmath.pi * (s + n / 2)), 0],
-                [-sn, 0, -sin(cmath.pi * (s + n / 2))],
-            ],
-            dtype=complex,
-        )
-        return GammaMatrix(["+", "-+", "--"], pref * sin(cmath.pi * s) * mat, "quartic-closed")
-    mat = np.array(
-        [
-            [sin(cmath.pi * (s + (q - p) / 2)), -2 * math.sin(math.pi * p / 2) * math.cos(math.pi * q / 2)],
-            [-2 * math.sin(math.pi * q / 2) * math.cos(math.pi * p / 2), sin(cmath.pi * (s + (p - q) / 2))],
-        ],
-        dtype=complex,
-    )
-    return GammaMatrix(["+", "-"], pref * sin(cmath.pi * s) * mat, "quartic-closed")
+    pref = _quartic_prefactor(p + q, m, s) * cmath.sin(cmath.pi * s)
+    return GammaMatrix(table.labels, _complex_at(pref, table.quartic, s), "quartic-closed")
 
 
 def gamma_pullback(consts: SignatureConstants, s: complex) -> GammaMatrix:
@@ -334,100 +399,17 @@ def fe_involution_check(p: int, q: int, m: int, s: complex, tol: float = 1e-10) 
 
 
 # ---------------------------------------------------------------------------
-# The gamma identities as Laurent polynomials in z = e^{i pi s}
+# The gamma identities mod P
 # ---------------------------------------------------------------------------
 
 
-_HALF = Fraction(1, 2)
-
-
-def _sin(k: int, b: int = 1) -> list:
-    """sin(pi (s + k/4)) = (zeta8^k z - zeta8^-k z^-1) / 2i as Laurent terms;
-    with b = 0 the constant sin(pi k/4)."""
-    return [(_HALF, k - 2, b), (-_HALF, -k - 2, -b)]
-
-
-def _times(c, *factors) -> list:
-    """c times the product of term lists."""
-    out = [(Fraction(c), 0, 0)]
-    for terms in factors:
-        out = [(c1 * c2, a1 + a2, b1 + b2) for c1, a1, b1 in out for c2, a2, b2 in terms]
-    return out
-
-
-@dataclass(frozen=True)
-class GammaLaurent:
-    """The trig matrices of the closed gamma factors, each entry a list of
-    terms (c, a, b) that stand for c zeta8^a z^b, with c in Z[1/2],
-    zeta8 = e^{i pi/4} and z = e^{i pi s}.
-
-    ``quadratic`` is ``gamma_quadratic``'s matrix without its prefactor, and
-    ``quartic`` is ``gamma_quartic``'s without its prefactor and sin(pi s).
-    ``involution`` holds the shifts k of the four sines sin(pi (s + k/4))
-    whose product is sin(pi s) sin(pi s~) times the involution's matrix
-    product, s~ = -m/4 - s: the reflection formula turns the four pairs of
-    Gamma factors into these sines.
-    """
-
-    labels: list
-    quadratic: list
-    quartic: list
-    involution: tuple
-
-
-def gamma_laurent(p: int, q: int, m: int) -> GammaLaurent:
-    """The Laurent table of the matrix shape of (p, q): definite (q = 0),
-    Lorentzian (q = 1) or split.  Covers what ``gamma_quartic`` covers."""
-    if p < q:
-        raise InvalidInputError("need p >= q")
-    if (refusal := closed_form_refusal(p, q, m)) is not None:
-        raise UnsupportedCaseError(refusal)
-    n = p + q
-    involution = (4, 2 * n, 4 + m - 2 * n, m)
-    if q == 0:
-        return GammaLaurent(["+"], [[_times(-1, _sin(0))]], [[_sin(-2 * n)]], involution)
-    if q == 1:
-        cos_n = _times(-1, _sin(2 * n + 2, 0))
-        up, down, half = [(_HALF, 2 * n, 1)], [(_HALF, -2 * n, -1)], [(_HALF, 0, 0)]
-        quadratic = [[_times(-1, _sin(2)), cos_n, cos_n], [half, down, up], [half, up, down]]
-        sin_n, diag = _times(-1, _sin(2 * n, 0)), _times(-1, _sin(2 * n))
-        quartic = [[_times(-1, _sin(-2 * n)), [], []], [sin_n, diag, []], [sin_n, [], diag]]
-        return GammaLaurent(["+", "-+", "--"], quadratic, quartic, involution)
-    quadratic = [[_times(-1, _sin(2 * q)), _sin(2 * p, 0)], [_sin(2 * q, 0), _times(-1, _sin(2 * p))]]
-    quartic = [
-        [_sin(2 * (q - p)), _times(-2, _sin(2 * p, 0), _sin(2 * q + 2, 0))],
-        [_times(-2, _sin(2 * q, 0), _sin(2 * p + 2, 0)), _sin(2 * (p - q))],
-    ]
-    return GammaLaurent(["+", "-"], quadratic, quartic, involution)
-
-
-def _residues(matrix: list) -> np.ndarray:
-    """The coefficients of z^-1, 1 and z in the entries of a table matrix,
-    mod ``modp.P``, as a (3, rows, cols) array."""
-    coef = np.zeros((3, len(matrix), len(matrix[0])), dtype=np.int64)
-    for r, row in enumerate(matrix):
-        for c, terms in enumerate(row):
-            for x, a, b in terms:
-                coef[b + 1, r, c] += modp.residue(x) * pow(modp.ZETA8, a % 8, modp.P)
-    return coef % modp.P
-
-
-def _at(coef: np.ndarray, z: np.ndarray, shift: int = 0) -> np.ndarray:
-    """The matrix of ``_residues`` at the points zeta8^shift z: z is a (2, k)
-    array of residues and their inverses, or the same reversed for z^-1.
-    A (k, rows, cols) array."""
-    mod, turn = modp.P, pow(modp.ZETA8, shift % 8, modp.P)
-    zpow = np.stack([z[1] * pow(turn, -1, mod) % mod, np.ones_like(z[0]), z[0] * turn % mod])
-    return (coef[:, None] * zpow[:, :, None, None] % mod).sum(axis=0) % mod
-
-
-GAMMA_POINTS = 4  # points z of gamma_identity_check
 GAMMA_DEGREE = 8  # z-degree spread of the involution identity, the larger of the two
+GAMMA_Z = tuple(range(1, GAMMA_DEGREE + 2))  # the points z of gamma_identity_check
 
 
-def gamma_identity_check(consts: SignatureConstants, seed: int = 0) -> str | None:
-    """The two identities behind the quartic gamma matrix, mod ``modp.P`` at
-    GAMMA_POINTS points z drawn uniformly from the units of F_P.  Returns
+def gamma_identity_check(consts: SignatureConstants) -> str | None:
+    """The two identities behind the quartic gamma matrix, proved mod
+    ``modp.P`` at the GAMMA_DEGREE + 1 distinct units z of GAMMA_Z.  Returns
     None when both hold, else the name of the first that fails.
 
     With z = e^{i pi s} the Gamma, pi and 2 powers cancel identically, and
@@ -439,15 +421,16 @@ def gamma_identity_check(consts: SignatureConstants, seed: int = 0) -> str | Non
     * involution: sin(pi s) sin(pi s~) Mq(z) Mq(zeta8^-m z^-1) = the product
       of the four ``involution`` sines times I, with s~ = -m/4 - s.
 
-    Their z-degrees spread over at most 4 and GAMMA_DEGREE = 8, so each
-    point misses a false identity with probability at most 8/(P - 1),
-    unless the difference reduces to 0 mod P.
+    Their z-degrees spread over at most 4 and GAMMA_DEGREE = 8.  Times a
+    power of z, each entry of a difference is a polynomial of degree at most
+    8 over F_P, and a nonzero one has at most 8 roots, so passing at 9
+    distinct points makes each identity exact mod P.  A false identity
+    passes only if its difference reduces to 0 mod P.
     """
     p, q, m = consts.p, consts.q, consts.m
     n, mod = p + q, modp.P
     table = gamma_laurent(p, q, m)
-    z = stream(seed, 3).integers(1, mod, size=GAMMA_POINTS)
-    z = np.stack([z, [pow(int(x), -1, mod) for x in z]])
+    z = np.array([GAMMA_Z, [pow(x, -1, mod) for x in GAMMA_Z]], dtype=np.int64)
     z_tilde = (z[::-1], -m)  # s~ = -m/4 - s is z~ = zeta8^-m z^-1
     twists = np.array([pow(modp.ZETA8, (a - b) % 8, mod) for a, b in consts.signatures])
     quadratic, quartic = _residues(table.quadratic), _residues(table.quartic)

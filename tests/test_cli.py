@@ -451,3 +451,47 @@ def test_s_that_is_not_finite_exits_2(capsys, command, s):
     # nan printed NaN tokens, which are not JSON, or failed a check
     assert main(command + ["--s", s]) == 2
     _one_error_line(capsys, f"complex number '{s}' is not finite")
+
+
+NOT_FINITE = [
+    # NaN tokens, or a NaN relative error that failed the check
+    "zeta gamma --p 3 --q 2 --m 16 --s 100.3 --formula quartic",
+    "zeta check-pullback --p 3 --q 2 --mult 1 --s 100.3",
+    "zeta check-involution --p 3 --q 2 --m 16 --s 100.3",
+    "zeta gamma --p 3 --q 2 --m 16 --s 80 --formula pullback",
+    # uncaught OverflowError tracebacks
+    "zeta gamma --p 3 --q 2 --m 16 --s 150.3 --formula quartic",
+    "zeta gamma --p 3 --q 2 --s 200.3 --formula quadratic",
+    "zeta gamma --p 3 --q 2 --m 16 --s 0.3+300i --formula quartic",
+    "zeta gamma --p 3 --q 2 --s 0.3+300i --formula quadratic",
+    "zeta gamma --p 3 --q 2 --m 16 --s 0.3+300i --formula pullback",
+    "zeta check-involution --p 3 --q 2 --m 16 --s 400",
+    "zeta check-fe-quadratic --p 1 --q 0 --s 1e200",
+    "zeta check-fe-quadratic --p 1 --q 1 --s -0.99999999",
+    # an Infinity token
+    "zeta mc --p 3 --q 2 --mult 1 --component + --s 300 --samples 1000",
+]
+
+
+@pytest.mark.parametrize("command", NOT_FINITE)
+def test_a_result_that_is_not_finite_in_floats_exits_2(capsys, command):
+    assert main(command.split()) == 2
+    _one_error_line(capsys, "no finite float64 result at these inputs")
+
+
+def test_a_document_with_a_nan_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.Z, "pullback_error", lambda consts, s: float("nan"))
+    out = tmp_path / "doc.json"
+    argv = ["zeta", "check-pullback", "--p", "3", "--q", "2", "--mult", "1", "--s", "0.3", "--out", str(out)]
+    assert main(argv) == 2
+    _one_error_line(capsys, "a value of the result is not finite")
+    assert not out.exists()
+
+
+def test_gamma_matrix_refuses_values_that_are_not_finite():
+    from cqforms import zetafe as Z
+
+    with pytest.raises(OverflowError, match="quartic-closed gamma matrix has a value that is not finite"):
+        Z.gamma_quartic(3, 2, 16, 100.3)
+    with pytest.raises(OverflowError):
+        Z.GammaMatrix(["+"], np.array([[np.inf]]), "quadratic-def")

@@ -97,7 +97,14 @@ def _shifted(terms, by):
 
 @pytest.mark.parametrize("case", SHAPES)
 def test_both_gamma_identities_hold(case):
-    assert Z.gamma_identity_check(_consts(case), seed=53) is None
+    assert Z.gamma_identity_check(_consts(case)) is None
+
+
+def test_the_gamma_identities_hold_on_every_applicable_module():
+    cases = [c for c in enumerate_cases(max_pq=12, max_m=64, max_total_mult=3) if gamma_applicable(*c)]
+    assert len(cases) == 247
+    for case in cases:
+        assert Z.gamma_identity_check(_consts(case)) is None, case
 
 
 @pytest.mark.parametrize("case", SHAPES)
@@ -110,7 +117,7 @@ def test_a_flipped_twist_fails(case, moved):
         signatures = list(consts.signatures)
         signatures[k] = (plus - moved, minus + moved)
         twisted = dataclasses.replace(consts, signatures=signatures)
-        assert Z.gamma_identity_check(twisted, seed=53) == "pullback", k
+        assert Z.gamma_identity_check(twisted) == "pullback", k
 
 
 @pytest.mark.parametrize("case", SHAPES)
@@ -130,12 +137,45 @@ def test_a_sine_shift_off_by_one_fails(monkeypatch, case, by):
     ]:
         changed = dataclasses.replace(table, **{field: value})
         monkeypatch.setattr(Z, "gamma_laurent", lambda *args: changed)
-        assert Z.gamma_identity_check(consts, seed=53) == fails, field
+        assert Z.gamma_identity_check(consts) == fails, field
 
 
-def _complex(matrix, s):
-    z, zeta = cmath.exp(1j * cmath.pi * s), cmath.exp(1j * cmath.pi / 4)
-    return np.array([[sum(float(c) * zeta**a * z**b for c, a, b in e) for e in row] for row in matrix])
+def _trig_quadratic(p, q, s):
+    """Oracle: the hand-written trig matrix of the quadratic gamma matrix."""
+    n, sin, cos = p + q, cmath.sin, cmath.cos
+    if q == 0:
+        return ["+"], [[-sin(cmath.pi * s)]]
+    if q == 1 and p >= 2:
+        e = lambda x: cmath.exp(2j * cmath.pi * x)
+        c = -math.cos(math.pi * n / 2)
+        return ["+", "-+", "--"], [
+            [-cos(cmath.pi * s), c, c],
+            [0.5, 0.5 * e(-(2 * s + n) / 4), 0.5 * e((2 * s + n) / 4)],
+            [0.5, 0.5 * e((2 * s + n) / 4), 0.5 * e(-(2 * s + n) / 4)],
+        ]
+    return ["+", "-"], [
+        [-sin(cmath.pi * (2 * s + q) / 2), math.sin(math.pi * p / 2)],
+        [math.sin(math.pi * q / 2), -sin(cmath.pi * (2 * s + p) / 2)],
+    ]
+
+
+def _trig_quartic(p, q, s):
+    """Oracle: the hand-written trig matrix of the quartic gamma matrix,
+    without sin(pi s)."""
+    n, sin = p + q, cmath.sin
+    if q == 0:
+        return [[sin(cmath.pi * (s - n / 2))]]
+    if q == 1:
+        sn, diag = math.sin(math.pi * n / 2), -sin(cmath.pi * (s + n / 2))
+        return [[-sin(cmath.pi * (s - n / 2)), 0, 0], [-sn, diag, 0], [-sn, 0, diag]]
+    return [
+        [sin(cmath.pi * (s + (q - p) / 2)), -2 * math.sin(math.pi * p / 2) * math.cos(math.pi * q / 2)],
+        [-2 * math.sin(math.pi * q / 2) * math.cos(math.pi * p / 2), sin(cmath.pi * (s + (p - q) / 2))],
+    ]
+
+
+def _quadratic_prefactor(n, s):
+    return cmath.exp(-(2 * s + n / 2 + 1) * math.log(math.pi)) * Z.cgamma(s + 1) * Z.cgamma(s + n / 2)
 
 
 def _close(a, b):
@@ -144,21 +184,52 @@ def _close(a, b):
 
 @pytest.mark.parametrize("case", SHAPES)
 def test_the_laurent_table_is_the_float_gamma_matrices(case):
+    # the float matrices evaluate the table; the oracle is written by hand
     p, q, mults = case
     n, m = p + q, rep_build(*case).m
     table = Z.gamma_laurent(p, q, m)
     for s in complex_s_samples(5, 10):
         quad = Z.gamma_quadratic(p, q, s)
-        pref = cmath.exp(-(2 * s + n / 2 + 1) * math.log(math.pi)) * Z.cgamma(s + 1) * Z.cgamma(s + n / 2)
-        assert quad.labels == table.labels and _close(pref * _complex(table.quadratic, s), quad.values)
+        labels, trig = _trig_quadratic(p, q, s)
+        assert quad.labels == table.labels == labels
+        assert _close(quad.values, _quadratic_prefactor(n, s) * np.array(trig))
         quart = Z.gamma_quartic(p, q, m, s)
-        sin_s = cmath.sin(cmath.pi * s)
-        assert _close(Z._quartic_prefactor(n, m, s) * sin_s * _complex(table.quartic, s), quart.values)
+        want = Z._quartic_prefactor(n, m, s) * cmath.sin(cmath.pi * s) * np.array(_trig_quartic(p, q, s))
+        assert quart.labels == table.labels and _close(quart.values, want)
         # the reflection formula: the prefactors at s and -m/4 - s times the
         # four involution sines give 1
         pair = Z._quartic_prefactor(n, m, s) * Z._quartic_prefactor(n, m, -m / 4 - s)
         sines = math.prod(cmath.sin(cmath.pi * (s + k / 4)) for k in table.involution)
         assert abs(pair * sines - 1) < 1e-12
+
+
+@pytest.mark.parametrize("pq", [(1, 0), (1, 1), (2, 1), (3, 1)])
+def test_quadratic_gamma_matrices_outside_the_closed_quartic_forms(pq):
+    p, q = pq
+    for s in complex_s_samples(5, 10):
+        quad = Z.gamma_quadratic(p, q, s)
+        labels, trig = _trig_quadratic(p, q, s)
+        assert quad.labels == labels and _close(quad.values, _quadratic_prefactor(p + q, s) * np.array(trig))
+    assert Z.gamma_quadratic(1, 1, 0.3).formula == "quadratic-general"
+    assert Z.gamma_quadratic(2, 1, 0.3).formula == "quadratic-lorentz"
+
+
+def test_a_constant_sine_that_vanishes_is_zero():
+    # sin(pi) and sin(2 pi) in the split quartic matrix of (4, 2): exact zeros
+    quart = Z.gamma_quartic(4, 2, 16, 0.3)
+    assert quart.values[0, 1] == 0 and quart.values[1, 0] == 0
+
+
+def test_the_gamma_points_prove_the_identities():
+    # GAMMA_DEGREE + 1 distinct units of F_P: a nonzero Laurent polynomial
+    # of z-degree spread at most GAMMA_DEGREE cannot vanish at all of them
+    points = Z.GAMMA_Z
+    assert len(points) == Z.GAMMA_DEGREE + 1 == len(set(points))
+    assert all(0 < z < P for z in points)
+    for case in SHAPES:
+        table = Z.gamma_laurent(case[0], case[1], rep_build(*case).m)
+        for matrix in (table.quadratic, table.quartic):
+            assert {b for row in matrix for terms in row for _, _, b in terms} <= {-1, 0, 1}
 
 
 def test_the_laurent_table_refuses_what_the_closed_forms_refuse():

@@ -465,6 +465,36 @@ def test_factored_sharp_sectors_match_the_n_copy_system(monkeypatch):
                 assert matrix.tobytes() == a[:, want].tobytes(), (p, q, mults, k, chi)
 
 
+def test_batch_2_transforms_only_the_orbits_of_kernel_sectors(monkeypatch):
+    # batch 1 transforms every orbit; batch 2 those that hold a column of a
+    # sector where batch 1 found a kernel, no more and no fewer
+    transformed = []
+    orbit_transform = SY._orbit_transform
+
+    def recording(a, blocks, amax):
+        transformed.append([idxs.tolist() for idxs, _, _ in blocks])
+        return orbit_transform(a, blocks, amax)
+
+    monkeypatch.setattr(SY, "_orbit_transform", recording)
+    fewer = 0
+    for p, q, mults in FACTORED_CASES[::4]:
+        rep = rep_build(p, q, mults)
+        for generators, masks, block, streams in [
+            (SY._g_generators(rep), (0,), SY._g_block, (1, 2)),
+            (*_sharp_family(rep), SY._sharp_block, (11, 12)),
+        ]:
+            blocks = SectorDecomposition(*generators).sectors()
+            size = sum(len(idxs) for idxs, _, _ in blocks)
+            transformed.clear()
+            _, by_chi, _ = SY._sampled_kernel(rep, generators, masks, block, 0, streams, "x")
+            assert transformed[0] == [idxs.tolist() for idxs, _, _ in blocks], (p, q, mults)
+            read = {int(u) % size for chi, pos in SY._sector_columns(blocks, masks) if by_chi[chi] for u in pos}
+            want = [idxs.tolist() for idxs, _, _ in blocks if read & set(idxs.tolist())]
+            assert transformed[1:] == ([want] if read else []), (p, q, mults)
+            fewer += 0 < len(want) < len(blocks)
+    assert fewer
+
+
 def test_orbit_transform_refuses_inexact_float_sums():
     # one orbit of length 2, e_0 <-> e_1: characters 0 and 1, sums of 2 entries
     blocks = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
