@@ -50,8 +50,10 @@ class UnsupportedCaseError(ValueError):
 
 
 POLE_RADIUS = 1e-8
+QUAD_TMAX = 500.0  # largest cut t of the (1, 1) hyperbolic quadrature
+QUAD_TAIL = 52 * math.log(2)  # the (1, 1) quadrature needs its neglected tail below 2^-52
 DEGENERACY_PROBES = 4  # integer points tried before gamma_constants expands the quartic
-MC_DRAW = 1 << 12  # Monte Carlo samples drawn per hand-off to the helper thread
+MC_DRAW = 1 << 12  # Monte Carlo samples drawn and evaluated per block of a chunk
 DET_SV_POINTS = 10  # points v mod P of det_sv_identity_check, each missing with probability <= 2m/P
 
 # ---------------------------------------------------------------------------
@@ -515,10 +517,20 @@ def zeta_quadratic_numeric(p: int, q: int, component: str, s: complex):
     if (p, q) == (1, 1):
         if s.real <= -1:
             raise InvalidInputError("need Re(s) > -1")
+        # the integrand decays as 2^(s+1) exp(-2 (s+1) t), so cutting at tmax
+        # neglects a tail of relative size exp(-2 (Re s + 1) tmax)
+        tmax = min(QUAD_TMAX, 40.0 / (s.real + 1.0))
+        if 2 * (s.real + 1.0) * tmax < QUAD_TAIL:
+            bound = QUAD_TAIL / (2 * QUAD_TMAX) - 1
+            raise InvalidInputError(
+                f"need Re(s) > {bound:.4f} for (1, 1): the quadrature stops at t = {QUAD_TMAX:g}, "
+                "and the tail exp(-2 (Re s + 1) t) past it is above 2^-52"
+            )
         # x = r cosh(t), y = r sinh(t) on {P > 0, x > 0}; radial integral in
-        # closed Gamma form, the remaining 1-d integral by panels
-        decay = lambda t: math.cosh(2 * t) ** (-(s + 1))
-        tmax = min(500.0, 40.0 / (s.real + 1.0))
+        # closed Gamma form, the remaining 1-d integral by panels against
+        # cosh(2t)^-(s+1), with log cosh(2t) = 2t - log 2 + log1p(e^-4t) so
+        # that no factor overflows
+        decay = lambda t: cmath.exp(-(s + 1) * (2 * t - math.log(2) + math.log1p(math.exp(-4 * t))))
         edges = np.linspace(0.0, tmax, max(16, int(tmax / 2.5)))
         i_theta = 2 * sum(_panel_quad(decay, a, b) for a, b in zip(edges, edges[1:]))
         val = 0.5 * cgamma(s + 1) * cmath.exp(-(s + 1) * math.log(math.pi)) * i_theta
@@ -591,28 +603,6 @@ def _component_rule(rep: CliffordRep, component: str):
     return sign_f, ((i, c) if sum(s == sign_f for s, _, _ in signs.values()) > 1 else None)
 
 
-def _normal_blocks(seed: int, samples: int, bufs):
-    """Scaled normals of every chunk, MC_DRAW rows at a time.
-
-    Yields ``(chunk size, offset in the chunk, block)``.  Consecutive draws
-    from one stream give the numbers of a single whole-chunk draw, so the
-    blocks cut each chunk's draw into rows without changing it.  Blocks
-    alternate between the two ``bufs``: a block stays valid until the
-    next-but-one is drawn.  The caller allocates ``bufs``, so a drawing
-    thread allocates no large arrays of its own.
-    """
-    scale = 1.0 / math.sqrt(2 * math.pi)
-    j = 0
-    for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
-        count = min(MC_CHUNK, samples - start)
-        gen = stream(seed, chunk_idx)
-        for lo in range(0, count, MC_DRAW):
-            w = gen.standard_normal(out=bufs[j % 2][: min(MC_DRAW, count - lo)])
-            w *= scale
-            j += 1
-            yield count, lo, w
-
-
 def zeta_quartic_mc(
     rep: CliffordRep, component: str, s: complex, samples: int = 10**6, seed: int = 0
 ) -> ZetaEstimate:
@@ -621,9 +611,10 @@ def zeta_quartic_mc(
     Importance sampling from the Gaussian itself: the estimate is the mean
     of |F(w)|^s over standard draws restricted to the component.  Chunk c
     always uses the stream keyed (seed, c), so totals do not depend on how
-    chunks are scheduled.  One helper thread draws the next block of
-    normals while this one evaluates the current block; each chunk is
-    summed whole and the chunk totals in chunk order, as a sequential run.
+    chunks are scheduled.  Each chunk's normals are drawn into one buffer
+    MC_DRAW rows at a time; consecutive draws from one stream give the
+    numbers of a single whole-chunk draw.  Each chunk is summed whole and
+    the chunk totals in chunk order.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
@@ -631,21 +622,17 @@ def zeta_quartic_mc(
     s = complex(s)
     if s.real < 0:
         warnings.warn("Re(s) < 0: integrand unbounded near the zero set", RuntimeWarning)
-    # imported here, not with the module: it loads logging, which adds set-up
-    # time and memory to every command that never runs Monte Carlo
-    from concurrent.futures import ThreadPoolExecutor
-
+    scale = 1.0 / math.sqrt(2 * math.pi)
     total = 0.0 + 0.0j
     total_sq = 0.0
-    rows = min(MC_DRAW, samples)
-    blocks = _normal_blocks(seed, samples, (np.empty((rows, rep.m)), np.empty((rows, rep.m))))
-    with ThreadPoolExecutor(1) as helper:
-        ahead = helper.submit(next, blocks, None)
-        while (block := ahead.result()) is not None:
-            ahead = helper.submit(next, blocks, None)
-            count, lo, w = block
-            if lo == 0:
-                vals = np.zeros(count, dtype=complex)
+    buf = np.empty((min(MC_DRAW, samples), rep.m))
+    for chunk_idx, start in enumerate(range(0, samples, MC_CHUNK)):
+        count = min(MC_CHUNK, samples - start)
+        gen = stream(seed, chunk_idx)
+        vals = np.zeros(count, dtype=complex)
+        for lo in range(0, count, MC_DRAW):
+            w = gen.standard_normal(out=buf[: min(MC_DRAW, count - lo)])
+            w *= scale
             qvals = rep.forms(w.T)
             fvals = np.zeros(len(w))
             for e, v in zip(rep.eps, qvals):
@@ -655,9 +642,8 @@ def zeta_quartic_mc(
                 mask &= test[1] * qvals[test[0]] > 0
             nz = mask & (fvals != 0)
             vals[lo : lo + len(w)][nz] = np.exp(s * np.log(np.abs(fvals[nz])))
-            if lo + len(w) == count:
-                total += vals.sum()
-                total_sq += float((vals * vals.conjugate()).real.sum())
+        total += vals.sum()
+        total_sq += float((vals * vals.conjugate()).real.sum())
     mean = total / samples
     var = max(total_sq / samples - abs(mean) ** 2, 0.0)
     stderr = math.sqrt(var / samples)

@@ -2,13 +2,16 @@
 
 Everything enumerable is checked over the full range p + q <= 11 with total
 multiplicity <= 2 and module dimension m <= 32 (plus the table-only p+q = 12
-row of the classification regression).  One summary line is printed per
+row of the classification regression); a second gate runs the suite up to
+p + q <= 12 and m <= 64.  One summary line is printed per
 criterion; run with ``pytest -s tests/test_acceptance.py`` to see them all.
 """
 
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,26 @@ def test_criterion_7_gamma_consistency(suite_rows):
     # pullback == closed form at 20 sample points and the double functional
     # equation at 10, both to 1e-10 relative, for every applicable case
     _criterion(suite_rows, "gamma", "7 gamma-consistency", 120)
+
+
+def test_wide_suite_m64_gate():
+    # the second gate beside the acceptance enumeration: p + q <= 12 and
+    # m <= 64, every row ok and the same (case, check) rows as recorded in
+    # tests/data/suite_m64_rows.json; the budget is about 4x the 6 s this
+    # run took when the gate was added, and is never raised
+    want = json.loads((Path(__file__).parent / "data" / "suite_m64_rows.json").read_text())
+    t0 = time.time()
+    rows = run_suite(max_pq=12, max_m=64, seed=0)
+    took = time.time() - t0
+    bad = [r for r in rows if not r.ok]
+    status = "PASS" if not bad else "FAIL"
+    print(f"\nACCEPTANCE m<=64 suite: {status} ({len(rows)} rows, {took:.1f}s, budget 25s)")
+    assert len(rows) == 1627
+    assert not bad, [(r.case, r.check, r.detail) for r in bad[:10]]
+    assert {(r.case, r.check) for r in rows} == {
+        (case, check) for case in want["cases"] for check in want["checks_on_every_case"]
+    } | {(case, "gamma") for case in want["cases_with_gamma"]}
+    assert took < 25
 
 
 def test_criterion_8_quadratic_fe_numerics():

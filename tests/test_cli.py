@@ -467,7 +467,6 @@ NOT_FINITE = [
     "zeta gamma --p 3 --q 2 --m 16 --s 0.3+300i --formula pullback",
     "zeta check-involution --p 3 --q 2 --m 16 --s 400",
     "zeta check-fe-quadratic --p 1 --q 0 --s 1e200",
-    "zeta check-fe-quadratic --p 1 --q 1 --s -0.99999999",
     # an Infinity token
     "zeta mc --p 3 --q 2 --mult 1 --component + --s 300 --samples 1000",
 ]
@@ -477,6 +476,19 @@ NOT_FINITE = [
 def test_a_result_that_is_not_finite_in_floats_exits_2(capsys, command):
     assert main(command.split()) == 2
     _one_error_line(capsys, "no finite float64 result at these inputs")
+
+
+@pytest.mark.parametrize("s", ["-0.9", "-0.95"])
+def test_check_fe_quadratic_on_the_hyperbolic_plane_near_the_strip_edge(capsys, s):
+    # cosh(2t) overflowed past t = 355, inside the cut of the (1, 1) quadrature
+    code, doc = run_json(capsys, "zeta", "check-fe-quadratic", "--p", "1", "--q", "1", f"--s={s}")
+    assert code == 0 and doc["ok"] is True
+
+
+@pytest.mark.parametrize("s", ["-0.97", "-0.99", "-0.99999999"])
+def test_check_fe_quadratic_refuses_a_tail_past_its_cut(capsys, s):
+    assert main(["zeta", "check-fe-quadratic", "--p", "1", "--q", "1", f"--s={s}"]) == 2
+    _one_error_line(capsys, "need Re(s) > -0.9640 for (1, 1)", "stops at t = 500")
 
 
 def test_a_document_with_a_nan_is_refused(tmp_path, monkeypatch, capsys):

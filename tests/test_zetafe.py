@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,21 +490,46 @@ def test_mc_pipelined_equals_sequential_small_blocks(monkeypatch, draw, args, co
     _assert_sequential(args, components, [1, 6, 7, 8, 20, 21, 47])
 
 
-def test_mc_helper_thread_is_gone_after_the_call():
+class _RecordingStream:
+    """A stream that records the live thread count and the drawing thread
+    at every draw."""
+
+    def __init__(self, gen, seen):
+        self.gen, self.seen = gen, seen
+
+    def standard_normal(self, **kwargs):
+        self.seen.append((threading.active_count(), threading.get_ident()))
+        return self.gen.standard_normal(**kwargs)
+
+
+def test_mc_draws_on_the_caller_thread_and_starts_no_thread(monkeypatch):
+    seen = []
+    monkeypatch.setattr(Z, "stream", lambda *key: _RecordingStream(stream(*key), seen))
     rep = rep_build(2, 1, (2, 1))
-    before = threading.active_count()
-    Z.zeta_quartic_mc(rep, "+", 0.3, samples=3 * Z.MC_DRAW + 1)
-    assert threading.active_count() == before
-    with pytest.raises(InvalidInputError):
-        Z.zeta_quartic_mc(rep, "++", 0.3, samples=3 * Z.MC_DRAW + 1)
-    assert threading.active_count() == before
+    Z.zeta_quartic_mc(rep, "+", 0.3, samples=Z.MC_CHUNK + 3 * Z.MC_DRAW + 1)
+    assert len(seen) == Z.MC_CHUNK // Z.MC_DRAW + 4
+    assert set(seen) == {(1, threading.get_ident())}
 
 
-def test_mc_helper_failure_reaches_the_caller(monkeypatch):
-    drawn_on = set()
+def test_mc_imports_no_thread_pool_or_logging():
+    script = (
+        "import sys\n"
+        "from cqforms import zetafe\n"
+        "from cqforms.repkit import rep_build\n"
+        "zetafe.zeta_quartic_mc(rep_build(2, 1, (2, 1)), '+', 0.3, samples=5000)\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(Z.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
+
+def test_mc_failing_draw_raises_in_the_caller(monkeypatch):
     def failing(seed, index=0):
-        drawn_on.add(threading.get_ident())
         if index == 1:
             raise RuntimeError("draw failed")
         return stream(seed, index)
@@ -511,4 +540,3 @@ def test_mc_helper_failure_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="draw failed"):
         Z.zeta_quartic_mc(rep, "+", 0.3, samples=Z.MC_CHUNK + 1)
     assert threading.active_count() == before
-    assert drawn_on and threading.get_ident() not in drawn_on
