@@ -480,7 +480,7 @@ def test_a_result_that_is_not_finite_in_floats_exits_2(capsys, command):
 
 @pytest.mark.parametrize("s", ["-0.9", "-0.95"])
 def test_check_fe_quadratic_on_the_hyperbolic_plane_near_the_strip_edge(capsys, s):
-    # cosh(2t) overflowed past t = 355, inside the cut of the (1, 1) quadrature
+    # these put the quadrature's cut past t = 355, where cosh(2t) overflows float64
     code, doc = run_json(capsys, "zeta", "check-fe-quadratic", "--p", "1", "--q", "1", f"--s={s}")
     assert code == 0 and doc["ok"] is True
 
