@@ -290,111 +290,77 @@ def _halfspin_mults(p: int, q: int, mults) -> tuple[int, int]:
     return ke, ko
 
 
-def table1_lookup(p: int, q: int, mults) -> str | None:
-    """Prehomogeneous space with the quartic as relative invariant, if any.
+# Side conditions of Table 1 rows, on the total multiplicity kt and the
+# multiplicities ke, ko of the two halfspin classes.
+_ANY, _IRREDUCIBLE, _ISOTYPIC, _ONE_EACH, _ISOTYPIC_PAIR = (
+    lambda kt, ke, ko: True,
+    lambda kt, ke, ko: kt == 1,
+    lambda kt, ke, ko: ke * ko == 0 and kt >= 2,
+    lambda kt, ke, ko: ke == ko == 1,
+    lambda kt, ke, ko: ke * ko == 0 and kt == 2,
+)
 
-    Static data keyed by (p, q) with multiplicity side conditions; the
-    descriptor substitutes the actual multiplicities where the group depends
-    on them.
-    """
+# Table 1: the prehomogeneous spaces with the quartic as relative invariant,
+# as (condition, entry) rows keyed by (p, q); the first row whose condition
+# holds gives the entry.  Its format fields are the total multiplicity {kt}
+# (and {kt2} = 2 kt), the multiplicities {m0}.. of the classes, and {h0}..
+# those of the classes of the halfspin in use.
+TABLE1 = {
+    (1, 0): ((_ANY, "(GL₁(ℝ)×SO({m0},{m1}), Λ₁)"),),
+    (2, 0): ((_ANY, "(GL₁(ℂ)×SO({kt},ℂ), Λ₁)"),),
+    (1, 1): ((_ANY, "(GL₁(ℝ)×SO({m0},{m1}), Λ₁)⊕(GL₁(ℝ)×SO({m2},{m3}), Λ₁)"),),
+    (3, 0): ((_ANY, "(GL₁(ℍ)×SO*({kt2}), Λ₁⊗Λ₁)"),),
+    (2, 1): ((_ANY, "(GL₂(ℝ)×SO({m0},{m1}), Λ₁⊗Λ₁)"),),
+    (4, 0): ((_ANY, "(GL₁(ℍ)×GL₁(ℍ)×GL({kt},ℍ), (Λ₁⊗1⊗Λ₁)⊕(1⊗Λ₁⊗Λ₁*))"),),
+    (3, 1): ((_ANY, "(GL₂(ℂ)×SU({m0},{m1}), Λ₁⊗Λ₁)"),),
+    (2, 2): ((_ANY, "(GL₂(ℝ)×GL₂(ℝ)×SL({kt},ℝ), (Λ₁⊗1)⊕(1⊗Λ₁⊗Λ₁))"),),
+    (5, 0): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(8), Λ₁)"),),
+    (4, 1): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(4,4), Λ₁)"),),
+    (3, 2): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(4,4), Λ₁)"),),
+    (6, 0): ((_IRREDUCIBLE, "(GL₂(ℂ)×SU(4), Λ₁⊗Λ₁)"),),
+    (5, 1): (
+        (_ISOTYPIC, "(GL₂(ℍ)×Sp({h0},{h1}), Λ₁⊗Λ₁)"),
+        (_ONE_EACH, "(GL₁(ℝ)×SL(2,ℍ)×SU(2)×SU(2), (Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"),
+    ),
+    (4, 2): ((_IRREDUCIBLE, "(GL₂(ℂ)×SU(2,2), Λ₁⊗Λ₁)"),),
+    (3, 3): (
+        (_ISOTYPIC, "(GL₄(ℝ)×Sp({kt},ℝ), Λ₁⊗Λ₁)"),
+        (_ONE_EACH, "(GL₁(ℝ)×SL(4,ℝ)×SL(2,ℝ)×SL(2,ℝ), (Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"),
+    ),
+    (7, 0): ((_IRREDUCIBLE, "(GL₂(ℝ)×SO(8), Λ₁⊗Λ₁)"),),
+    (6, 1): ((_IRREDUCIBLE, "(GL₁(ℍ)×SO*(8), Λ₁⊗Λ₁)"),),
+    (5, 2): ((_IRREDUCIBLE, "(GL₁(ℍ)×SO*(8), Λ₁⊗Λ₁)"),),
+    (4, 3): ((_IRREDUCIBLE, "(GL₂(ℝ)×SO(4,4), Λ₁⊗Λ₁)"),),
+    (8, 0): ((_IRREDUCIBLE, "(GL₁(ℝ)×GL₁(ℝ)×SO(8)×SO(8), (Λ₁⊗1)⊕(1⊗Λ₁))"),),
+    (7, 1): ((_IRREDUCIBLE, "(GL₁(ℂ)×SO(8,ℂ), Λ₁)"),),
+    (5, 3): ((_IRREDUCIBLE, "(GL₁(ℂ)×SO(8,ℂ), Λ₁)"),),
+    (4, 4): ((_IRREDUCIBLE, "(GL₁(ℝ)×GL₁(ℝ)×SO(4,4)×SO(4,4), (Λ₁⊗1)⊕(1⊗Λ₁))"),),
+    (9, 0): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(16), Λ₁)"),),
+    (8, 1): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(8,8), Λ₁)"),),
+    (5, 4): ((_IRREDUCIBLE, "(GL₁(ℝ)×SO(8,8), Λ₁)"),),
+    (9, 1): ((_ISOTYPIC_PAIR, "(GL₂(ℝ)×Spin(9,1), Λ₁⊗Λ_♯)"),),
+    (7, 3): ((_IRREDUCIBLE, "(GL₁(ℍ)×Spin(7,3), Λ₁⊗Λ_♯)"),),
+    (5, 5): ((_ISOTYPIC_PAIR, "(GL₂(ℝ)×Spin(5,5), Λ₁⊗Λ_♯)"),),
+    (10, 1): ((_IRREDUCIBLE, "(GL₁(ℝ)×Spin(10,2), Λ_♯)"),),
+    (9, 2): ((_IRREDUCIBLE, "(GL₁(ℝ)×Spin(10,2), Λ_♯)"),),
+    (6, 5): ((_IRREDUCIBLE, "(GL₁(ℝ)×Spin(6,6), Λ_♯)"),),
+}
+
+
+def table1_lookup(p: int, q: int, mults) -> str | None:
+    """Prehomogeneous space with the quartic as relative invariant, if any:
+    the entry of the first ``TABLE1`` row of (p, q) whose side condition
+    holds, with the actual multiplicities substituted."""
     mults = tuple(mults)
     if expected_degenerate(p, q, mults):  # also refuses an invalid vector
         return None
     kt = sum(mults)
     ke, ko = _halfspin_mults(p, q, mults)
-
-    def pair01():
-        return mults[0], mults[1]
-
-    if (p, q) == (1, 0):
-        return f"(GL₁(ℝ)×SO({mults[0]},{mults[1]}), Λ₁)"
-    if (p, q) == (2, 0):
-        return f"(GL₁(ℂ)×SO({kt},ℂ), Λ₁)"
-    if (p, q) == (1, 1):
-        return (
-            f"(GL₁(ℝ)×SO({mults[0]},{mults[1]}), Λ₁)⊕"
-            f"(GL₁(ℝ)×SO({mults[2]},{mults[3]}), Λ₁)"
-        )
-    if (p, q) == (3, 0):
-        return f"(GL₁(ℍ)×SO*({2 * kt}), Λ₁⊗Λ₁)"
-    if (p, q) == (2, 1):
-        k1, k2 = pair01()
-        return f"(GL₂(ℝ)×SO({k1},{k2}), Λ₁⊗Λ₁)"
-    if (p, q) == (4, 0):
-        return (
-            f"(GL₁(ℍ)×GL₁(ℍ)×GL({kt},ℍ), "
-            "(Λ₁⊗1⊗Λ₁)⊕(1⊗Λ₁⊗Λ₁*))"
-        )
-    if (p, q) == (3, 1):
-        k1, k2 = pair01()
-        return f"(GL₂(ℂ)×SU({k1},{k2}), Λ₁⊗Λ₁)"
-    if (p, q) == (2, 2):
-        return (
-            f"(GL₂(ℝ)×GL₂(ℝ)×SL({kt},ℝ), "
-            "(Λ₁⊗1)⊕(1⊗Λ₁⊗Λ₁))"
-        )
-    if (p, q) == (5, 0) and kt == 1:
-        return "(GL₁(ℝ)×SO(8), Λ₁)"
-    if (p, q) == (4, 1) and kt == 1:
-        return "(GL₁(ℝ)×SO(4,4), Λ₁)"
-    if (p, q) == (3, 2) and kt == 1:
-        return "(GL₁(ℝ)×SO(4,4), Λ₁)"
-    if (p, q) == (6, 0) and kt == 1:
-        return "(GL₂(ℂ)×SU(4), Λ₁⊗Λ₁)"
-    if (p, q) == (5, 1):
-        if ke * ko == 0 and kt >= 2:
-            ks = [k for k, h in zip(mults, irrep_catalog(p, q).halfspin) if (h == 0) == (ke > 0)]
-            return f"(GL₂(ℍ)×Sp({ks[0]},{ks[1]}), Λ₁⊗Λ₁)"
-        if ke == 1 and ko == 1:
-            return (
-                "(GL₁(ℝ)×SL(2,ℍ)×SU(2)×SU(2), "
-                "(Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"
-            )
-        return None
-    if (p, q) == (4, 2) and kt == 1:
-        return "(GL₂(ℂ)×SU(2,2), Λ₁⊗Λ₁)"
-    if (p, q) == (3, 3):
-        k1, k2 = pair01()
-        if k1 * k2 == 0 and kt >= 2:
-            return f"(GL₄(ℝ)×Sp({kt},ℝ), Λ₁⊗Λ₁)"
-        if (k1, k2) == (1, 1):
-            return (
-                "(GL₁(ℝ)×SL(4,ℝ)×SL(2,ℝ)×SL(2,ℝ), "
-                "(Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"
-            )
-        return None
-    if (p, q) == (7, 0) and kt == 1:
-        return "(GL₂(ℝ)×SO(8), Λ₁⊗Λ₁)"
-    if (p, q) in ((6, 1), (5, 2)) and kt == 1:
-        return "(GL₁(ℍ)×SO*(8), Λ₁⊗Λ₁)"
-    if (p, q) == (4, 3) and kt == 1:
-        return "(GL₂(ℝ)×SO(4,4), Λ₁⊗Λ₁)"
-    if (p, q) == (8, 0) and kt == 1:
-        return (
-            "(GL₁(ℝ)×GL₁(ℝ)×SO(8)×SO(8), "
-            "(Λ₁⊗1)⊕(1⊗Λ₁))"
-        )
-    if (p, q) in ((7, 1), (5, 3)) and kt == 1:
-        return "(GL₁(ℂ)×SO(8,ℂ), Λ₁)"
-    if (p, q) == (4, 4) and kt == 1:
-        return (
-            "(GL₁(ℝ)×GL₁(ℝ)×SO(4,4)×SO(4,4), "
-            "(Λ₁⊗1)⊕(1⊗Λ₁))"
-        )
-    if (p, q) == (9, 0) and kt == 1:
-        return "(GL₁(ℝ)×SO(16), Λ₁)"
-    if (p, q) in ((8, 1), (5, 4)) and kt == 1:
-        return "(GL₁(ℝ)×SO(8,8), Λ₁)"
-    if (p, q) == (9, 1) and ke * ko == 0 and kt == 2:
-        return "(GL₂(ℝ)×Spin(9,1), Λ₁⊗Λ_♯)"
-    if (p, q) == (7, 3) and kt == 1:
-        return "(GL₁(ℍ)×Spin(7,3), Λ₁⊗Λ_♯)"
-    if (p, q) == (5, 5) and ke * ko == 0 and kt == 2:
-        return "(GL₂(ℝ)×Spin(5,5), Λ₁⊗Λ_♯)"
-    if (p, q) in ((10, 1), (9, 2)) and kt == 1:
-        return "(GL₁(ℝ)×Spin(10,2), Λ_♯)"
-    if (p, q) == (6, 5) and kt == 1:
-        return "(GL₁(ℝ)×Spin(6,6), Λ_♯)"
+    used = [k for k, h in zip(mults, irrep_catalog(p, q).halfspin) if h == (ke == 0)]
+    fields = {f"m{i}": k for i, k in enumerate(mults)} | {f"h{i}": k for i, k in enumerate(used)}
+    for holds, entry in TABLE1.get((p, q), ()):
+        if holds(kt, ke, ko):
+            return entry.format(kt=kt, kt2=2 * kt, **fields)
     return None
 
 

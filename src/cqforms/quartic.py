@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .repkit import CliffordRep, InvalidInputError, require_dim
+from .repkit import MAX_DIM, CliffordRep, InvalidInputError, require_dim
 from .rng import integer_points
 from .spmat import kron_word, sp_eye, sp_kron
 
@@ -215,9 +215,13 @@ def homaloidal_check(rep: CliffordRep, trials: int, seed: int) -> bool:
     drawn uniformly mod P, all in one evaluation: each point misses a false
     identity with probability at most 12/P, unless P divides every
     coefficient of the difference, and any failure is a real counterexample.
+    The (m, trials) block of points is refused above MAX_DIM^2 residues, the
+    entry count of the largest dense module, before it is drawn.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
+    if trials * rep.m > MAX_DIM**2:
+        raise InvalidInputError(f"{trials} trials at m = {rep.m} exceed {MAX_DIM**2} residues")
     f, g = modp.quartic_values(rep, modp.residue_points(seed, trials, rep.m), grad=True)
     return bool(np.all(modp.quartic_values(rep, g) == f * f % modp.P * f % modp.P))
 

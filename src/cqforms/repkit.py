@@ -33,6 +33,7 @@ from .spmat import (
     restrict_to_eigenspace,
     signed_permutation_matrix,
     sp_eye,
+    sp_inv,
     sp_kron,
     sp_mul,
 )
@@ -395,10 +396,8 @@ class CliffordRep:
             vals[:, cols] = _column_sums(prod)
         if not images:
             return vals
-        rows = np.arange(n)[:, None]
-        inv = np.empty_like(self.perm)
-        inv[rows, self.perm] = np.arange(m)
-        return vals, np.concatenate([w, -w])[inv + m * (self.sign[rows, inv] < 0)]
+        inv, inv_sign = sp_inv((self.perm, self.sign))
+        return vals, np.concatenate([w, -w])[inv + m * (inv_sign < 0)]
 
     def __eq__(self, other):
         return (
@@ -505,13 +504,12 @@ def verify_relations(rep: CliffordRep) -> RelationReport:
     """
     n, perm, sign, eps = rep.n, rep.perm, rep.sign, np.array(rep.eps)
     # S_i^T = S_i^-1 for a signed permutation: symmetric exactly when S_i^2 = 1
-    square_perm = np.take_along_axis(perm, perm, 1)
-    square_sign = sign * np.take_along_axis(sign, perm, 1)
+    square_perm, square_sign = sp_mul((perm, sign), (perm, sign))
     no_square = np.flatnonzero(np.any((square_perm != np.arange(rep.m)) | (square_sign != 1), axis=1))
     # S_i S_j = -eps_i eps_j S_j S_i: anticommute within blocks, commute across
     i, j = np.triu_indices(n, 1)
-    p_ij, s_ij = perm[i[:, None], perm[j]], sign[j] * sign[i[:, None], perm[j]]
-    p_ji, s_ji = perm[j[:, None], perm[i]], sign[i] * sign[j[:, None], perm[i]]
+    s_i, s_j = (perm[i], sign[i]), (perm[j], sign[j])
+    (p_ij, s_ij), (p_ji, s_ji) = sp_mul(s_i, s_j), sp_mul(s_j, s_i)
     bad_pairs = np.flatnonzero(
         np.any((p_ij != p_ji) | (s_ij != -(eps[i] * eps[j])[:, None] * s_ji), axis=1)
     )
@@ -560,18 +558,11 @@ def spin_equivariance_check(rep: CliffordRep) -> bool:
     perm, sign, eps = rep.perm, rep.sign, np.array(rep.eps)
     i, j = np.triu_indices(rep.n, 1)
     ij = np.arange(len(i))
-    # Y e_a = sy[a] e_py[a], so Y^T e_py[a] = sy[a] e_a
-    py = perm[i[:, None], perm[j]]
-    sy = sign[j] * sign[i[:, None], perm[j]]
-    pyt, syt = np.empty_like(py), np.empty_like(sy)
-    pyt[ij[:, None], py] = np.arange(rep.m)
-    syt[ij[:, None], py] = sy
+    y = sp_mul((perm[i], sign[i]), (perm[j], sign[j]))
+    y_t = sp_inv(y)
     # index (pair, k, a): Y^T S_k e_a = s1 e_p1 and S_k Y e_a = s2 e_p2
-    p1 = pyt[ij[:, None, None], perm]
-    s1 = sign * syt[ij[:, None, None], perm]
-    k = np.arange(rep.n)[:, None]
-    p2 = perm[k, py[:, None]]
-    s2 = sy[:, None] * sign[k, py[:, None]]
+    p1, s1 = sp_mul((y_t[0][:, None], y_t[1][:, None]), (perm, sign))
+    p2, s2 = sp_mul((perm, sign), (y[0][:, None], y[1][:, None]))
     # the wanted column is 2 want e_wperm, with want = 0 for k not in {i, j}
     want = np.zeros_like(s1)
     want[ij, i] = sign[j]
@@ -589,13 +580,6 @@ def spin_equivariance_check(rep: CliffordRep) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate(g, perm, sign) -> tuple[np.ndarray, np.ndarray]:
-    """g S g^-1 for every S of the (k, m) stack (perm, sign), with g one
-    (perm, sign) pair: g^-1 e_b = gsign[a] e_a for b = gperm[a]."""
-    inv = np.argsort(g[0])
-    return sp_mul(sp_mul(g, (perm, sign)), (inv, g[1][inv]))
-
-
 def canonicalize(rep: CliffordRep):
     """Conjugate by a signed permutation into split block form.
 
@@ -611,12 +595,13 @@ def canonicalize(rep: CliffordRep):
     p, m, d = rep.p, rep.m, rep.m // 2
     # U e_order[a] = e_a puts the +1 entries of S_1 first
     order = np.argsort(-rep.sign[0], kind="stable")
-    perm, sign = _conjugate((np.argsort(order), np.ones(m, dtype=np.int64)), rep.perm, rep.sign)
+    u = np.argsort(order), np.ones(m, dtype=np.int64)
+    perm, sign = sp_mul(sp_mul(u, (rep.perm, rep.sign)), sp_inv(u))
     assert np.array_equal(sign[0], np.repeat([1, -1], d)) and np.all(perm[1:p, d:] < d)
     # V = diag(1, B_2): V e_(d+c) = B_2 e_c, read off column d + c of S_2
     ones = np.ones(d, dtype=np.int64)
     v = np.concatenate([np.arange(d), d + perm[1, d:]]), np.concatenate([ones, sign[1, d:]])
-    perm, sign = _conjugate(v, perm, sign)
+    perm, sign = sp_mul(sp_mul(v, (perm, sign)), sp_inv(v))
     out = CliffordRep(p, rep.q, rep.mults, perm, sign)
     # structural post-conditions from the commutation relations: B_2 = I,
     # B_i skew (B_i^2 = -1 for a signed permutation), A_j in both diagonal blocks

@@ -47,9 +47,21 @@ def sp_kron(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def sp_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The product AB of two (perm, sign) pairs, stacks broadcasting:
-    AB e_a = sB[a] sA[pB[a]] e_pA[pB[a]]."""
+    AB e_a = sB[a] sA[pB[a]] e_pA[pB[a]].
+
+    Both gathers are one flat take, row r of the d-column stack read at r d + pB:
+    ``np.take_along_axis`` indexes every axis, which is slower on the
+    (pairs, n, m) stacks of ``repkit.spin_equivariance_check``."""
     pa, sa, pb, sb = np.broadcast_arrays(*a, *b)
-    return np.take_along_axis(pa, pb, -1), sb * np.take_along_axis(sa, pb, -1)
+    lead = pb.shape[:-1]
+    at = pb + pb.shape[-1] * np.arange(np.prod(lead, dtype=np.int64)).reshape(lead + (1,))
+    return pa.reshape(-1)[at], sb * sa.reshape(-1)[at]
+
+
+def sp_inv(a) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse A^-1 = A^T of a (perm, sign) stack: A^-1 e_pA[a] = sA[a] e_a."""
+    inv = np.argsort(a[0], axis=-1)
+    return inv, np.take_along_axis(np.asarray(a[1]), inv, -1)
 
 
 def kron_word(word: str) -> tuple[np.ndarray, np.ndarray]:
@@ -213,22 +225,6 @@ def restrict_to_eigenspace(mats, z, keep: int) -> tuple[np.ndarray, np.ndarray]:
 # (Lie algebra h) and to split big sampled linear systems into small blocks
 # (symmetry Lie algebra g, condition-sharp solver).
 # ---------------------------------------------------------------------------
-
-
-def joint_orbits(perms) -> list[np.ndarray]:
-    """The joint orbits of commuting permutation involutions, the rows of
-    ``perms``, in order of their least index, each an ascending index array:
-    the ``orbits`` of ``SectorDecomposition`` without its characters.
-
-    Pass j joins the orbit of u under the first j generators with that of
-    ``perms[j, u]``; as the generators commute, its least index is known.
-    """
-    base = np.arange(np.shape(perms)[1])
-    for p in perms:
-        move = base[p] < base
-        base[move] = base[p[move]]
-    order = np.argsort(base, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(base[order])) + 1)
 
 
 class SectorDecomposition:

@@ -31,7 +31,6 @@ from .classify import (
     table1_lookup,
 )
 from .repkit import InvalidInputError, irrep_catalog, rep_build, spin_equivariance_check
-from .spmat import signed_permutation_matrix, sp_mul
 
 
 def enumerate_cases(*, max_pq: int = 11, max_total_mult: int = 2, max_m: int = 32):
@@ -138,10 +137,6 @@ def check_symmetry_dims(case) -> tuple[bool, str]:
         return False, f"g: computed {gk.dimension}, predicted {pred.g_dim}"
     if gk.residual > 1e-8:
         return False, f"g residual {gk.residual:.2e}"
-    # the infinitesimal rotations S_i S_j always lie in g
-    rot = signed_permutation_matrix(*sp_mul((rep.perm[0], rep.sign[0]), (rep.perm[-1], rep.sign[-1])))
-    if rep.n >= 2 and not SY.g_contains(rep, rot):
-        return False, "S_1 S_n not in computed symmetry algebra"
     return True, f"h={hk.dimension} g={gk.dimension}"
 
 

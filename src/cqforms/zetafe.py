@@ -38,7 +38,7 @@ from .classify import closed_form_refusal
 from .quartic import expand_coeffs, quartic_values
 from .repkit import CliffordRep, InvalidInputError
 from .rng import MC_CHUNK, integer_points, stream
-from .spmat import joint_orbits
+from .spmat import SectorDecomposition
 
 
 class PoleError(ValueError):
@@ -669,7 +669,7 @@ def det_sv_residues(rep: CliffordRep, seed: int = 5) -> tuple[np.ndarray, np.nda
     sv = np.zeros((DET_SV_POINTS, rep.m, rep.m), dtype=np.int64)
     at = np.arange(DET_SV_POINTS)[:, None, None]
     np.add.at(sv, (at, rep.perm, np.arange(rep.m)), v.T[:, :, None] * rep.sign)
-    orbits = joint_orbits(rep.perm)
+    orbits = SectorDecomposition(rep.perm, rep.sign).orbits
     det = np.ones(DET_SV_POINTS, dtype=np.int64)
     for size in sorted({len(idx) for idx in orbits}):
         idx = np.array([o for o in orbits if len(o) == size])  # (blocks, size)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,137 @@ def test_pq_at_most_4_always_pv():
 def test_explain_notes():
     r = classify(9, 0, (1, 0), explain=True)
     assert r.explain is not None and "prehomogeneous" in r.explain
+
+
+# ------------------------------------------------------------ Table 1 oracle
+
+
+def _table1_branches(p: int, q: int, mults) -> str | None:
+    """``table1_lookup`` as one if-branch per (p, q) and side condition, the
+    form Table 1 had before it became the rows of ``TABLE1``."""
+    mults = tuple(mults)
+    if expected_degenerate(p, q, mults):  # also refuses an invalid vector
+        return None
+    kt = sum(mults)
+    halfspin = irrep_catalog(p, q).halfspin
+    ke = sum(k for k, h in zip(mults, halfspin) if h == 0)
+    ko = sum(k for k, h in zip(mults, halfspin) if h == 1)
+
+    def pair01():
+        return mults[0], mults[1]
+
+    if (p, q) == (1, 0):
+        return f"(GL₁(ℝ)×SO({mults[0]},{mults[1]}), Λ₁)"
+    if (p, q) == (2, 0):
+        return f"(GL₁(ℂ)×SO({kt},ℂ), Λ₁)"
+    if (p, q) == (1, 1):
+        return (
+            f"(GL₁(ℝ)×SO({mults[0]},{mults[1]}), Λ₁)⊕"
+            f"(GL₁(ℝ)×SO({mults[2]},{mults[3]}), Λ₁)"
+        )
+    if (p, q) == (3, 0):
+        return f"(GL₁(ℍ)×SO*({2 * kt}), Λ₁⊗Λ₁)"
+    if (p, q) == (2, 1):
+        k1, k2 = pair01()
+        return f"(GL₂(ℝ)×SO({k1},{k2}), Λ₁⊗Λ₁)"
+    if (p, q) == (4, 0):
+        return (
+            f"(GL₁(ℍ)×GL₁(ℍ)×GL({kt},ℍ), "
+            "(Λ₁⊗1⊗Λ₁)⊕(1⊗Λ₁⊗Λ₁*))"
+        )
+    if (p, q) == (3, 1):
+        k1, k2 = pair01()
+        return f"(GL₂(ℂ)×SU({k1},{k2}), Λ₁⊗Λ₁)"
+    if (p, q) == (2, 2):
+        return (
+            f"(GL₂(ℝ)×GL₂(ℝ)×SL({kt},ℝ), "
+            "(Λ₁⊗1)⊕(1⊗Λ₁⊗Λ₁))"
+        )
+    if (p, q) == (5, 0) and kt == 1:
+        return "(GL₁(ℝ)×SO(8), Λ₁)"
+    if (p, q) == (4, 1) and kt == 1:
+        return "(GL₁(ℝ)×SO(4,4), Λ₁)"
+    if (p, q) == (3, 2) and kt == 1:
+        return "(GL₁(ℝ)×SO(4,4), Λ₁)"
+    if (p, q) == (6, 0) and kt == 1:
+        return "(GL₂(ℂ)×SU(4), Λ₁⊗Λ₁)"
+    if (p, q) == (5, 1):
+        if ke * ko == 0 and kt >= 2:
+            ks = [k for k, h in zip(mults, irrep_catalog(p, q).halfspin) if (h == 0) == (ke > 0)]
+            return f"(GL₂(ℍ)×Sp({ks[0]},{ks[1]}), Λ₁⊗Λ₁)"
+        if ke == 1 and ko == 1:
+            return (
+                "(GL₁(ℝ)×SL(2,ℍ)×SU(2)×SU(2), "
+                "(Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"
+            )
+        return None
+    if (p, q) == (4, 2) and kt == 1:
+        return "(GL₂(ℂ)×SU(2,2), Λ₁⊗Λ₁)"
+    if (p, q) == (3, 3):
+        k1, k2 = pair01()
+        if k1 * k2 == 0 and kt >= 2:
+            return f"(GL₄(ℝ)×Sp({kt},ℝ), Λ₁⊗Λ₁)"
+        if (k1, k2) == (1, 1):
+            return (
+                "(GL₁(ℝ)×SL(4,ℝ)×SL(2,ℝ)×SL(2,ℝ), "
+                "(Λ₁⊗Λ₁⊗1)⊕(Λ₁*⊗1⊗Λ₁))"
+            )
+        return None
+    if (p, q) == (7, 0) and kt == 1:
+        return "(GL₂(ℝ)×SO(8), Λ₁⊗Λ₁)"
+    if (p, q) in ((6, 1), (5, 2)) and kt == 1:
+        return "(GL₁(ℍ)×SO*(8), Λ₁⊗Λ₁)"
+    if (p, q) == (4, 3) and kt == 1:
+        return "(GL₂(ℝ)×SO(4,4), Λ₁⊗Λ₁)"
+    if (p, q) == (8, 0) and kt == 1:
+        return (
+            "(GL₁(ℝ)×GL₁(ℝ)×SO(8)×SO(8), "
+            "(Λ₁⊗1)⊕(1⊗Λ₁))"
+        )
+    if (p, q) in ((7, 1), (5, 3)) and kt == 1:
+        return "(GL₁(ℂ)×SO(8,ℂ), Λ₁)"
+    if (p, q) == (4, 4) and kt == 1:
+        return (
+            "(GL₁(ℝ)×GL₁(ℝ)×SO(4,4)×SO(4,4), "
+            "(Λ₁⊗1)⊕(1⊗Λ₁))"
+        )
+    if (p, q) == (9, 0) and kt == 1:
+        return "(GL₁(ℝ)×SO(16), Λ₁)"
+    if (p, q) in ((8, 1), (5, 4)) and kt == 1:
+        return "(GL₁(ℝ)×SO(8,8), Λ₁)"
+    if (p, q) == (9, 1) and ke * ko == 0 and kt == 2:
+        return "(GL₂(ℝ)×Spin(9,1), Λ₁⊗Λ_♯)"
+    if (p, q) == (7, 3) and kt == 1:
+        return "(GL₁(ℍ)×Spin(7,3), Λ₁⊗Λ_♯)"
+    if (p, q) == (5, 5) and ke * ko == 0 and kt == 2:
+        return "(GL₂(ℝ)×Spin(5,5), Λ₁⊗Λ_♯)"
+    if (p, q) in ((10, 1), (9, 2)) and kt == 1:
+        return "(GL₁(ℝ)×Spin(10,2), Λ_♯)"
+    if (p, q) == (6, 5) and kt == 1:
+        return "(GL₁(ℝ)×Spin(6,6), Λ_♯)"
+    return None
+
+
+def test_table1_rows_match_the_branch_oracle():
+    """Every (p, q) with 1 <= p + q <= 16, either order, and every
+    multiplicity vector with entries <= 4: the same entry or None, and the
+    same refusal of an invalid vector."""
+    compared = refused = found = 0
+    for n in range(1, 17):
+        for p in range(n + 1):
+            q = n - p
+            count = irrep_catalog(p, q).count
+            vectors = list(itertools.product(range(5), repeat=count))
+            vectors += [(1,) * (count + 1), (-1,) + (1,) * (count - 1)]
+            for mults in vectors:
+                try:
+                    want = _table1_branches(p, q, mults)
+                except InvalidInputError as err:
+                    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(err))}$"):
+                        table1_lookup(p, q, mults)
+                    refused += 1
+                    continue
+                assert table1_lookup(p, q, mults) == want, (p, q, mults)
+                compared += 1
+                found += want is not None
+    assert (compared, refused, found) == (8128, 456, 759)

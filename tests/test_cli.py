@@ -277,6 +277,14 @@ def _one_error_line(capsys, *needles):
     assert all(needle in lines[0] for needle in needles), lines[0]
 
 
+@pytest.mark.parametrize("trials", [10**11, 2**40])
+def test_homaloidal_trials_past_the_residue_limit_exit_2(capsys, trials):
+    # drawn first, the (trials, m) block of residues would need terabytes
+    argv = ["quartic", "homaloidal", "--p", "3", "--q", "2", "--mult", "1", "--trials", str(trials)]
+    assert main(argv) == 2
+    _one_error_line(capsys, f"{trials} trials at m = 8 exceed 1048576 residues")
+
+
 def test_rep_build_above_max_dim_exits_2(tmp_path, capsys):
     out = tmp_path / "big.json"
     assert main(["rep", "build", "--p", "3", "--q", "0", "--mult", "257", "--out", str(out)]) == 2

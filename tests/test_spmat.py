@@ -15,6 +15,7 @@ from cqforms.spmat import (
     restrict_to_eigenspace,
     signed_permutation_matrix,
     sp_eye,
+    sp_inv,
     sp_kron,
     sp_mul,
     symmetric_signature,
@@ -51,6 +52,9 @@ def test_sp_kron_and_sp_mul_match_dense_products():
     assert np.array_equal(signed_permutation_matrix(*sp_mul(a, c)), dense[0] @ dense[2])
     first = (a[0][0], a[1][0])
     assert np.array_equal(signed_permutation_matrix(*sp_mul(first, c)), dense[0][0] @ dense[2])
+    # the inverse is the transpose, of one matrix and of every matrix of a stack
+    assert np.array_equal(signed_permutation_matrix(*sp_inv(a)), dense[0].transpose(0, 2, 1))
+    assert np.array_equal(signed_permutation_matrix(*sp_inv(first)), dense[0][0].T)
 
 
 def test_perm_sign_roundtrip():

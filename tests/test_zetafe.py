@@ -15,7 +15,7 @@ from cqforms.modp import det
 from cqforms.classify import expected_degenerate, expected_det_square
 from cqforms.repkit import InvalidInputError, rep_build, swap_pq
 from cqforms.rng import complex_s_samples, stream
-from cqforms.spmat import SectorDecomposition, int_det, joint_orbits, symmetric_signature
+from cqforms.spmat import SectorDecomposition, int_det, symmetric_signature
 from cqforms.suite import enumerate_cases
 
 
@@ -186,7 +186,6 @@ def test_det_blocks_are_the_joint_orbits_of_the_fix_point_oracle():
         rep = rep_build(p, q, mults)
         got = [o.tolist() for o in SectorDecomposition(rep.perm, rep.sign).orbits]
         assert got == _fixed_point_orbits(rep), (p, q, mults)
-        assert [o.tolist() for o in joint_orbits(rep.perm)] == got, (p, q, mults)
 
 
 # ------------------------------------------------------------- gamma matrices
