@@ -46,22 +46,30 @@ SQUARE_TRIPLES = {
     (5, 4, 16),
 }
 
-# (p + q, m) of the exceptional and of the degenerate low-dimension modules
-EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
+# the exceptional (p + q, m) pairs and the dim g stated for each; for p + q in
+# {6, 10} it is known after complexification, as (pure over C, mixed over C)
+EXCEPTIONAL_NM = {(3, 4): 6, (4, 8): 13, (5, 8): 28, (6, 16): (30, 22), (7, 16): 31, (8, 16): 57,
+                  (9, 16): 120, (10, 32): (48, 46), (11, 32): 66}
 _DEGENERATE_NM = {(p + q, m) for p, q, m in DEGENERATE_TRIPLES}
+
+
+def _halfspin_mults(p: int, q: int, mults) -> tuple[int, int]:
+    cat = irrep_catalog(p, q)
+    ke = sum(k for k, h in zip(mults, cat.halfspin) if h == 0)
+    ko = sum(k for k, h in zip(mults, cat.halfspin) if h == 1)
+    return ke, ko
 
 
 def is_pure(p: int, q: int, mults) -> bool:
     """Restriction to the even subalgebra is isotypic."""
     module_dim(p, q, mults)
     cat = irrep_catalog(p, q)
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
     if cat.even_classes == 1:
         return True
     if cat.count == 1:
         # single class restricting to both even classes
         return False
-    return len(used) <= 1
+    return 0 in _halfspin_mults(p, q, mults)  # at most one halfspin class in use
 
 
 def pure_over_c(p: int, q: int, mults) -> bool:
@@ -72,8 +80,7 @@ def pure_over_c(p: int, q: int, mults) -> bool:
         return False  # the single class already mixes both even classes
     if cat.even_field == "C":
         return False  # complexification splits the even class in two
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
-    return len(used) <= 1
+    return 0 in _halfspin_mults(p, q, mults)  # at most one halfspin class in use
 
 
 def expected_degenerate(p: int, q: int, mults) -> bool:
@@ -95,7 +102,7 @@ def expected_sharp(p: int, q: int, mults) -> bool:
     the condition trivially, the solution space being one dimensional).
     """
     m = module_dim(p, q, mults)
-    if (p + q, m) in _DEGENERATE_NM | EXCEPTIONAL_NM:
+    if (p + q, m) in _DEGENERATE_NM or (p + q, m) in EXCEPTIONAL_NM:
         return False
     if {p, q} == {1, 1} and is_pure(p, q, mults) and m >= 2:
         return False
@@ -149,24 +156,10 @@ def exceptional_g_dim(p: int, q: int, mults) -> int | None:
     and depends on purity over C; the real dimension of the real form equals
     the complex dimension of the stated complexification.
     """
-    n = p + q
-    m = module_dim(p, q, mults)
-    table = {
-        (3, 4): 6,
-        (4, 8): 13,
-        (5, 8): 28,
-        (7, 16): 31,
-        (8, 16): 57,
-        (9, 16): 120,
-        (11, 32): 66,
-    }
-    if (n, m) in table:
-        return table[(n, m)]
-    if (n, m) == (6, 16):
-        return 30 if pure_over_c(p, q, mults) else 22
-    if (n, m) == (10, 32):
-        return 48 if pure_over_c(p, q, mults) else 46
-    return None
+    g_dim = EXCEPTIONAL_NM.get((p + q, module_dim(p, q, mults)))
+    if isinstance(g_dim, tuple):
+        return g_dim[0] if pure_over_c(p, q, mults) else g_dim[1]
+    return g_dim
 
 
 @dataclass
@@ -281,13 +274,6 @@ def non_pv_condition(p: int, q: int, m: int, mixed_over_c: bool) -> bool:
     if n == 11:
         return m > 32
     return True
-
-
-def _halfspin_mults(p: int, q: int, mults) -> tuple[int, int]:
-    cat = irrep_catalog(p, q)
-    ke = sum(k for k, h in zip(mults, cat.halfspin) if h == 0)
-    ko = sum(k for k, h in zip(mults, cat.halfspin) if h == 1)
-    return ke, ko
 
 
 # Side conditions of Table 1 rows, on the total multiplicity kt and the

@@ -77,11 +77,12 @@ _LANCZOS_C = [
 
 
 def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z."""
+    """Gamma(z) for complex z; refuses z within POLE_RADIUS of a pole."""
     z = complex(z)
+    if z.real <= 0.5 and abs(z.imag) < POLE_RADIUS:
+        if abs(z.real - round(z.real)) < POLE_RADIUS and round(z.real) <= 0:
+            raise PoleError(f"gamma argument {z} within {POLE_RADIUS} of a pole")
     if z.real < 0.5:
-        if z.imag == 0 and z.real == round(z.real):
-            raise PoleError(f"gamma pole at z = {z}")
         return cmath.pi / (cmath.sin(cmath.pi * z) * cgamma(1 - z))
     z -= 1
     x = _LANCZOS_C[0]
@@ -94,14 +95,6 @@ def cgamma(z: complex) -> complex:
 def eof(x) -> complex:
     """e[x] = exp(2 pi i x)."""
     return cmath.exp(2j * cmath.pi * complex(x))
-
-
-def _check_poles(*gamma_args: complex):
-    for z in gamma_args:
-        zz = complex(z)
-        if zz.real <= 0.5 and abs(zz.imag) < POLE_RADIUS:
-            if abs(zz.real - round(zz.real)) < POLE_RADIUS and round(zz.real) <= 0:
-                raise PoleError(f"gamma argument {zz} within {POLE_RADIUS} of a pole")
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +141,6 @@ class SignatureConstants:
     q: int
     m: int
 
-    def gamma_by_label(self, label: str) -> complex:
-        return self.gammas[self.labels.index(label)]
-
 
 def gamma_constants(rep: CliffordRep) -> SignatureConstants:
     """Exact signature data of S(v) at the component representatives.
@@ -188,17 +178,13 @@ def gamma_constants(rep: CliffordRep) -> SignatureConstants:
 @dataclass
 class GammaMatrix:
     labels: list[str]
-    values: np.ndarray  # nu x nu complex
+    values: np.ndarray  # square complex, one row and column per label
     formula: str
     validated: bool = True
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise OverflowError(f"the {self.formula} gamma matrix has a value that is not finite")
-
-    @property
-    def nu(self) -> int:
-        return len(self.labels)
 
 
 _HALF = Fraction(1, 2)
@@ -322,14 +308,12 @@ def gamma_quadratic(p: int, q: int, s: complex) -> GammaMatrix:
         raise InvalidInputError("need p >= q >= 0 with p + q >= 1")
     s = complex(s)
     n = p + q
-    _check_poles(s + 1, s + n / 2)
     pref = cmath.exp(-(2 * s + n / 2 + 1) * math.log(math.pi)) * cgamma(s + 1) * cgamma(s + n / 2)
     labels, formula, matrix = _quadratic_table(p, q)
     return GammaMatrix(labels, _complex_at(pref, matrix, s), formula)
 
 
 def _quartic_prefactor(n: int, m: int, s: complex) -> complex:
-    _check_poles(s + 1, s + n / 2, s + 1 + (m - 2 * n) / 4, s + m / 4)
     return (
         cmath.exp((4 * s + m / 2) * math.log(2))
         * cmath.exp(-(4 * s + 2 + m / 2) * math.log(math.pi))
@@ -360,9 +344,10 @@ def gamma_pullback(consts: SignatureConstants, s: complex) -> GammaMatrix:
 
     Twisted product of two quadratic gamma matrices at s and s+(m-2n)/4,
     with the component-wise eighth-root constants and the power of two
-    2^{4s + m/2} in front.  For the Lorentz line and the definite line the
-    pullback is assembled from the lumped quadratic matrices and is flagged
-    unvalidated (no closed form covers those cases).  ``consts`` is
+    2^{4s + m/2} in front.  For (1, 1) and the definite line the pullback is
+    assembled from the lumped quadratic matrices, each lumped label taking
+    the constant of the first component label that starts with it, and is
+    flagged unvalidated (no closed form covers those cases).  ``consts`` is
     ``gamma_constants(rep)`` of the module.
     """
     s = complex(s)
@@ -370,18 +355,12 @@ def gamma_pullback(consts: SignatureConstants, s: complex) -> GammaMatrix:
     n = p + q
     g1 = gamma_quadratic(p, q, s)
     g2 = gamma_quadratic(p, q, s + (m - 2 * n) / 4)
-    labels = g1.labels
     validated = (p, q) not in ((1, 0), (1, 1))
-    if (p, q) == (1, 1):
-        gam = [consts.gamma_by_label("++"), consts.gamma_by_label("-+")]
-    elif (p, q) == (1, 0):
-        gam = [consts.gamma_by_label("+")]
-    else:
-        gam = [consts.gamma_by_label(lab) for lab in labels]
+    gam = [next(g for c, g in zip(consts.labels, consts.gammas) if c.startswith(lab)) for lab in g1.labels]
     tw = np.diag(np.array(gam, dtype=complex))
     pref = cmath.exp((4 * s + m / 2) * math.log(2))
     vals = pref * (g1.values @ tw @ g2.values)
-    return GammaMatrix(labels, vals, "quartic-pullback", validated)
+    return GammaMatrix(g1.labels, vals, "quartic-pullback", validated)
 
 
 def pullback_error(consts: SignatureConstants, s: complex) -> float:
@@ -397,7 +376,7 @@ def fe_involution_check(p: int, q: int, m: int, s: complex, tol: float = 1e-10) 
     g1 = gamma_quartic(p, q, m, s)
     g2 = gamma_quartic(p, q, m, -m / 4 - s)
     prod = g1.values @ g2.values
-    return bool(np.max(np.abs(prod - np.eye(g1.nu))) < tol)
+    return bool(np.max(np.abs(prod - np.eye(len(g1.labels)))) < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +446,15 @@ def _panel_quad(f, a: float, b: float, nodes: int = 48) -> complex:
 def _power_integral(expo: complex, decay, cutoff: float = 8.0) -> complex:
     """integral_0^inf t^expo * decay(t) dt with endpoint refinement at 0.
 
-    Geometric panels down to 2^-60 handle the algebraic singularity;
-    requires Re(expo) > -1 and exponentially decaying ``decay``.
+    Geometric panels down to eps = 2^-60 handle the algebraic singularity;
+    the innermost one, [0, eps], is decay(eps) eps^(expo+1) / (expo+1) in
+    closed form.  Requires Re(expo) > -1 and a smooth, exponentially
+    decaying ``decay``.
     """
-    total = 0 + 0j
-    edges = [2.0 ** (-k) for k in range(60, 0, -1)] + list(
-        np.linspace(1.0, cutoff, 24)
-    )
+    edges = [2.0 ** (-k) for k in range(60, 0, -1)] + list(np.linspace(1.0, cutoff, 24))
     f = lambda t: t**expo * decay(t)
-    prev = edges[0]
-    total += _panel_quad(f, 0.0, prev)  # innermost panel: integrand ~ t^expo
-    for edge in edges[1:]:
-        total += _panel_quad(f, prev, edge)
-        prev = edge
-    return total
+    inner = decay(edges[0]) * edges[0] ** (expo + 1) / (expo + 1)
+    return inner + sum(_panel_quad(f, a, b) for a, b in zip(edges, edges[1:]))
 
 
 @dataclass
@@ -504,19 +478,18 @@ def zeta_quadratic_numeric(p: int, q: int, component: str, s: complex):
     if (p, q) == (1, 0):
         if s.real <= -1.5 or abs(2 * s + 1) < POLE_RADIUS:
             raise InvalidInputError("need Re(s) > -3/2, s != -1/2")
-        # int_0^1 t^{2s}(e^{-pi t^2}-1) + 1/(2s+1) + int_1^inf t^{2s} e^{-pi t^2}
-        part1 = _power_integral(2 * s, lambda t: math.exp(-math.pi * t * t) - 1.0, cutoff=1.0)
+        # int_0^1 t^{2s}(e^{-pi t^2}-1) + 1/(2s+1) + int_1^inf t^{2s} e^{-pi t^2},
+        # with e^{-pi t^2}-1 by expm1, since it cancels at small t
+        part1 = _power_integral(2 * s + 2, lambda t: math.expm1(-math.pi * t * t) / (t * t), cutoff=1.0)
         part2 = _panel_quad(lambda t: t ** (2 * s) * math.exp(-math.pi * t * t), 1.0, 8.0, 64)
         val = part1 + 1.0 / (2 * s + 1) + part2
         return ZetaEstimate(val, 0.0, 0, None, s, component)
+    if (p, q) in ((2, 0), (1, 1)) and s.real <= -1:
+        raise InvalidInputError("need Re(s) > -1")
     if (p, q) == (2, 0):
-        if s.real <= -1:
-            raise InvalidInputError("need Re(s) > -1")
         val = 2 * math.pi * _power_integral(2 * s + 1, lambda t: math.exp(-math.pi * t * t))
         return ZetaEstimate(val, 0.0, 0, None, s, "+")
     if (p, q) == (1, 1):
-        if s.real <= -1:
-            raise InvalidInputError("need Re(s) > -1")
         # the integrand decays as 2^(s+1) exp(-2 (s+1) t), so cutting at tmax
         # neglects a tail of relative size exp(-2 (Re s + 1) tmax)
         tmax = min(QUAD_TMAX, 40.0 / (s.real + 1.0))
@@ -542,25 +515,22 @@ def fe_quadratic_numeric_check(p: int, q: int, s: complex, tol: float) -> bool:
     """Verify the quadratic functional equation with a Gaussian numerically.
 
     The Gaussian is its own Fourier transform, so both sides are plain zeta
-    values; components are lumped by sign of P for (1, 1).
+    values: c zeta(s) against the first row of the gamma matrix times
+    c zeta(-s - n/2), with c = 1 for the one component of (2, 0) and c = 2
+    for the lumped pairs of (1, 0) and (1, 1), where zeta_+ = zeta_-.
     """
     s = complex(s)
     n = p + q
     g = gamma_quadratic(p, q, s)
-    if (p, q) == (1, 0):
-        lhs = 2 * zeta_quadratic_numeric(1, 0, "+", s).value
-        rhs = g.values[0, 0] * 2 * zeta_quadratic_numeric(1, 0, "+", -s - n / 2).value
-        return abs(lhs - rhs) < tol
-    if (p, q) == (2, 0):
-        lhs = zeta_quadratic_numeric(2, 0, "+", s).value
-        rhs = g.values[0, 0] * zeta_quadratic_numeric(2, 0, "+", -s - 1).value
-        return abs(lhs - rhs) < tol
-    if (p, q) == (1, 1):
-        zp = lambda z: 2 * zeta_quadratic_numeric(1, 1, "++", z).value  # zeta_+ = zeta_-
-        lhs = zp(s)
-        rhs = g.values[0, 0] * zp(-s - 1) + g.values[0, 1] * zp(-s - 1)
-        return abs(lhs - rhs) < tol
-    raise UnsupportedCaseError("numeric functional equation provided for p + q <= 2")
+    if (p, q) not in ((1, 0), (2, 0), (1, 1)):
+        raise UnsupportedCaseError("numeric functional equation provided for p + q <= 2")
+    c = 1 if (p, q) == (2, 0) else 2
+    lhs = c * zeta_quadratic_numeric(p, q, "+", s).value
+    try:
+        zeta = c * zeta_quadratic_numeric(p, q, "+", -s - n / 2).value
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"the reflected point -s - n/2 = {-s - n / 2:g} is out of range: {exc}") from None
+    return abs(lhs - sum(gamma * zeta for gamma in g.values[0])) < tol
 
 
 def zeta_quadratic_closed(p: int, q: int, s: complex) -> complex:

@@ -8,6 +8,9 @@ import pytest
 
 import cqforms
 from cqforms.classify import (
+    DEGENERATE_TRIPLES,
+    EXCEPTIONAL_NM,
+    SymmetryPrediction,
     classify,
     exceptional_g_dim,
     expected_degenerate,
@@ -21,7 +24,7 @@ from cqforms.classify import (
     pure_over_c,
     table1_lookup,
 )
-from cqforms.repkit import InvalidInputError, irrep_catalog
+from cqforms.repkit import InvalidInputError, irrep_catalog, module_dim
 from cqforms.suite import enumerate_cases
 from cqforms.zetafe import components
 
@@ -346,3 +349,99 @@ def test_table1_rows_match_the_branch_oracle():
                 compared += 1
                 found += want is not None
     assert (compared, refused, found) == (8128, 456, 759)
+
+
+# ------------------------------------------------- exceptional table oracle
+# Test-local copies of the former code: EXCEPTIONAL_NM as a set of pairs with
+# the dimensions of g in a second table, and purity read from the set of
+# halfspin labels in use.
+
+_FORMER_EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9, 16), (10, 32), (11, 32)}
+
+
+def _former_is_pure(p, q, mults):
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
+    if cat.even_classes == 1:
+        return True
+    if cat.count == 1:
+        return False
+    return len(used) <= 1
+
+
+def _former_pure_over_c(p, q, mults):
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    if cat.shape == "(T,2T')":
+        return False
+    if cat.even_field == "C":
+        return False
+    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
+    return len(used) <= 1
+
+
+def _former_exceptional_g_dim(p, q, mults):
+    n = p + q
+    m = module_dim(p, q, mults)
+    table = {(3, 4): 6, (4, 8): 13, (5, 8): 28, (7, 16): 31, (8, 16): 57, (9, 16): 120, (11, 32): 66}
+    if (n, m) in table:
+        return table[(n, m)]
+    if (n, m) == (6, 16):
+        return 30 if _former_pure_over_c(p, q, mults) else 22
+    if (n, m) == (10, 32):
+        return 48 if _former_pure_over_c(p, q, mults) else 46
+    return None
+
+
+def _former_expected_sharp(p, q, mults):
+    m = module_dim(p, q, mults)
+    if (p + q, m) in {(a + b, c) for a, b, c in DEGENERATE_TRIPLES} | _FORMER_EXCEPTIONAL_NM:
+        return False
+    return not ({p, q} == {1, 1} and _former_is_pure(p, q, mults) and m >= 2)
+
+
+def _former_predict(p, q, mults):
+    m = module_dim(p, q, mults)
+    name, h_dim = h_algebra(p, q, mults)
+    n = p + q
+    if expected_degenerate(p, q, mults):
+        return SymmetryPrediction(name, h_dim, m * m, False, True, None)
+    if (n, m) in _FORMER_EXCEPTIONAL_NM:
+        gexc = _former_exceptional_g_dim(p, q, mults)
+        return SymmetryPrediction(name, h_dim, gexc, True, False, gexc)
+    return SymmetryPrediction(name, h_dim, n * (n - 1) // 2 + h_dim, False, False, None)
+
+
+def test_exceptional_table_matches_the_former_two_tables():
+    """Every (p, q) with 1 <= p + q <= 16, either order, and every
+    multiplicity vector with entries <= 3: the same values, and the same
+    refusal of an invalid vector, from the five readers of the table."""
+    assert set(EXCEPTIONAL_NM) == _FORMER_EXCEPTIONAL_NM
+    pairs = [
+        (is_pure, _former_is_pure),
+        (pure_over_c, _former_pure_over_c),
+        (exceptional_g_dim, _former_exceptional_g_dim),
+        (expected_sharp, _former_expected_sharp),
+        (predict, _former_predict),
+    ]
+    compared = refused = found = 0
+    for n in range(1, 17):
+        for p in range(n + 1):
+            q = n - p
+            count = irrep_catalog(p, q).count
+            vectors = list(itertools.product(range(4), repeat=count))
+            vectors += [(1,) * (count + 1), (-1,) + (1,) * (count - 1)]
+            for mults in vectors:
+                for new, former in pairs:
+                    try:
+                        want = former(p, q, mults)
+                    except InvalidInputError as err:
+                        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(err))}$"):
+                            new(p, q, mults)
+                        refused += 1
+                        continue
+                    assert new(p, q, mults) == want, (new.__name__, p, q, mults)
+                    compared += 1
+                    found += new is exceptional_g_dim and want is not None
+    assert (compared, refused, found) == (18840, 2280, 141)

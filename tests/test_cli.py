@@ -493,6 +493,28 @@ def test_check_fe_quadratic_on_the_hyperbolic_plane_near_the_strip_edge(capsys, 
     assert code == 0 and doc["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "p,s",
+    [("1", s) for s in ("0.9", "0.99", "-1.45", "-1.49")] + [("2", s) for s in ("-0.99", "-0.01", "-0.001")],
+)
+def test_check_fe_quadratic_holds_near_the_edges_of_its_strip(capsys, p, s):
+    # s or -s - n/2 lies near Re = -3/2 for (1, 0) or Re = -1 for (2, 0), where
+    # the quadrature used to miss its innermost panel and report ok: false
+    argv = ("zeta", "check-fe-quadratic", "--p", p, "--q", "0", f"--s={s}", "--tol", "1e-8")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "p,q,s,reflected",
+    [("1", "1", "0.3", "-1.3"), ("2", "0", "0.3", "-1.3"), ("1", "1", "-0.02", "-0.98")],
+)
+def test_check_fe_quadratic_refusal_names_the_reflected_point(capsys, p, q, s, reflected):
+    # s is in range and -s - n/2 is not: the error says so, not a bound that s meets
+    assert main(["zeta", "check-fe-quadratic", "--p", p, "--q", q, f"--s={s}"]) == 2
+    _one_error_line(capsys, f"the reflected point -s - n/2 = {reflected}-0j is out of range")
+
+
 @pytest.mark.parametrize("s", ["-0.97", "-0.99", "-0.99999999"])
 def test_check_fe_quadratic_refuses_a_tail_past_its_cut(capsys, s):
     assert main(["zeta", "check-fe-quadratic", "--p", "1", "--q", "1", f"--s={s}"]) == 2

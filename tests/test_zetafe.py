@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -40,6 +41,80 @@ def test_cgamma_pole():
         Z.cgamma(-3)
 
 
+# the pole guard that ran before the gamma prefactors, and the cgamma that
+# refused only an exact pole: test-local copies of the former code
+def _former_check_poles(*gamma_args):
+    for z in gamma_args:
+        zz = complex(z)
+        if zz.real <= 0.5 and abs(zz.imag) < Z.POLE_RADIUS:
+            if abs(zz.real - round(zz.real)) < Z.POLE_RADIUS and round(zz.real) <= 0:
+                raise Z.PoleError(f"gamma argument {zz} within {Z.POLE_RADIUS} of a pole")
+
+
+def _former_cgamma(z):
+    z = complex(z)
+    if z.real < 0.5:
+        if z.imag == 0 and z.real == round(z.real):
+            raise Z.PoleError(f"gamma pole at z = {z}")
+        return cmath.pi / (cmath.sin(cmath.pi * z) * _former_cgamma(1 - z))
+    z -= 1
+    x = Z._LANCZOS_C[0]
+    for i, c in enumerate(Z._LANCZOS_C[1:], start=1):
+        x += c / (z + i)
+    t = z + Z._LANCZOS_G + 0.5
+    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+
+
+NEAR_POLES = [
+    -k - frac + eps for k in range(12) for frac in (0, 0.25, 0.5, 0.75) for eps in (0, 1e-9, -1e-9, 5e-9j, 1e-7)
+]
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the PoleError it raises."""
+    try:
+        return f(*args)
+    except Z.PoleError as exc:
+        return str(exc)
+
+
+def test_cgamma_is_the_former_guard_then_cgamma():
+    for z in NEAR_POLES + [0.5, 1, 5, 0.3 + 0.7j, -0.4 + 1.2j, 2.5 - 0.3j, -7.5 + 1e-7j]:
+        want = _outcome(lambda: _former_check_poles(z) or _former_cgamma(z))
+        assert _outcome(Z.cgamma, z) == want, z
+
+
+def _quartic_gamma_args(n, m, s):
+    return s + 1, s + n / 2, s + 1 + (m - 2 * n) / 4, s + m / 4
+
+
+def test_gamma_matrices_refuse_the_poles_the_former_guard_refused():
+    """The same PoleError message, or none, from every function that the
+    former guard protected, at points on and near the poles."""
+    refused = 0
+    for s in NEAR_POLES:
+        checks = []
+        for p, q in [(1, 0), (2, 0), (1, 1), (3, 2), (2, 1), (4, 0)]:
+            checks.append((Z.gamma_quadratic, (p, q, s), [(s + 1, s + (p + q) / 2)]))
+        for p, q, m in [(3, 2, 16), (4, 0, 16), (4, 1, 16), (9, 0, 16), (2, 2, 8), (5, 4, 32)]:
+            args = _quartic_gamma_args(p + q, m, s)
+            checks.append((Z.gamma_quartic, (p, q, m, s), [args]))
+            checks.append((Z.fe_involution_check, (p, q, m, s), [args, _quartic_gamma_args(p + q, m, -m / 4 - s)]))
+        for p, q, mults in [(3, 2, (1,)), (4, 1, (2, 0)), (2, 2, (2,))]:
+            m = rep_build(p, q, mults).m
+            consts = Z.gamma_constants(rep_build(p, q, mults))
+            checks.append((Z.pullback_error, (consts, s), [_quartic_gamma_args(p + q, m, s)]))
+        for f, args, guarded in checks:
+            want = _outcome(lambda: [_former_check_poles(*z) for z in guarded] and None)
+            try:
+                got = _outcome(f, *args)
+            except ZeroDivisionError:  # pullback_error where the closed matrix is 0, at integer s
+                got = None
+            assert (got if isinstance(got, str) else None) == want, (f.__name__, args)
+            refused += want is not None
+    assert refused == 1520
+
+
 # ----------------------------------------------------------------- components
 
 
@@ -67,8 +142,9 @@ def test_component_representatives_lie_in_component():
 def test_gamma_constants_examples():
     # rank-one definite with multiplicities (3, 1): constants are +-i
     c = Z.gamma_constants(rep_build(1, 0, (3, 1)))
-    assert abs(c.gamma_by_label("+") - 1j) < 1e-12
-    assert abs(c.gamma_by_label("-") + 1j) < 1e-12
+    twist = dict(zip(c.labels, c.gammas))
+    assert abs(twist["+"] - 1j) < 1e-12
+    assert abs(twist["-"] + 1j) < 1e-12
     # definite with p >= 2: constant 1
     c = Z.gamma_constants(rep_build(3, 0, (2,)))
     assert all(abs(g - 1) < 1e-12 for g in c.gammas)
@@ -82,9 +158,10 @@ def test_gamma_constants_examples():
 def test_gamma_constants_lorentz_case():
     # (2, 1) with classes weighted (2, 1): constants i^{+-(k+ - k-)}
     c = Z.gamma_constants(rep_build(2, 1, (2, 1)))
-    assert abs(c.gamma_by_label("+") - 1) < 1e-12
-    assert abs(c.gamma_by_label("-+") - 1j) < 1e-12
-    assert abs(c.gamma_by_label("--") + 1j) < 1e-12
+    twist = dict(zip(c.labels, c.gammas))
+    assert abs(twist["+"] - 1) < 1e-12
+    assert abs(twist["-+"] - 1j) < 1e-12
+    assert abs(twist["--"] + 1j) < 1e-12
 
 
 def test_gamma_signatures_match_exact_elimination():
@@ -266,6 +343,40 @@ def test_pullback_unvalidated_cases_labelled():
     assert g.values.shape == (3, 3) and g.validated
 
 
+def _former_pullback(consts, s):
+    """``gamma_pullback``'s values with the twists read by the former ladder:
+    '++' and '-+' for (1, 1), '+' for (1, 0), each label's own otherwise."""
+    s = complex(s)
+    p, q, m = consts.p, consts.q, consts.m
+    n = p + q
+    g1 = Z.gamma_quadratic(p, q, s)
+    g2 = Z.gamma_quadratic(p, q, s + (m - 2 * n) / 4)
+    twist = dict(zip(consts.labels, consts.gammas))
+    if (p, q) == (1, 1):
+        gam = [twist["++"], twist["-+"]]
+    elif (p, q) == (1, 0):
+        gam = [twist["+"]]
+    else:
+        gam = [twist[lab] for lab in g1.labels]
+    tw = np.diag(np.array(gam, dtype=complex))
+    pref = cmath.exp((4 * s + m / 2) * math.log(2))
+    return pref * (g1.values @ tw @ g2.values)
+
+
+PULLBACK_S = [0.3, 0.4, -0.27, 0.1 + 0.7j, -1.3 + 0.2j, 2.5, -2.25 + 0.1j, 0.05 - 0.4j, 1.7 + 1.1j, -0.6, 0.77, -3.1 + 0.01j]
+
+
+def test_pullback_twists_match_the_former_ladder():
+    modules = [(p, q, mults) for p, q, mults in enumerate_cases(max_pq=6, max_m=16) if not expected_degenerate(p, q, mults)]
+    assert len(modules) == 49 and {(1, 0), (1, 1)} <= {(p, q) for p, q, _ in modules}
+    for p, q, mults in modules:
+        consts = Z.gamma_constants(rep_build(p, q, mults))
+        for s in PULLBACK_S:
+            g = Z.gamma_pullback(consts, s)
+            assert g.values.tobytes() == _former_pullback(consts, s).tobytes(), (p, q, mults, s)
+            assert g.validated == ((p, q) not in ((1, 0), (1, 1)))
+
+
 @pytest.mark.parametrize(
     "p,q,m,s",
     [(3, 2, 16, 0.3 + 0.7j), (4, 1, 16, 0.2), (4, 0, 16, 0.1), (9, 0, 16, 0.21 - 0.4j)],
@@ -303,6 +414,76 @@ def test_fe_quadratic_numeric():
 def test_fe_quadratic_strip_violation():
     with pytest.raises(Z.InvalidInputError):
         Z.zeta_quadratic_numeric(2, 0, "+", -1.2)
+
+
+@pytest.mark.parametrize(
+    "p,q,s",
+    [(1, 0, s) for s in (-1.4, -1.45, -1.49, -1.4 + 0.3j)] + [(2, 0, s) for s in (-0.99, -0.999, -0.99 + 0.2j)],
+)
+def test_zeta_quadrature_matches_closed_forms_at_the_strip_edge(p, q, s):
+    # the innermost panel in closed form, and (e^{-pi t^2} - 1) / t^2 by
+    # expm1: Gauss-Legendre on [0, 2^-60] missed most of it as Re s nears
+    # -3/2 for (1, 0) and -1 for (2, 0), 2e-2 and 0.37 off at -1.4 and -0.99
+    got = Z.zeta_quadratic_numeric(p, q, "+", s).value
+    want = Z.zeta_quadratic_closed(p, q, s)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def _former_fe_residual(p, q, s):
+    """|lhs - rhs| of the former three-branch ``fe_quadratic_numeric_check``."""
+    s = complex(s)
+    n = p + q
+    g = Z.gamma_quadratic(p, q, s)
+    if (p, q) == (1, 0):
+        lhs = 2 * Z.zeta_quadratic_numeric(1, 0, "+", s).value
+        rhs = g.values[0, 0] * 2 * Z.zeta_quadratic_numeric(1, 0, "+", -s - n / 2).value
+        return abs(lhs - rhs)
+    if (p, q) == (2, 0):
+        lhs = Z.zeta_quadratic_numeric(2, 0, "+", s).value
+        rhs = g.values[0, 0] * Z.zeta_quadratic_numeric(2, 0, "+", -s - 1).value
+        return abs(lhs - rhs)
+    if (p, q) == (1, 1):
+        zp = lambda z: 2 * Z.zeta_quadratic_numeric(1, 1, "++", z).value
+        lhs = zp(s)
+        rhs = g.values[0, 0] * zp(-s - 1) + g.values[0, 1] * zp(-s - 1)
+        return abs(lhs - rhs)
+    raise Z.UnsupportedCaseError("numeric functional equation provided for p + q <= 2")
+
+
+FE_S = [-0.6, -0.5, -0.25, 0.3, -0.9, -0.95, -0.97, -0.02, -1.2, -1.45, 0.9, 0.5 + 0.3j, -0.3 - 0.2j, 0.0, -1.0, -0.75]
+
+
+@pytest.mark.parametrize("p,q", [(1, 0), (2, 0), (1, 1), (2, 1), (0, 1), (3, 0)])
+def test_fe_quadratic_check_is_the_former_three_branches(p, q):
+    """The same residual to the bit (False at tol = residual, True just
+    above it) and the same refusal, except that a refusal of the reflected
+    point alone now says so."""
+    for s in FE_S:
+        try:
+            residual = _former_fe_residual(p, q, s)
+        except ValueError as err:
+            message = str(err)
+            try:
+                Z.zeta_quadratic_numeric(p, q, "+", s)
+            except ValueError:
+                pass  # refused at s itself or before any quadrature: the message is unchanged
+            else:
+                if isinstance(err, InvalidInputError):
+                    message = f"the reflected point -s - n/2 = {-complex(s) - (p + q) / 2:g} is out of range: {err}"
+            with pytest.raises(type(err), match=f"^{re.escape(message)}$"):
+                Z.fe_quadratic_numeric_check(p, q, s, 1.0)
+            continue
+        assert not Z.fe_quadratic_numeric_check(p, q, s, residual)
+        assert Z.fe_quadratic_numeric_check(p, q, s, np.nextafter(residual, np.inf))
+
+
+@pytest.mark.parametrize("p,q,s", [(1, 1, 0.3), (2, 0, 0.3), (1, 1, -0.02), (1, 0, 0.0)])
+def test_fe_quadratic_refusal_at_the_reflected_point_names_it(p, q, s):
+    # s itself is in range; -s - n/2 is not, and the error used to quote
+    # only the bound that s meets
+    Z.zeta_quadratic_numeric(p, q, "+", s)
+    with pytest.raises(InvalidInputError, match=re.escape(f"reflected point -s - n/2 = {-s - (p + q) / 2:g}")):
+        Z.fe_quadratic_numeric_check(p, q, s, 1e-8)
 
 
 # ------------------------------------------------------------------- MC zeta
