@@ -8,20 +8,16 @@ passes at every point.
 
 Everything here works on int64 arrays of residues in [0, P).  P < 2^26, so
 a product of two residues is below 2^52 and a sum of up to 2^11 such
-products still fits int64.  P = 1 (mod 8), so F_P holds a primitive eighth
-root of unity ZETA8, and Z[zeta8, 1/2] maps into F_P with zeta8 -> ZETA8.
+products still fits int64.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
 from .rng import stream
 
-P = 67108777  # the largest prime below 2^26 that is 1 mod 8
-ZETA8 = 41979842  # 5^((P - 1) / 8); 5 is not a square mod P, so ZETA8^4 = -1
+P = 67108777  # a prime below 2^26
 
 
 def residue_points(seed: int, count: int, dim: int, index: int = 0) -> np.ndarray:
@@ -29,11 +25,6 @@ def residue_points(seed: int, count: int, dim: int, index: int = 0) -> np.ndarra
     as one (count, dim) block and returned as the columns of a contiguous
     (dim, count) int64 array."""
     return np.ascontiguousarray(stream(seed, index).integers(0, P, size=(count, dim)).T)
-
-
-def residue(x: int | Fraction) -> int:
-    """The image of an integer, or of a fraction with denominator prime to P, in F_P."""
-    return x.numerator * pow(x.denominator, -1, P) % P
 
 
 def power(x, e: int) -> np.ndarray:

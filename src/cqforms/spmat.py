@@ -10,6 +10,7 @@ what makes the whole pipeline certifiable without floating point.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -252,7 +253,7 @@ class SectorDecomposition:
         self._compute_orbits()
 
     def _compute_orbits(self):
-        """Orbits, coset words and stabilizer relations as whole arrays.
+        """Orbits and coset words as whole arrays.
 
         With g_w the product of the generators whose bits are set in w, every
         index u ends with ``g_word[u] e_base[u] = sign[u] e_u`` and ``base[u]``
@@ -275,27 +276,31 @@ class SectorDecomposition:
         # orbits in order of their least index, each an ascending index array
         order = np.argsort(base, kind="stable")
         step = np.r_[False, np.diff(base[order]) != 0]
-        orbit = np.empty(n, dtype=np.int64)
-        orbit[order] = np.cumsum(step)
+        self._orbit = np.empty(n, dtype=np.int64)  # the orbit number of each index
+        self._orbit[order] = np.cumsum(step)
         self.orbits = np.split(order, np.flatnonzero(step))
         self.word, self.sign = word, sign
+
+    @functools.cached_property
+    def _relations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rel, cut)``: orbit o is fixed by the sorted packed stabilizer
+        relations ``rel[cut[o]:cut[o + 1]]``, packed on first use."""
+        r, v, word, sign = self.r, self.perms, self.word, self.sign
         # g_j e_u = signs[j, u] e_v gives the relation g_{word[u]^word[v]^(1<<j)}
         # e_base = sign[u] signs[j, u] sign[v] e_base, packed as
         # mask << 1 | (sign < 0) below the orbit number and deduplicated
-        v = self.perms
         mask = word ^ word[v] ^ (np.int64(1) << np.arange(r, dtype=np.int64))[:, None]
-        key = np.unique((orbit << (r + 1)) | (mask << 1) | (sign * self.signs * sign[v] < 0))
+        key = np.unique((self._orbit << (r + 1)) | (mask << 1) | (sign * self.signs * sign[v] < 0))
         rel = key & ((1 << (r + 1)) - 1)
         keep = rel != 0  # 0 = 0 relations say nothing
-        # orbit o is fixed by the sorted packed relations rel[cut[o]:cut[o + 1]]
-        self.rel = rel[keep]
-        self.cut = np.searchsorted(key[keep] >> (r + 1), np.arange(len(self.orbits) + 1))
+        return rel[keep], np.searchsorted(key[keep] >> (r + 1), np.arange(len(self.orbits) + 1))
 
     def fixed_space(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Basis of the common +1 eigenspace, one (indices, signs) vector per
         orbit all of whose stabilizer relations carry the sign +1."""
+        rel, cut = self._relations
         signed = np.zeros(len(self.orbits), dtype=bool)
-        signed[np.searchsorted(self.cut, np.flatnonzero(self.rel & 1), side="right") - 1] = True
+        signed[np.searchsorted(cut, np.flatnonzero(rel & 1), side="right") - 1] = True
         return [(idxs, self.sign[idxs]) for idxs, odd in zip(self.orbits, signed) if not odd]
 
     def sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -319,14 +324,15 @@ class SectorDecomposition:
         lengths = np.array([len(idxs) for idxs in self.orbits])
         order = np.concatenate(self.orbits)
         start = np.cumsum(lengths) - lengths
-        counts = np.diff(self.cut)
+        rel, cut = self._relations
+        counts = np.diff(cut)
         blocks = [None] * len(self.orbits)
         for length in np.unique(lengths).tolist():
             group = np.flatnonzero(lengths == length)
             slot = np.arange(counts[group].max())
             held = slot < counts[group, None]
             rels = np.zeros(held.shape, dtype=np.int64)  # padded with 0 = 0
-            rels[held] = self.rel[(self.cut[group, None] + slot)[held]]
+            rels[held] = rel[(cut[group, None] + slot)[held]]
             sets, which = np.unique(rels, axis=0, return_inverse=True)
             chi = _admitted_characters(sets, length, par)[which.reshape(-1)]
             step = max(1, SECTOR_BLOCK // (length * length))

@@ -15,10 +15,10 @@ module computes the signature constants exactly, and verifies functional
 equations numerically with Gaussian test functions (quadrature in the
 quadratic range, Monte Carlo for the quartic integrals).  The prefactors
 cancel from the pullback and involution identities of the quartic gamma
-matrix; ``gamma_identity_check`` proves what is left mod ``modp.P`` at 9
-points, and ``det_sv_identity_check`` tests det S(v)^2 = P(v)^m mod P.  The
-float ``pullback_error`` and ``fe_involution_check`` serve the command
-line.  This module only computes: the multiplicity formulas for the twists
+matrix; ``gamma_identity_check`` compares what is left term by term in the
+table's own ring, and ``det_sv_identity_check`` tests det S(v)^2 = P(v)^m
+mod P.  The float ``pullback_error`` and ``fe_involution_check`` serve the
+command line.  This module only computes: the multiplicity formulas for the twists
 and the cases that the closed quartic formulas cover are stated in
 ``classify``.
 """
@@ -281,26 +281,6 @@ def _complex_at(scale: complex, matrix: list, s: complex) -> np.ndarray:
     )
 
 
-def _residues(matrix: list) -> np.ndarray:
-    """The coefficients of z^-1, 1 and z in the entries of a table matrix,
-    mod ``modp.P``, as a (3, rows, cols) array."""
-    coef = np.zeros((3, len(matrix), len(matrix[0])), dtype=np.int64)
-    for r, row in enumerate(matrix):
-        for c, terms in enumerate(row):
-            for x, a, b in terms:
-                coef[b + 1, r, c] += modp.residue(x) * pow(modp.ZETA8, a % 8, modp.P)
-    return coef % modp.P
-
-
-def _at(coef: np.ndarray, z: np.ndarray, shift: int = 0) -> np.ndarray:
-    """The matrix of ``_residues`` at the points zeta8^shift z: z is a (2, k)
-    array of residues and their inverses, or the same reversed for z^-1.
-    A (k, rows, cols) array."""
-    mod, turn = modp.P, pow(modp.ZETA8, shift % 8, modp.P)
-    zpow = np.stack([z[1] * pow(turn, -1, mod) % mod, np.ones_like(z[0]), z[0] * turn % mod])
-    return (coef[:, None] * zpow[:, :, None, None] % mod).sum(axis=0) % mod
-
-
 def gamma_quadratic(p: int, q: int, s: complex) -> GammaMatrix:
     """Gamma matrix of the signature-(p, q) quadratic functional equation:
     its Gamma and pi prefactor times the trig matrix of ``_quadratic_table``."""
@@ -380,18 +360,35 @@ def fe_involution_check(p: int, q: int, m: int, s: complex, tol: float = 1e-10) 
 
 
 # ---------------------------------------------------------------------------
-# The gamma identities mod P
+# The gamma identities, term by term
 # ---------------------------------------------------------------------------
 
 
-GAMMA_DEGREE = 8  # z-degree spread of the involution identity, the larger of the two
-GAMMA_Z = tuple(range(1, GAMMA_DEGREE + 2))  # the points z of gamma_identity_check
+def _twice(terms: list, shift: int = 0, flip: int = 1) -> list:
+    """2 times a table entry at z -> zeta8^shift z^flip, as terms (c, a, b)
+    with integer c.  Refuses a coefficient outside Z/2."""
+    for c, _, _ in terms:
+        if 2 % c.denominator:
+            raise ValueError(f"gamma table coefficient {c} is not in Z/2")
+    return [(2 // c.denominator * c.numerator, a + shift * b, flip * b) for c, a, b in terms]
+
+
+def _collected(*products) -> list:
+    """The sum of the products of term lists, collected with zeta8^4 = -1:
+    one term (c, a, b) per (a, b) with 0 <= a < 4 and c != 0, in order."""
+    out = {}
+    for factors in products:
+        terms = [(1, 0, 0)]
+        for f in factors:
+            terms = [(c1 * c2, a1 + a2, b1 + b2) for c1, a1, b1 in terms for c2, a2, b2 in f]
+        for c, a, b in terms:
+            out[a % 4, b] = out.get((a % 4, b), 0) + (c if a % 8 < 4 else -c)
+    return [(c, a, b) for (a, b), c in sorted(out.items()) if c]
 
 
 def gamma_identity_check(consts: SignatureConstants) -> str | None:
-    """The two identities behind the quartic gamma matrix, proved mod
-    ``modp.P`` at the GAMMA_DEGREE + 1 distinct units z of GAMMA_Z.  Returns
-    None when both hold, else the name of the first that fails.
+    """The two identities behind the quartic gamma matrix, compared term by
+    term.  Returns None when both hold, else the name of the first that fails.
 
     With z = e^{i pi s} the Gamma, pi and 2 powers cancel identically, and
     what is left are identities of Laurent polynomials over Z[zeta8, 1/2]:
@@ -402,32 +399,30 @@ def gamma_identity_check(consts: SignatureConstants) -> str | None:
     * involution: sin(pi s) sin(pi s~) Mq(z) Mq(zeta8^-m z^-1) = the product
       of the four ``involution`` sines times I, with s~ = -m/4 - s.
 
-    Their z-degrees spread over at most 4 and GAMMA_DEGREE = 8.  Times a
-    power of z, each entry of a difference is a polynomial of degree at most
-    8 over F_P, and a nonzero one has at most 8 roots, so passing at 9
-    distinct points makes each identity exact mod P.  A false identity
-    passes only if its difference reduces to 0 mod P.
+    Every table entry and sine is doubled, so all coefficients are integers:
+    both sides of the pullback carry a factor 4 and both sides of the
+    involution a factor 16.  Each entry is compared as collected terms.
     """
     p, q, m = consts.p, consts.q, consts.m
-    n, mod = p + q, modp.P
     table = gamma_laurent(p, q, m)
-    z = np.array([GAMMA_Z, [pow(x, -1, mod) for x in GAMMA_Z]], dtype=np.int64)
-    z_tilde = (z[::-1], -m)  # s~ = -m/4 - s is z~ = zeta8^-m z^-1
-    twists = np.array([pow(modp.ZETA8, (a - b) % 8, mod) for a, b in consts.signatures])
-    quadratic, quartic = _residues(table.quadratic), _residues(table.quartic)
-    sines = _residues([[_sin(k) for k in (0, *table.involution)]])  # sin(pi s), the four shifts
-    sin_s = _at(sines[:, :, :1], z)
-    quartic_z = _at(quartic, z)
-    pullback = (_at(quadratic, z) * twists % mod) @ _at(quadratic, z, m - 2 * n) % mod
-    if np.any(pullback != sin_s * quartic_z % mod):
-        return "pullback"
-    left = sin_s * _at(sines[:, :, :1], *z_tilde) % mod * quartic_z % mod
-    left = left @ _at(quartic, *z_tilde) % mod
-    right = np.eye(len(table.labels), dtype=np.int64)
-    for sine in _at(sines[:, :, 1:], z)[:, 0].T:
-        right = right * sine[:, None, None] % mod
-    if np.any(left != right):
-        return "involution"
+    size = range(len(table.labels))
+    twists = [[(1, plus - minus, 0)] for plus, minus in consts.signatures]
+    quadratic = [[_twice(e) for e in row] for row in table.quadratic]
+    shifted = [[_twice(e, m - 2 * (p + q)) for e in row] for row in table.quadratic]
+    quartic = [[_twice(e) for e in row] for row in table.quartic]
+    quartic_tilde = [[_twice(e, -m, -1) for e in row] for row in table.quartic]  # s~ is z~ = zeta8^-m z^-1
+    sin_s, sin_tilde = _twice(_sin(0)), _twice(_sin(0), -m, -1)
+    for i in size:
+        for j in size:
+            left = _collected(*[(quadratic[i][k], shifted[k][j], twists[k]) for k in size])
+            if left != _collected((quartic[i][j], sin_s)):
+                return "pullback"
+    right = _collected([_twice(_sin(k)) for k in table.involution])
+    for i in size:
+        for j in size:
+            product = _collected(*[(quartic[i][k], quartic_tilde[k][j]) for k in size])
+            if _collected((product, sin_s, sin_tilde)) != (right if i == j else []):
+                return "involution"
     return None
 
 
@@ -436,8 +431,13 @@ def gamma_identity_check(consts: SignatureConstants) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+_LEGGAUSS = {}  # Gauss-Legendre rules by node count, made on first use: no numpy.polynomial at import
+
+
 def _panel_quad(f, a: float, b: float, nodes: int = 48) -> complex:
-    x, wts = np.polynomial.legendre.leggauss(nodes)
+    if nodes not in _LEGGAUSS:
+        _LEGGAUSS[nodes] = np.polynomial.legendre.leggauss(nodes)
+    x, wts = _LEGGAUSS[nodes]
     mid, half = (a + b) / 2, (b - a) / 2
     pts = mid + half * x
     return half * sum(wt * f(t) for wt, t in zip(wts, pts))
@@ -454,7 +454,7 @@ def _power_integral(expo: complex, decay, cutoff: float = 8.0) -> complex:
     edges = [2.0 ** (-k) for k in range(60, 0, -1)] + list(np.linspace(1.0, cutoff, 24))
     f = lambda t: t**expo * decay(t)
     inner = decay(edges[0]) * edges[0] ** (expo + 1) / (expo + 1)
-    return inner + sum(_panel_quad(f, a, b) for a, b in zip(edges, edges[1:]))
+    return inner + sum(_panel_quad(f, a, b) for a, b in zip(edges, edges[1:]) if a < b)
 
 
 @dataclass

@@ -1,5 +1,7 @@
-"""Arithmetic mod P and the identities the suite tests with it: det S(v)^2 =
-P(v)^m and the two gamma identities as Laurent polynomials in z."""
+"""Arithmetic mod P and the identity det S(v)^2 = P(v)^m that the suite
+tests with it; the two gamma identities as Laurent polynomials in z,
+compared term by term and against the former evaluation mod P at nine
+points."""
 
 import cmath
 import dataclasses
@@ -13,7 +15,7 @@ from cqforms import modp
 from cqforms import quartic as Q
 from cqforms import zetafe as Z
 from cqforms.classify import expected_degenerate, gamma_applicable
-from cqforms.modp import P, ZETA8
+from cqforms.modp import P
 from cqforms.repkit import MAX_DIM, rep_build
 from cqforms.rng import complex_s_samples, stream
 from cqforms.spmat import SectorDecomposition, int_det
@@ -23,15 +25,12 @@ from cqforms.suite import enumerate_cases
 SHAPES = [(4, 0, (1,)), (4, 1, (0, 2)), (3, 2, (1,)), (3, 3, (1, 1)), (6, 6, (1,))]
 
 
-def test_the_prime_and_its_eighth_root():
-    assert P % 8 == 1 and all(P % d for d in range(2, math.isqrt(P) + 1))
-    assert pow(ZETA8, 4, P) == P - 1  # so ZETA8 has order exactly 8
+def test_the_prime():
+    assert all(P % d for d in range(2, math.isqrt(P) + 1))
     assert MAX_DIM == 1024 and MAX_DIM * (P - 1) ** 2 < 2**63  # every S_i[w] of residues fits int64
 
 
 def test_residues_and_powers():
-    assert modp.residue(-1) == P - 1
-    assert 2 * modp.residue(Fraction(1, 2)) % P == 1
     x = stream(0).integers(0, P, size=50)
     assert modp.power(x, 0).tolist() == [1] * 50
     assert modp.power(x, 7).tolist() == [pow(int(v), 7, P) for v in x]
@@ -95,6 +94,50 @@ def _shifted(terms, by):
     return [(c, a + by * b, b) for c, a, b in terms]
 
 
+_FORMER_ZETA8 = pow(5, (P - 1) // 8, P)  # an eighth root of unity: P = 1 mod 8, 5 is no square
+
+
+def _former_residues(matrix):
+    """Oracle helper: the coefficients of z^-1, 1 and z of a table matrix mod
+    P, with zeta8 mapped to 5^((P - 1) / 8), as a (3, rows, cols) array."""
+    coef = np.zeros((3, len(matrix), len(matrix[0])), dtype=np.int64)
+    for r, row in enumerate(matrix):
+        for c, terms in enumerate(row):
+            for x, a, b in terms:
+                x = Fraction(x)
+                coef[b + 1, r, c] += x.numerator * pow(x.denominator, -1, P) % P * pow(_FORMER_ZETA8, a % 8, P)
+    return coef % P
+
+
+def _former_at(coef, z, shift=0):
+    turn = pow(_FORMER_ZETA8, shift % 8, P)
+    zpow = np.stack([z[1] * pow(turn, -1, P) % P, np.ones_like(z[0]), z[0] * turn % P])
+    return (coef[:, None] * zpow[:, :, None, None] % P).sum(axis=0) % P
+
+
+def _former_gamma_identity_check(consts):
+    """Oracle: the former check, both identities mod P at z = 1 .. 9."""
+    assert pow(_FORMER_ZETA8, 4, P) == P - 1  # so the oracle's zeta8 has order 8
+    p, q, m = consts.p, consts.q, consts.m
+    table = Z.gamma_laurent(p, q, m)
+    z = np.array([range(1, 10), [pow(x, -1, P) for x in range(1, 10)]], dtype=np.int64)
+    z_tilde = (z[::-1], -m)
+    twists = np.array([pow(_FORMER_ZETA8, (a - b) % 8, P) for a, b in consts.signatures])
+    quadratic, quartic = _former_residues(table.quadratic), _former_residues(table.quartic)
+    sines = _former_residues([[Z._sin(k) for k in (0, *table.involution)]])
+    sin_s = _former_at(sines[:, :, :1], z)
+    quartic_z = _former_at(quartic, z)
+    pullback = (_former_at(quadratic, z) * twists % P) @ _former_at(quadratic, z, m - 2 * (p + q)) % P
+    if np.any(pullback != sin_s * quartic_z % P):
+        return "pullback"
+    left = sin_s * _former_at(sines[:, :, :1], *z_tilde) % P * quartic_z % P
+    left = left @ _former_at(quartic, *z_tilde) % P
+    right = np.eye(len(table.labels), dtype=np.int64)
+    for sine in _former_at(sines[:, :, 1:], z)[:, 0].T:
+        right = right * sine[:, None, None] % P
+    return "involution" if np.any(left != right) else None
+
+
 @pytest.mark.parametrize("case", SHAPES)
 def test_both_gamma_identities_hold(case):
     assert Z.gamma_identity_check(_consts(case)) is None
@@ -104,7 +147,8 @@ def test_the_gamma_identities_hold_on_every_applicable_module():
     cases = [c for c in enumerate_cases(max_pq=12, max_m=64, max_total_mult=3) if gamma_applicable(*c)]
     assert len(cases) == 247
     for case in cases:
-        assert Z.gamma_identity_check(_consts(case)) is None, case
+        consts = _consts(case)
+        assert Z.gamma_identity_check(consts) is _former_gamma_identity_check(consts) is None, case
 
 
 @pytest.mark.parametrize("case", SHAPES)
@@ -117,7 +161,7 @@ def test_a_flipped_twist_fails(case, moved):
         signatures = list(consts.signatures)
         signatures[k] = (plus - moved, minus + moved)
         twisted = dataclasses.replace(consts, signatures=signatures)
-        assert Z.gamma_identity_check(twisted) == "pullback", k
+        assert Z.gamma_identity_check(twisted) == "pullback" == _former_gamma_identity_check(twisted), k
 
 
 @pytest.mark.parametrize("case", SHAPES)
@@ -137,7 +181,47 @@ def test_a_sine_shift_off_by_one_fails(monkeypatch, case, by):
     ]:
         changed = dataclasses.replace(table, **{field: value})
         monkeypatch.setattr(Z, "gamma_laurent", lambda *args: changed)
-        assert Z.gamma_identity_check(consts) == fails, field
+        assert Z.gamma_identity_check(consts) == fails == _former_gamma_identity_check(consts), field
+
+
+@pytest.mark.parametrize("case", SHAPES)
+def test_a_false_term_divisible_by_p_fails(monkeypatch, case):
+    # P z added to one quartic entry: every coefficient of the difference is
+    # divisible by P, so the former check mod P missed it
+    consts = _consts(case)
+    table = Z.gamma_laurent(consts.p, consts.q, consts.m)
+    quartic = [row[:] for row in table.quartic]
+    quartic[0][0] = quartic[0][0] + [(Fraction(P), 0, 1)]
+    changed = dataclasses.replace(table, quartic=quartic)
+    monkeypatch.setattr(Z, "gamma_laurent", lambda *args: changed)
+    assert _former_gamma_identity_check(consts) is None
+    assert Z.gamma_identity_check(consts) == "pullback"
+
+
+def test_every_table_coefficient_lies_in_half_the_integers():
+    checked = 0
+    for n in range(1, 17):
+        for q in range(n // 2 + 1):
+            for m in range(0, 257, 8):
+                try:
+                    table = Z.gamma_laurent(n - q, q, m)
+                except Z.UnsupportedCaseError:
+                    continue
+                entries = [e for matrix in (table.quadratic, table.quartic) for row in matrix for e in row]
+                assert all(2 % Fraction(c).denominator == 0 for e in entries for c, _, _ in e), (n - q, q, m)
+                checked += 1
+    assert checked == 32 * 76
+
+
+def test_a_coefficient_outside_half_the_integers_is_refused(monkeypatch):
+    consts = _consts(SHAPES[2])
+    table = Z.gamma_laurent(consts.p, consts.q, consts.m)
+    quartic = [row[:] for row in table.quartic]
+    quartic[1][0] = [(Fraction(1, 3), 0, 0)]
+    changed = dataclasses.replace(table, quartic=quartic)
+    monkeypatch.setattr(Z, "gamma_laurent", lambda *args: changed)
+    with pytest.raises(ValueError, match="1/3 is not in Z/2"):
+        Z.gamma_identity_check(consts)
 
 
 def _trig_quadratic(p, q, s):
@@ -218,18 +302,6 @@ def test_a_constant_sine_that_vanishes_is_zero():
     # sin(pi) and sin(2 pi) in the split quartic matrix of (4, 2): exact zeros
     quart = Z.gamma_quartic(4, 2, 16, 0.3)
     assert quart.values[0, 1] == 0 and quart.values[1, 0] == 0
-
-
-def test_the_gamma_points_prove_the_identities():
-    # GAMMA_DEGREE + 1 distinct units of F_P: a nonzero Laurent polynomial
-    # of z-degree spread at most GAMMA_DEGREE cannot vanish at all of them
-    points = Z.GAMMA_Z
-    assert len(points) == Z.GAMMA_DEGREE + 1 == len(set(points))
-    assert all(0 < z < P for z in points)
-    for case in SHAPES:
-        table = Z.gamma_laurent(case[0], case[1], rep_build(*case).m)
-        for matrix in (table.quadratic, table.quartic):
-            assert {b for row in matrix for terms in row for _, _, b in terms} <= {-1, 0, 1}
 
 
 def test_the_laurent_table_refuses_what_the_closed_forms_refuse():

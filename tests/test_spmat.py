@@ -153,6 +153,19 @@ def test_fixed_space_is_common_fixed():
     assert idxs.tolist() == [0] and signs.tolist() == [1]
 
 
+def test_reading_the_orbits_packs_no_relations(monkeypatch):
+    # det_sv_residues reads only the orbits; the relations are packed, with
+    # np.unique, on the first fixed_space or sectors call
+    perms, signs = SY._g_generators(rep_build(3, 2, (1,)))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(args) or unique(*args, **kwargs))
+    dec = SectorDecomposition(perms, signs)
+    assert sorted(np.concatenate(dec.orbits).tolist()) == list(range(dec.n))
+    assert calls == []
+    assert len(dec.sectors()) == len(dec.orbits) and calls
+
+
 def _orbits_bfs(dec):
     """Reference copy of the per-index BFS: each orbit as (word, stab), with
     word mapping index -> (group word bitmask, sign) in discovery order and

@@ -486,6 +486,38 @@ def test_fe_quadratic_refusal_at_the_reflected_point_names_it(p, q, s):
         Z.fe_quadratic_numeric_check(p, q, s, 1e-8)
 
 
+def test_each_gauss_legendre_rule_is_computed_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda nodes: calls.append(nodes) or leggauss(nodes))
+    monkeypatch.setattr(Z, "_LEGGAUSS", {}, raising=False)
+    for _ in range(2):
+        assert Z.fe_quadratic_numeric_check(2, 0, -0.5, 1e-8)
+        assert Z.fe_quadratic_numeric_check(1, 0, -0.6, 1e-4)
+    assert sorted(calls) == [48, 64]
+
+
+def test_the_quadrature_takes_no_empty_panel(monkeypatch):
+    panels = []
+    panel_quad = Z._panel_quad
+    recorded = lambda f, a, b, *rest: panels.append((a, b)) or panel_quad(f, a, b, *rest)
+    monkeypatch.setattr(Z, "_panel_quad", recorded)
+    Z.zeta_quadratic_numeric(1, 0, "+", 0.3)  # one integral cut at 1, one at 8
+    Z.zeta_quadratic_numeric(2, 0, "+", 0.3)
+    assert len(panels) == 60 + 1 + 60 + 23 and all(a < b for a, b in panels)
+
+
+def test_the_cli_does_not_import_numpy_polynomial():
+    script = "import sys\nimport cqforms.cli\nprint('numpy.polynomial' in sys.modules)\n"
+    src = str(Path(Z.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------------- MC zeta
 
 
