@@ -61,26 +61,16 @@ def _halfspin_mults(p: int, q: int, mults) -> tuple[int, int]:
 
 
 def is_pure(p: int, q: int, mults) -> bool:
-    """Restriction to the even subalgebra is isotypic."""
+    """Restriction to the even subalgebra is isotypic: at most one halfspin
+    label in use, and not the (T,2T') class, which restricts to both."""
     module_dim(p, q, mults)
-    cat = irrep_catalog(p, q)
-    if cat.even_classes == 1:
-        return True
-    if cat.count == 1:
-        # single class restricting to both even classes
-        return False
-    return 0 in _halfspin_mults(p, q, mults)  # at most one halfspin class in use
+    return irrep_catalog(p, q).shape != "(T,2T')" and 0 in _halfspin_mults(p, q, mults)
 
 
 def pure_over_c(p: int, q: int, mults) -> bool:
-    """Is the complexified restriction to the even subalgebra isotypic?"""
-    module_dim(p, q, mults)
-    cat = irrep_catalog(p, q)
-    if cat.shape == "(T,2T')":
-        return False  # the single class already mixes both even classes
-    if cat.even_field == "C":
-        return False  # complexification splits the even class in two
-    return 0 in _halfspin_mults(p, q, mults)  # at most one halfspin class in use
+    """Is the complexified restriction to the even subalgebra isotypic?
+    Complexification splits an even class over C in two."""
+    return is_pure(p, q, mults) and irrep_catalog(p, q).even_field != "C"
 
 
 def expected_degenerate(p: int, q: int, mults) -> bool:
@@ -109,12 +99,13 @@ def expected_sharp(p: int, q: int, mults) -> bool:
     return True
 
 
-def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
-    """Name and real dimension of h from the structure table."""
-    module_dim(p, q, mults)
-    cat = irrep_catalog(p, q)
-    ks = tuple(mults)
-    shape, field, even = cat.shape, cat.field, cat.even_field
+# the shape of each simple factor of R_{p,q} with two of them
+_HALF_SHAPE = {"(2T,2T')": "(T,T')", "(4T,2T')": "(2T,T')"}
+
+
+def _simple_h(shape: str, field: str, even: str, ks: tuple[int, ...]) -> tuple[str, int]:
+    """Name and real dimension of h for a simple algebra of the given shape
+    and fields, on the multiplicities ``ks`` of its classes."""
     if shape == "(T,T')":
         (k,) = ks
         return {
@@ -125,28 +116,29 @@ def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
         }[(field, even)]
     if shape == "(T,2T')":
         (k,) = ks
-        if field == "R":
-            return f"gl({k},R)", k * k
-        return f"gl({k},H)", 4 * k * k
-    if shape == "(2T,T')":
-        k1, k2 = ks
-        kk = k1 + k2
-        if field == "R":
-            return f"so({k1},{k2})", kk * (kk - 1) // 2
-        if field == "C":
-            return f"u({k1},{k2})", kk * kk
-        return f"sp({k1},{k2})", kk * (2 * kk + 1)
-    if shape == "(2T,2T')":
-        k1, k2 = ks
-        if even == "R":
-            return f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
-        return f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
-    k1, k2, k3, k4 = ks
-    if field == "R":
-        ka, kb = k1 + k2, k3 + k4
-        return f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
-    ka, kb = k1 + k2, k3 + k4
-    return f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
+        return {"R": (f"gl({k},R)", k * k), "H": (f"gl({k},H)", 4 * k * k)}[field]
+    k1, k2 = ks
+    kk = k1 + k2
+    return {
+        "R": (f"so({k1},{k2})", kk * (kk - 1) // 2),
+        "C": (f"u({k1},{k2})", kk * kk),
+        "H": (f"sp({k1},{k2})", kk * (2 * kk + 1)),
+    }[field]
+
+
+def h_algebra(p: int, q: int, mults) -> tuple[str, int]:
+    """Name and real dimension of h from the structure table: the direct sum
+    over the simple factors, each on its half of the multiplicities when
+    there are two."""
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    shape, ks = cat.shape, tuple(mults)
+    parts = [ks]
+    if shape in _HALF_SHAPE:
+        shape, half = _HALF_SHAPE[shape], len(ks) // 2
+        parts = [ks[:half], ks[half:]]
+    names, dims = zip(*(_simple_h(shape, cat.field, cat.even_field, part) for part in parts))
+    return "+".join(names), sum(dims)
 
 
 def exceptional_g_dim(p: int, q: int, mults) -> int | None:
@@ -188,22 +180,24 @@ def predict(p: int, q: int, mults) -> SymmetryPrediction:
 def expected_twists(p: int, q: int, mults, labels) -> list[Fraction]:
     """Multiplicity formulas for the signature constants of the components
     ``labels`` (of ``zetafe.components``), as exponents x of the twists
-    e(x) = exp(2 pi i x): Fractions, exact mod 1."""
-    m = module_dim(p, q, mults)
+    e(x) = exp(2 pi i x): Fractions, exact mod 1.  The component with
+    representative c e_i has x = c tr(S_i) / 8."""
+    module_dim(p, q, mults)
     cat = irrep_catalog(p, q)
-    sign = {"+": 1, "-": -1}
+    # tr S_i in the e and f families: a lone generator acts on each class by
+    # its sign, and any other anticommutes with another one of its family
+    te, tf = (cat.dim * sum(k * signs[j] for k, signs in zip(mults, cat.family_signs)) if size == 1 else 0
+              for j, size in enumerate((p, q)))
+    # (c, tr S_i) of the representative c e_i of each label of ``components``
     if (p, q) == (1, 0):
-        kp = mults[0] * cat.dim  # class 0 is the generator acting by +1
-        return [Fraction(sign[lab] * (kp - (m - kp)), 8) for lab in labels]
-    if (p, q) == (1, 1):
-        k11, k22, k33, k44 = mults  # classes ordered (+,+), (-,-), (+,-), (-,+)
-        return [Fraction(sign[tau] * ((k11 - k22) + sign[eta] * (k33 - k44)), 8) for eta, tau in labels]
-    if q == 1:
-        # kp - km, f_signs being the scalar by which the last generator acts in each class
-        diff = sum(k * f for k, f in zip(mults, cat.f_signs))
-        at = {"+": 0, "-+": 1, "--": -1}
-        return [Fraction(at[lab] * cat.dim * diff, 8) for lab in labels]
-    return [Fraction(0) for _ in labels]
+        at = {"+": (1, te), "-": (-1, te)}
+    elif (p, q) == (1, 1):
+        at = {"++": (1, te), "+-": (-1, te), "-+": (1, tf), "--": (-1, tf)}
+    elif q == 1:
+        at = {"+": (1, te), "-+": (1, tf), "--": (-1, tf)}
+    else:
+        at = {"+": (1, te), "-": (1, tf)}
+    return [Fraction(c * tr, 8) for c, tr in (at[label] for label in labels)]
 
 
 def expected_det_square(p: int, q: int, mults) -> bool:
@@ -337,6 +331,8 @@ def table1_lookup(p: int, q: int, mults) -> str | None:
     """Prehomogeneous space with the quartic as relative invariant, if any:
     the entry of the first ``TABLE1`` row of (p, q) whose side condition
     holds, with the actual multiplicities substituted."""
+    if p < q:
+        raise InvalidInputError("classification uses the p >= q convention")
     mults = tuple(mults)
     if expected_degenerate(p, q, mults):  # also refuses an invalid vector
         return None

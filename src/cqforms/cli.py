@@ -291,6 +291,7 @@ def cmd_zeta_gamma(args):
         if args.m is None:
             raise InvalidInputError("--formula quartic needs --m")
         g = Z.gamma_quartic(args.p, args.q, args.m, s)
+        _default_mults(args.p, args.q, args.m)  # after the formula's own refusals
     else:
         mults = args.mult or _default_mults(args.p, args.q, args.m)
         rep = rep_build(args.p, args.q, mults)
@@ -308,6 +309,7 @@ def cmd_zeta_gamma(args):
 
 
 def _default_mults(p: int, q: int, m: int | None):
+    """Class 0 alone at dimension m; refuses an m that no (p, q) module has."""
     cat = irrep_catalog(p, q)
     if m is None or m < 1 or m % cat.dim:
         raise InvalidInputError(f"m must be a positive multiple of {cat.dim}")
@@ -317,6 +319,7 @@ def _default_mults(p: int, q: int, m: int | None):
 def cmd_zeta_involution(args):
     s = _parse_complex(args.s)
     ok = Z.fe_involution_check(args.p, args.q, args.m, s, args.tol)
+    _default_mults(args.p, args.q, args.m)  # after the formula's own refusals
     return {"ok": ok, "s": s, "tol": args.tol}, 0 if ok else 1
 
 

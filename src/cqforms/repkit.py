@@ -195,10 +195,12 @@ for _shape, _ell, _k, _kp, _pairs in _STRUCTURE_ROWS:
 class IrrepCatalog:
     """Inequivalent irreducible representations of C_p (x) C_q.
 
+    ``family_signs`` gives each class, in class order, the pair (te, tf) of
+    signs of its e and f families (``pos_clifford_basis``): for p = 1 or
+    q = 1, the scalar by which that lone generator acts on the class.
     ``halfspin`` assigns each class the label (0 or 1) of the irreducible of
     the even subalgebra it restricts to; classes sharing a label restrict
-    identically.  ``f_signs`` gives, for q = 1, the scalar by which the last
-    generator acts in each class.
+    identically.
     """
 
     p: int
@@ -209,11 +211,7 @@ class IrrepCatalog:
     field: str
     even_field: str
     halfspin: tuple[int, ...]
-    f_signs: tuple[int, ...] | None
-
-    @property
-    def even_classes(self) -> int:
-        return 2 if self.shape in ("(T,2T')", "(2T,2T')", "(4T,2T')") else 1
+    family_signs: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)  # the catalog is frozen, so callers share one per (p, q)
@@ -228,16 +226,11 @@ def irrep_catalog(p: int, q: int) -> IrrepCatalog:
     count = _SHAPE_COUNT[shape]
     classes = _class_descriptors(p, q)
     assert len(classes) == count
-    if shape == "(4T,2T')":
-        halfspin = (0, 0, 1, 1)
-    elif shape == "(2T,2T')":
-        halfspin = (0, 1)
-    else:
-        halfspin = tuple(0 for _ in range(count))
-    f_signs = None
-    if q == 1:
-        f_signs = tuple(tf for (_, tf, _) in classes)
-    return IrrepCatalog(p, q, count, dim, shape, field, even_field, halfspin, f_signs)
+    # among four classes the even subalgebra sees only te * tf; among two
+    # split by a central involution, only the sector; else all restrict alike
+    halfspin = tuple(int(te != tf) if count == 4 else int(sector == -1) for te, tf, sector in classes)
+    family_signs = tuple((te, tf) for te, tf, _ in classes)
+    return IrrepCatalog(p, q, count, dim, shape, field, even_field, halfspin, family_signs)
 
 
 def _class_descriptors(p: int, q: int):

@@ -586,8 +586,8 @@ def zeta_quartic_mc(
     numbers of a single whole-chunk draw.  Each chunk is summed whole and
     the chunk totals in chunk order.
     """
-    if samples < 1:
-        raise InvalidInputError("need at least one sample")
+    if samples < 2:
+        raise InvalidInputError("need at least two samples for a standard error")
     sign, test = _component_rule(rep, component)  # an unknown label is refused before any draw
     s = complex(s)
     if s.real < 0:

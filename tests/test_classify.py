@@ -2,11 +2,13 @@ import ast
 import importlib
 import itertools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cqforms
+from cqforms import repkit
 from cqforms.classify import (
     DEGENERATE_TRIPLES,
     EXCEPTIONAL_NM,
@@ -223,11 +225,13 @@ def test_explain_notes():
 def _table1_branches(p: int, q: int, mults) -> str | None:
     """``table1_lookup`` as one if-branch per (p, q) and side condition, the
     form Table 1 had before it became the rows of ``TABLE1``."""
+    if p < q:
+        raise InvalidInputError("classification uses the p >= q convention")
     mults = tuple(mults)
     if expected_degenerate(p, q, mults):  # also refuses an invalid vector
         return None
     kt = sum(mults)
-    halfspin = irrep_catalog(p, q).halfspin
+    halfspin = _former_halfspin(p, q)
     ke = sum(k for k, h in zip(mults, halfspin) if h == 0)
     ko = sum(k for k, h in zip(mults, halfspin) if h == 1)
 
@@ -271,7 +275,7 @@ def _table1_branches(p: int, q: int, mults) -> str | None:
         return "(GL₂(ℂ)×SU(4), Λ₁⊗Λ₁)"
     if (p, q) == (5, 1):
         if ke * ko == 0 and kt >= 2:
-            ks = [k for k, h in zip(mults, irrep_catalog(p, q).halfspin) if (h == 0) == (ke > 0)]
+            ks = [k for k, h in zip(mults, halfspin) if (h == 0) == (ke > 0)]
             return f"(GL₂(ℍ)×Sp({ks[0]},{ks[1]}), Λ₁⊗Λ₁)"
         if ke == 1 and ko == 1:
             return (
@@ -329,7 +333,7 @@ def _table1_branches(p: int, q: int, mults) -> str | None:
 def test_table1_rows_match_the_branch_oracle():
     """Every (p, q) with 1 <= p + q <= 16, either order, and every
     multiplicity vector with entries <= 4: the same entry or None, and the
-    same refusal of an invalid vector."""
+    same refusal of an invalid vector or of p < q."""
     compared = refused = found = 0
     for n in range(1, 17):
         for p in range(n + 1):
@@ -348,7 +352,13 @@ def test_table1_rows_match_the_branch_oracle():
                 assert table1_lookup(p, q, mults) == want, (p, q, mults)
                 compared += 1
                 found += want is not None
-    assert (compared, refused, found) == (8128, 456, 759)
+    assert (compared, refused, found) == (4720, 3864, 759)
+
+
+def test_table1_refuses_p_below_q():
+    # (2, 3) is the (3, 2) module with quartic -F, not a space without one
+    with pytest.raises(InvalidInputError, match=r"^classification uses the p >= q convention$"):
+        table1_lookup(2, 3, (1,))
 
 
 # ------------------------------------------------- exceptional table oracle
@@ -362,8 +372,8 @@ _FORMER_EXCEPTIONAL_NM = {(3, 4), (4, 8), (5, 8), (6, 16), (7, 16), (8, 16), (9,
 def _former_is_pure(p, q, mults):
     module_dim(p, q, mults)
     cat = irrep_catalog(p, q)
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
-    if cat.even_classes == 1:
+    used = {_former_halfspin(p, q)[i] for i, k in enumerate(mults) if k}
+    if cat.shape not in ("(T,2T')", "(2T,2T')", "(4T,2T')"):  # one even class
         return True
     if cat.count == 1:
         return False
@@ -377,7 +387,7 @@ def _former_pure_over_c(p, q, mults):
         return False
     if cat.even_field == "C":
         return False
-    used = {cat.halfspin[i] for i, k in enumerate(mults) if k}
+    used = {_former_halfspin(p, q)[i] for i, k in enumerate(mults) if k}
     return len(used) <= 1
 
 
@@ -445,3 +455,128 @@ def test_exceptional_table_matches_the_former_two_tables():
                     compared += 1
                     found += new is exceptional_g_dim and want is not None
     assert (compared, refused, found) == (18840, 2280, 141)
+
+
+# ------------------------------------------------------ class catalog oracle
+# Test-local copies of the former code: the halfspin labels as a positional
+# table by shape, h with one branch per shape and fields, and the twists
+# with the class orders of (1, 0) and (1, 1) written out.
+
+
+def _former_halfspin(p, q):
+    cat = irrep_catalog(p, q)
+    if cat.shape == "(4T,2T')":
+        return (0, 0, 1, 1)
+    if cat.shape == "(2T,2T')":
+        return (0, 1)
+    return (0,) * cat.count
+
+
+def _former_h_algebra(p, q, mults):
+    module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    ks = tuple(mults)
+    shape, field, even = cat.shape, cat.field, cat.even_field
+    if shape == "(T,T')":
+        (k,) = ks
+        return {
+            ("R", "C"): (f"so({k},C)", k * (k - 1)),
+            ("C", "R"): (f"sp({k},R)", k * (2 * k + 1)),
+            ("C", "H"): (f"so*({2 * k})", k * (2 * k - 1)),
+            ("H", "C"): (f"sp({k},C)", 2 * k * (2 * k + 1)),
+        }[(field, even)]
+    if shape == "(T,2T')":
+        (k,) = ks
+        if field == "R":
+            return f"gl({k},R)", k * k
+        return f"gl({k},H)", 4 * k * k
+    if shape == "(2T,T')":
+        k1, k2 = ks
+        kk = k1 + k2
+        if field == "R":
+            return f"so({k1},{k2})", kk * (kk - 1) // 2
+        if field == "C":
+            return f"u({k1},{k2})", kk * kk
+        return f"sp({k1},{k2})", kk * (2 * kk + 1)
+    if shape == "(2T,2T')":
+        k1, k2 = ks
+        if even == "R":
+            return f"sp({k1},R)+sp({k2},R)", k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
+        return f"so*({2 * k1})+so*({2 * k2})", k1 * (2 * k1 - 1) + k2 * (2 * k2 - 1)
+    k1, k2, k3, k4 = ks
+    if field == "R":
+        ka, kb = k1 + k2, k3 + k4
+        return f"so({k1},{k2})+so({k3},{k4})", ka * (ka - 1) // 2 + kb * (kb - 1) // 2
+    ka, kb = k1 + k2, k3 + k4
+    return f"sp({k1},{k2})+sp({k3},{k4})", ka * (2 * ka + 1) + kb * (2 * kb + 1)
+
+
+def _former_expected_twists(p, q, mults, labels):
+    m = module_dim(p, q, mults)
+    cat = irrep_catalog(p, q)
+    sign = {"+": 1, "-": -1}
+    if (p, q) == (1, 0):
+        kp = mults[0] * cat.dim  # class 0 is the generator acting by +1
+        return [Fraction(sign[lab] * (kp - (m - kp)), 8) for lab in labels]
+    if (p, q) == (1, 1):
+        k11, k22, k33, k44 = mults  # classes ordered (+,+), (-,-), (+,-), (-,+)
+        return [Fraction(sign[tau] * ((k11 - k22) + sign[eta] * (k33 - k44)), 8) for eta, tau in labels]
+    if q == 1:
+        f_signs = [tf for _, tf, _ in repkit._class_descriptors(p, q)]
+        diff = sum(k * f for k, f in zip(mults, f_signs))
+        at = {"+": 0, "-+": 1, "--": -1}
+        return [Fraction(at[lab] * cat.dim * diff, 8) for lab in labels]
+    return [Fraction(0) for _ in labels]
+
+
+def _compare(pairs, grid):
+    """(values compared, refusals compared) of new against former over the
+    (p, q, mults) grid: equal values, or the same InvalidInputError."""
+    compared = refused = 0
+    for p, q, mults in grid:
+        for new, former in pairs:
+            try:
+                want = former(p, q, mults)
+            except InvalidInputError as err:
+                with pytest.raises(InvalidInputError, match=f"^{re.escape(str(err))}$"):
+                    new(p, q, mults)
+                refused += 1
+                continue
+            assert new(p, q, mults) == want, (new, p, q, mults)
+            compared += 1
+    return compared, refused
+
+
+def _vectors(p, q):
+    """Every multiplicity vector with entries <= 4, one too long and one
+    negative."""
+    count = irrep_catalog(p, q).count
+    return list(itertools.product(range(5), repeat=count)) + [(1,) * (count + 1), (-1,) + (1,) * (count - 1)]
+
+
+def test_halfspin_labels_match_the_former_table():
+    pairs = [(p, n - p) for n in range(1, 33) for p in range(n + 1)]
+    assert all(irrep_catalog(p, q).halfspin == _former_halfspin(p, q) for p, q in pairs)
+    assert len(pairs) == 560
+
+
+def test_catalog_readers_match_the_former_code():
+    """h, purity and purity over C on every (p, q) with 1 <= p + q <= 16 in
+    either order; the twists at the labels of ``components`` for p >= q."""
+    grid = [(p, n - p, mults) for n in range(1, 17) for p in range(n + 1) for mults in _vectors(p, n - p)]
+    pairs = [(h_algebra, _former_h_algebra), (is_pure, _former_is_pure), (pure_over_c, _former_pure_over_c)]
+    assert _compare(pairs, grid) == (24384, 1368)
+
+    def twists(expected):
+        return lambda p, q, mults: expected(p, q, mults, [label for label, _ in components(p, q)])
+
+    at_least_q = [(p, q, mults) for p, q, mults in grid if p >= q]
+    assert _compare([(twists(expected_twists), twists(_former_expected_twists))], at_least_q) == (4720, 240)
+
+
+def test_family_signs_are_the_class_signs():
+    for p, q in [(1, 0), (1, 1), (3, 1), (5, 1), (3, 3), (9, 1)]:
+        cat = irrep_catalog(p, q)
+        assert cat.family_signs == tuple((te, tf) for te, tf, _ in repkit._class_descriptors(p, q))
+        assert len(cat.family_signs) == cat.count
+    assert irrep_catalog(1, 1).family_signs == ((1, 1), (-1, -1), (1, -1), (-1, 1))

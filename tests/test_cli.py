@@ -6,6 +6,7 @@ import pytest
 
 import cqforms.repkit
 from cqforms import cli
+from cqforms import symlie as SY
 from cqforms.cli import build_parser, main
 from cqforms.repkit import rep_build
 from cqforms.zetafe import zeta_quartic_mc
@@ -259,8 +260,8 @@ def test_module_file_failing_its_relations(tmp_path, capsys):
     assert code == 0 and doc["computed_dim"] == 1
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_zeta_mc_non_positive_samples_exits_2(capsys, samples):
+@pytest.mark.parametrize("samples", ["0", "-5", "1"])  # one sample has no standard error
+def test_zeta_mc_fewer_than_two_samples_exits_2(capsys, samples):
     argv = ["zeta", "mc", "--p", "3", "--q", "0", "--mult", "1", "--samples", samples,
             "--component", "+", "--s", "0.3"]
     assert main(argv) == 2
@@ -312,6 +313,53 @@ def test_zeta_gamma_pullback_non_positive_m_exits_2(capsys, m):
     argv = ["zeta", "gamma", "--formula", "pullback", "--p", "3", "--q", "0", "--m", m, "--s", "0.3"]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: m must be a positive multiple of 4"]
+
+
+@pytest.mark.parametrize("command", [
+    ["zeta", "gamma", "--formula", "quartic"],
+    ["zeta", "check-involution"],
+])
+def test_zeta_quartic_formulas_refuse_an_m_no_module_has(capsys, command):
+    # the smallest (9, 0) module has m = 16, though 8 | m is all the formula needs
+    argv = command + ["--p", "9", "--q", "0", "--s", "0.3"]
+    assert main(argv + ["--m", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: m must be a positive multiple of 16"]
+    assert main(argv + ["--m", "16", "--no-timestamp"]) == 0
+
+
+def test_zeta_gamma_refuses_an_s_it_cannot_parse(capsys):
+    argv = ["zeta", "gamma", "--formula", "quartic", "--p", "3", "--q", "2", "--m", "16", "--s", "abc"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: cannot parse complex number 'abc'"]
+
+
+def test_square_detect_on_a_vanishing_quartic_and_a_non_square(capsys):
+    code, doc = run_json(capsys, "quartic", "square-detect", "--p", "5", "--q", "1", "--mult", "0,0,0,1")
+    assert code == 0 and doc["square"] is False and doc["detail"] == "quartic vanishes identically"
+    code, doc = run_json(capsys, "quartic", "square-detect", "--p", "4", "--q", "0", "--mult", "1")
+    assert code == 0 and doc["square"] is False
+    assert not {"c", "matrix", "detail"} & set(doc)
+
+
+def test_sym_g_exits_1_when_the_second_batch_moves_a_sector(capsys, monkeypatch):
+    nullity, calls = SY._sector_nullity, []
+
+    def moved_on_the_second_call(*args):
+        total, per_sector, residual = nullity(*args)
+        calls.append(total)
+        if len(calls) == 2:
+            chi = next(iter(per_sector))
+            total, per_sector = total + 1, {**per_sector, chi: per_sector[chi] + 1}
+        return total, per_sector, residual
+
+    monkeypatch.setattr(SY, "_sector_nullity", moved_on_the_second_call)
+    assert main(["sym", "g", "--p", "3", "--q", "2", "--mult", "1"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: g dimension unstable: 28 vs 29 ("), lines[0]
 
 
 MODULE_ARG_COMMANDS = [

@@ -116,6 +116,13 @@ def test_restrict_rejects_noncommuting():
         restrict_to_eigenspace(_stack("Z"), kron_word("T"), 1)
 
 
+def test_sector_decomposition_refuses_a_generator_that_is_not_a_signed_involution():
+    with pytest.raises(ValueError, match=r"^generator 1 is not an involution$"):
+        SectorDecomposition(np.array([[0, 1, 2], [1, 2, 0]]), np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^generator 0 does not square to \+1$"):
+        SectorDecomposition(np.array([[1, 0]]), np.array([[1, -1]]))  # the rotation by 90 degrees
+
+
 def test_sector_decomposition_partitions_space():
     rng = np.random.default_rng(5)
     n = 24

@@ -38,6 +38,23 @@ def test_run_suite_refuses_input_that_checks_nothing(kwargs):
         run_suite(**{"max_pq": 2, "max_m": 2, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs", [{"max_pq": 13}, {"max_m": 65}])
+def test_run_suite_refuses_bounds_past_the_acceptance_gate(kwargs):
+    with pytest.raises(InvalidInputError, match=r"^suite bounds: max_pq <= 12, max_m <= 64$"):
+        run_suite(**kwargs)
+
+
+def test_a_check_that_raises_is_a_failed_row_and_the_others_run(monkeypatch):
+    def crash(case):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(CHECKS, "square", crash)
+    rows = run_suite(max_pq=2, max_m=4)
+    failed = [row for row in rows if not row.ok]
+    assert len(rows) == 168 and len(failed) == 21
+    assert all(row.check == "square" and row.detail == "RuntimeError: boom" for row in failed)
+
+
 def test_one_module_per_case(monkeypatch):
     counts = {name: Counter() for name in ("rep_build", "square_detect", "gamma_constants")}
 

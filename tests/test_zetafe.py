@@ -563,6 +563,13 @@ def test_mc_reproducible_and_stderr_scaling():
     assert 1.5 < ratio < 2.7  # ~2 expected from quadrupling the sample count
 
 
+def test_mc_warns_left_of_the_imaginary_axis():
+    rep = rep_build(3, 2, (1,))
+    with pytest.warns(RuntimeWarning, match=r"^Re\(s\) < 0: integrand unbounded near the zero set$"):
+        est = Z.zeta_quartic_mc(rep, "+", -0.1, samples=1000, seed=3)
+    assert math.isfinite(est.value.real) and est.samples == 1000
+
+
 def test_mc_swapped_module_takes_the_labels_of_its_swap():
     # (1,2) is the swap of (2,1)x1,1 with quartic -F: each label of the
     # (2,1) table, and '-' outside it, names the same region of w
@@ -690,7 +697,7 @@ def _assert_sequential(args, components, sizes, seed=3):
 @pytest.mark.parametrize("args, components", MC_MODULES)
 def test_mc_pipelined_equals_sequential(args, components):
     d, c = Z.MC_DRAW, Z.MC_CHUNK
-    _assert_sequential(args, components, [1, d - 1, d, d + 1, c + 1, 3 * c + 5])
+    _assert_sequential(args, components, [2, d - 1, d, d + 1, c + 1, 3 * c + 5])
 
 
 @pytest.mark.parametrize("draw", [1, 7])
@@ -699,7 +706,7 @@ def test_mc_pipelined_equals_sequential_small_blocks(monkeypatch, draw, args, co
     # a 20-sample chunk makes blocks of 1 and of 7 cross chunk ends cheaply
     monkeypatch.setattr(Z, "MC_DRAW", draw)
     monkeypatch.setattr(Z, "MC_CHUNK", 20)
-    _assert_sequential(args, components, [1, 6, 7, 8, 20, 21, 47])
+    _assert_sequential(args, components, [2, 6, 7, 8, 20, 21, 47])
 
 
 class _RecordingStream:
