@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# entries per slice of the whole-array sector steps: the characters' +-1
-# coefficients here, the stacked sector SVDs in symlie
+# entries per slice of the whole-array sector steps: the +-1 coefficients
+# here, the orbit transform (an eighth) and the stacked sector SVDs in symlie
 SECTOR_BLOCK = 1 << 15
 
 # 2x2 building blocks for Kronecker-product generator families, as the
@@ -303,15 +303,8 @@ class SectorDecomposition:
         signed[np.searchsorted(cut, np.flatnonzero(rel & 1), side="right") - 1] = True
         return [(idxs, self.sign[idxs]) for idxs, odd in zip(self.orbits, signed) if not odd]
 
-    def sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """All joint sign sectors, as one block ``(idxs, chi, coefs)`` per orbit.
-
-        ``idxs`` is the orbit's ascending index array; the orbit admits one
-        character per index, ``chi[k]`` (bit ``j`` set means generator ``j``
-        acts by -1), and row ``k`` of the int64 matrix ``coefs`` holds the +-1
-        entries of its ``chi[k]`` eigenvector on ``idxs``.  Orbits come in
-        order of their least index and the characters of an orbit in
-        ascending order, so a sector's columns are its orbits in order.
+    def sectors(self) -> SectorPlan:
+        """All joint sign sectors, as one flat ``SectorPlan``.
 
         The orbits of one length are solved together: every one of the 2^r
         characters is tested against each distinct padded relation set, and
@@ -326,7 +319,8 @@ class SectorDecomposition:
         start = np.cumsum(lengths) - lengths
         rel, cut = self._relations
         counts = np.diff(cut)
-        blocks = [None] * len(self.orbits)
+        column_chi = np.empty(self.n, dtype=np.int64)
+        groups = []
         for length in np.unique(lengths).tolist():
             group = np.flatnonzero(lengths == length)
             slot = np.arange(counts[group].max())
@@ -335,15 +329,29 @@ class SectorDecomposition:
             rels[held] = rel[(cut[group, None] + slot)[held]]
             sets, which = np.unique(rels, axis=0, return_inverse=True)
             chi = _admitted_characters(sets, length, par)[which.reshape(-1)]
+            at = start[group, None] + np.arange(length)
+            idxs = order[at]
+            column_chi[at] = chi
+            coefs = np.empty((len(group), length, length), dtype=np.int64)
             step = max(1, SECTOR_BLOCK // (length * length))
             for b in range(0, len(group), step):
-                part = group[b : b + step]
-                at = order[start[part, None, None] + np.arange(length)]
-                coefs = self.sign[at] * (1 - 2 * par[self.word[at] & chi[b : b + step, :, None]])
-                # each block owns its arrays, so no slice outlives its step
-                for o, c, k in zip(part.tolist(), chi[b : b + step], coefs):
-                    blocks[o] = (self.orbits[o], c.copy(), k.copy())
-        return blocks
+                part, bits = idxs[b : b + step, None, :], chi[b : b + step, :, None]
+                coefs[b : b + step] = self.sign[part] * (1 - 2 * par[self.word[part] & bits])
+            groups.append((group, idxs, chi, coefs))
+        return SectorPlan(groups, order, column_chi)
+
+
+class SectorPlan(NamedTuple):
+    """``groups``: per orbit length L, ascending, ``(orbit, idxs, chi, coefs)``
+    of its G orbits: their numbers (G,), ascending indices and admitted
+    characters (G, L) (bit ``j`` of ``chi`` set: generator ``j`` acts by
+    -1), and int64 ``coefs[g, k]``, the +-1 entries on ``idxs[g]`` of the
+    ``chi[g, k]`` eigenvector (G, L, L).  ``index`` and ``chi``: every column
+    ``idxs[g, k]`` in orbit order and its character ``chi[g, k]``."""
+
+    groups: list
+    index: np.ndarray
+    chi: np.ndarray
 
 
 def _admitted_characters(sets: np.ndarray, length: int, par: np.ndarray) -> np.ndarray:

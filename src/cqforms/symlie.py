@@ -14,14 +14,12 @@ family of commuting signed-permutation involutions, the kernel splits along
 the sectors, and each sector system is small.  A sampled system is copies
 of one block of unknowns, each copy with a character mask and row values
 (``g`` is one copy, the sharp system n copies of Sym^2), and both take one
-path with one exactness guard, one orbit transform and one gather, sectors
-in ascending character order.  The sampled dimensions are probabilistic in
-the choice of points.  Sampling can only overstate a sector's kernel, never
-understate it, so a second independent batch re-ranks the sectors where the
-first found a kernel, and the two must agree there.  ``h_kernel``,
-``g_kernel_dim`` and ``sharp_solution_dim`` refuse a module whose defining
-relations fail with an ``InvalidInputError`` that names the failed checks;
-all three read the module's one relation report, ``rep.relations``.
+path, ``_sampled_kernel``, over one flat sector plan.  The sampled
+dimensions are probabilistic in the choice of points, and a second batch
+guards them.  ``h_kernel``, ``g_kernel_dim`` and ``sharp_solution_dim``
+refuse a module whose defining relations fail with an ``InvalidInputError``
+that names the failed checks; all three read the module's one relation
+report, ``rep.relations``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import spmat
 from .quartic import quartic_values
-from .repkit import CliffordRep, require_relations
+from .repkit import CliffordRep, InvalidInputError, require_relations
 from .rng import integer_points
 from .spmat import SectorDecomposition, sp_kron
 
@@ -46,6 +44,7 @@ class UnstableDimensionError(RuntimeError):
 
 FLOAT_RANK_TOL = 1e-8
 _ROW_MARGIN = 64  # sampled rows per batch beyond the largest sector's columns
+SYSTEM_LIMIT = 1 << 27  # entries of the largest sampled block, rows x unknowns (1 GiB of float64)
 G_CONTAINS_TRIALS = 24  # sample points of g_contains, from stream (G_CONTAINS_SEED, 3)
 G_CONTAINS_SEED = 11
 
@@ -127,38 +126,23 @@ def _g_block(rep: CliffordRep, w: np.ndarray):
     return rows.reshape(w.shape[1], rep.m * rep.m), np.ones((1, 1))
 
 
-def _sector_columns(blocks, masks=(0,)):
-    """Each sector as ``(chi, pos)``, in ascending order of ``chi``: after
-    ``_orbit_transform``, column ``pos[t]`` of the system is the sector's
-    column from the t-th orbit that admits ``chi``.
-
-    The unknowns are ``len(masks)`` copies of the N unknowns of ``blocks``,
-    and copy i of the blocks' sector chi lies in the sector
-    ``chi ^ masks[i]``, at columns ``i * N + pos``.  Within a sector the
-    columns come copy by copy, then orbit by orbit.
-    """
-    masks = np.asarray(masks, dtype=np.int64)[:, None]
-    chi = (masks ^ np.concatenate([c for _, c, _ in blocks])).ravel()
-    pos = np.concatenate([idxs for idxs, _, _ in blocks])
-    pos = (len(pos) * np.arange(len(masks))[:, None] + pos).ravel()
-    keys, inv = np.unique(chi, return_inverse=True)
-    cols = np.split(pos[np.argsort(inv, kind="stable")], np.cumsum(np.bincount(inv))[:-1])
-    return list(zip(keys.tolist(), cols))
-
-
-def _orbit_transform(a: np.ndarray, blocks, amax: float) -> None:
-    """Overwrite the float64 integer system ``a`` in place so that column
-    ``idxs[k]`` of each orbit block becomes ``a[:, idxs] @ coefs[k]``, the
-    orbit's column for character ``chi[k]``.
-
-    Float sums of integers are exact, in any order, while they stay below
-    2^53.  That bound is checked first, with ``amax`` the largest |entry|
-    of the system whose sector columns are read from ``a``.
-    """
-    if amax * max(len(idxs) for idxs, _, _ in blocks) >= 2**53:
-        raise OverflowError("sampled system too large for exact float64 sector sums")
-    for idxs, _, coefs in blocks:
-        a[:, idxs] = a[:, idxs] @ coefs.T
+def _orbit_transform(a: np.ndarray, plan, amax: float, held=None) -> None:
+    """Overwrite the float64 integer system ``a`` in place: column ``idxs[g, k]``
+    of the ``SectorPlan`` becomes ``a[:, idxs[g]] @ coefs[g, k]``, orbit g's
+    column for character ``chi[g, k]``, by one batched product per slice of
+    at most ``SECTOR_BLOCK // 8`` entries of ``a``; with the boolean ``held``,
+    only in the orbits that hold a column.  Float sums of integers are exact,
+    in any order, below 2^53, which each orbit length checks first against
+    ``amax``, the largest |entry| of the system whose columns ``a`` holds."""
+    rows = a.shape[0]
+    for _, idxs, _, coefs in plan.groups:
+        pick = np.arange(len(idxs)) if held is None else np.flatnonzero(held[idxs].any(axis=1))
+        if len(pick) and amax * idxs.shape[1] >= 2**53:
+            raise OverflowError("sampled system too large for exact float64 sector sums")
+        step = max(1, spmat.SECTOR_BLOCK // 8 // (rows * idxs.shape[1]))
+        for b in range(0, len(pick), step):
+            at = idxs[pick[b : b + step]]
+            a[:, at] = (coefs[pick[b : b + step]] @ a[:, at].transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _sector_nullity(cols: np.ndarray, vals: np.ndarray, amax: float, sectors):
@@ -166,18 +150,18 @@ def _sector_nullity(cols: np.ndarray, vals: np.ndarray, amax: float, sectors):
     The system is copies of a block of N unknowns with the (N, rows) columns
     ``cols``, rows more than any sector has columns: its column u is
     ``vals[u // N] * cols[u % N]``, and its largest |entry| is ``amax``.
+    ``sectors`` is ``(chi, width, pos)``: sector t, character ``chi[t]``, has
+    the next ``width[t]`` columns of ``pos``.
 
     The sectors of one width c are ranked together: each slice of at most
     ``SECTOR_BLOCK`` entries is one (B, rows, c) stack and one batched SVD,
     which runs the same LAPACK call on the same data as a single-matrix SVD,
     so every singular value is the same."""
+    chi, width, flat = sectors
     size, rows = cols.shape
     scale = max(1.0, amax)
-    nullity = np.zeros(len(sectors), dtype=np.int64)
-    width = np.array([len(pos) for _, pos in sectors])
-    flat = np.concatenate([pos for _, pos in sectors])
+    nullity, smallest = np.zeros(len(chi), dtype=np.int64), np.zeros(len(chi))
     start = np.cumsum(width) - width
-    smallest = np.zeros(len(sectors))
     for c in np.unique(width).tolist():
         nums = np.flatnonzero(width == c)
         step = max(1, spmat.SECTOR_BLOCK // (rows * c))
@@ -191,7 +175,7 @@ def _sector_nullity(cols: np.ndarray, vals: np.ndarray, amax: float, sectors):
             nullity[part] = (sv <= FLOAT_RANK_TOL * np.maximum(sv[:, :1], 1.0)).sum(axis=1)
             smallest[part] = sv[:, -1]
     residual = float((smallest[nullity > 0] / scale).max(initial=0.0))
-    per_sector = dict(zip([chi for chi, _ in sectors], nullity.tolist()))
+    per_sector = dict(zip(chi.tolist(), nullity.tolist()))
     return int(nullity.sum()), per_sector, residual
 
 
@@ -199,11 +183,15 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
     """Batch-1 ``(total, per_sector, residual)`` of ``len(masks)`` copies of
     ``block(rep, w) = (a, vals)``: copy i, character mask ``masks[i]``, has
     the columns ``vals[i] * a``, and ``generators`` act on those of ``a``.
+    Copy i of the plan's column u, character chi, is column ``i * N + u`` of
+    sector ``chi ^ masks[i]``; sectors ascend, their columns copy by copy,
+    then orbit by orbit.
     Both batches, keyed ``stream(seed, k)`` for k in ``streams``, have
     ``_ROW_MARGIN`` more rows than the largest sector has columns: a nonzero
     constraint is a degree-4 polynomial in w and vanishes at a point of
     {-9..9}^m with probability at most 4/19 (Schwartz-Zippel), so the margin
-    over the unknowns is what counts, not the row total.
+    over the unknowns is what counts, not the row total.  A block past
+    ``SYSTEM_LIMIT`` entries is refused before any batch is drawn.
 
     Batch 2 re-ranks only the sectors where batch 1 found a kernel, and
     orbit-transforms only the orbits that hold their columns; the batches
@@ -219,30 +207,37 @@ def _sampled_kernel(rep: CliffordRep, generators, masks, block, seed: int, strea
     c * rows * eps * sigma_max, over 1e4 times below ``FLOAT_RANK_TOL``
     times sigma_max."""
     require_relations(rep)
-    blocks = SectorDecomposition(*generators).sectors()
-    sectors = _sector_columns(blocks, masks)
-    count = max(len(pos) for _, pos in sectors) + _ROW_MARGIN
+    plan = SectorDecomposition(*generators).sectors()
+    size, masks = len(plan.index), np.asarray(masks, dtype=np.int64)[:, None]
+    key = (masks ^ plan.chi).ravel()
+    order = np.argsort(key, kind="stable")
+    pos = (size * np.arange(len(masks))[:, None] + plan.index).ravel()[order]
+    chi, width = np.unique(key[order], return_counts=True)
+    del key, order  # the batches hold only the sectors
+    count = int(width.max()) + _ROW_MARGIN
+    if count * size > SYSTEM_LIMIT:
+        limit = f"{count} rows of {size} unknowns exceed {SYSTEM_LIMIT} entries"
+        raise InvalidInputError(f"{name} system too large to sample: {limit}")
 
-    def rank(k, sectors, blocks):
+    def rank(k, sectors, held=None):
         # the batch's system is released before the next one is built
         a, vals = block(rep, integer_points(seed, count, rep.m, k))
         # the whole system's largest |entry|: the largest product in any row
         row_max = np.maximum(a.max(axis=1), -a.min(axis=1))
         amax = float((np.maximum(vals.max(axis=0), -vals.min(axis=0)) * row_max).max())
-        _orbit_transform(a, blocks, amax)
+        _orbit_transform(a, plan, amax, held)
         return _sector_nullity(a.T, vals, amax, sectors)
 
     first, second = streams
-    total, by_chi, residual = rank(first, sectors, blocks)
-    kernel = [(chi, pos) for chi, pos in sectors if by_chi[chi]]
-    if kernel:
+    total, by_chi, residual = rank(first, (chi, width, pos))
+    kernel = np.array(list(by_chi.values())) > 0
+    if kernel.any():
         # batch 2 transforms only the orbits that hold a kernel sector's column
-        held = np.zeros(sum(len(idxs) for idxs, _, _ in blocks), dtype=bool)
-        held[np.concatenate([pos for _, pos in kernel]) % len(held)] = True
-        total2, by_chi2, _ = rank(second, kernel, [b for b in blocks if held[b[0]].any()])
-        moved = ", ".join(
-            f"{chi}: {by_chi[chi]} vs {n}" for chi, n in by_chi2.items() if by_chi[chi] != n
-        )
+        kept = pos[np.repeat(kernel, width)]
+        held = np.zeros(size, dtype=bool)
+        held[kept % size] = True
+        total2, by_chi2, _ = rank(second, (chi[kernel], width[kernel], kept), held)
+        moved = ", ".join(f"{c}: {by_chi[c]} vs {n}" for c, n in by_chi2.items() if by_chi[c] != n)
         if moved:
             raise UnstableDimensionError(
                 f"{name} dimension unstable: {total} vs {total2}"
@@ -255,14 +250,10 @@ def g_kernel_dim(rep: CliffordRep, *, seed: int = 0) -> KernelReport:
     """Dimension of the symmetry Lie algebra of the quartic.
 
     Each integer sample w imposes grad F(w) . (X w) = 0 on X; the joint
-    kernel over enough samples equals g with overwhelming probability.  A
-    sample can only overstate a sector's dimension, so a second, disjoint
-    batch re-ranks the sectors where the first found a kernel and must
-    agree with it on each of them.
+    kernel over enough samples equals g with overwhelming probability, and
+    a second batch guards it as ``_sampled_kernel`` says.
     """
-    total, per_sector, residual = _sampled_kernel(
-        rep, _g_generators(rep), (0,), _g_block, seed, (1, 2), "g"
-    )
+    total, per_sector, residual = _sampled_kernel(rep, _g_generators(rep), (0,), _g_block, seed, (1, 2), "g")
     return KernelReport(total, None, "float-svd", residual, per_sector)
 
 
@@ -319,10 +310,9 @@ def sharp_check(rep: CliffordRep, seed: int = 0) -> bool:
     """Do symmetric solutions of sum_i S_i[w] X_i[w] = 0 reduce to the span
     of the antisymmetric combinations X_i = sum_j a_ij S_j?
 
-    Computes the solution dimension from a sampled batch (sector by sector)
-    and compares with n(n-1)/2, the dimension of the forced span.  A sample
-    can only overstate a sector's dimension, so a second batch re-ranks the
-    sectors where the first found solutions and must agree on each of them.
+    Computes the solution dimension from a sampled batch (sector by sector,
+    guarded by a second batch as ``_sampled_kernel`` says) and compares with
+    n(n-1)/2, the dimension of the forced span.
     """
     dim, forced = sharp_solution_dim(rep, seed)
     return dim == forced

@@ -246,8 +246,8 @@ class GammaLaurent:
 def gamma_laurent(p: int, q: int, m: int) -> GammaLaurent:
     """The Laurent table of the matrix shape of (p, q): definite (q = 0),
     Lorentzian (q = 1) or split.  Covers what ``gamma_quartic`` covers."""
-    if p < q:
-        raise InvalidInputError("need p >= q")
+    if p < q or q < 0 or p + q < 1:
+        raise InvalidInputError("need p >= q >= 0 with p + q >= 1")
     if (refusal := closed_form_refusal(p, q, m)) is not None:
         raise UnsupportedCaseError(refusal)
     labels, _, quadratic = _quadratic_table(p, q)

@@ -362,6 +362,22 @@ def test_sym_g_exits_1_when_the_second_batch_moves_a_sector(capsys, monkeypatch)
     assert lines[0].startswith("error: g dimension unstable: 28 vs 29 ("), lines[0]
 
 
+@pytest.mark.parametrize("command,rows,unknowns", [("g", 10064, 40000), ("sharp", 10164, 20100)])
+def test_sym_refuses_a_sampled_system_too_large_to_hold_with_exit_2(capsys, monkeypatch, command, rows, unknowns):
+    # (2,0)x100 is under MAX_DIM, but its sampled block is not under
+    # SYSTEM_LIMIT; no sample point is drawn
+    def drawn(*args):
+        raise AssertionError("a sample batch was drawn")
+
+    monkeypatch.setattr(SY, "integer_points", drawn)
+    assert main(["sym", command, "--p", "2", "--q", "0", "--mult", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {command} system too large to sample: {rows} rows of {unknowns} unknowns exceed 134217728 entries"
+    ]
+
+
 MODULE_ARG_COMMANDS = [
     ["quartic", "coeffs"],
     ["quartic", "eval", "--w", "1,2"],

@@ -138,7 +138,7 @@ def test_sector_decomposition_partitions_space():
         perms.append(p)
         signs.append(s)
     dec = SectorDecomposition(np.array(perms), np.array(signs))
-    blocks = dec.sectors()
+    blocks = _per_orbit(dec.sectors())
     # the orbits partition the index set, and each admits one character per index
     assert np.array_equal(np.sort(np.concatenate([idxs for idxs, _, _ in blocks])), np.arange(n))
     assert all(len(chi) == len(idxs) == len(set(chi.tolist())) for idxs, chi, _ in blocks)
@@ -150,6 +150,14 @@ def test_sector_decomposition_partitions_space():
             for j, mat in enumerate(mats):
                 want = -v if (chi >> j) & 1 else v
                 assert np.allclose(mat @ v, want)
+
+
+def _per_orbit(plan):
+    """The plan as one ``(idxs, chi, coefs)`` block per orbit, in orbit order."""
+    blocks = {}
+    for orbit, idxs, chis, coefs in plan.groups:
+        blocks.update(zip(orbit.tolist(), zip(idxs, chis, coefs)))
+    return [blocks[o] for o in range(len(blocks))]
 
 
 def test_fixed_space_is_common_fixed():
@@ -170,7 +178,7 @@ def test_reading_the_orbits_packs_no_relations(monkeypatch):
     dec = SectorDecomposition(perms, signs)
     assert sorted(np.concatenate(dec.orbits).tolist()) == list(range(dec.n))
     assert calls == []
-    assert len(dec.sectors()) == len(dec.orbits) and calls
+    assert sum(len(orbit) for orbit, _, _, _ in dec.sectors().groups) == len(dec.orbits) and calls
 
 
 def _orbits_bfs(dec):
@@ -281,9 +289,16 @@ def test_sectors_match_bit_loop_reference():
             assert {u: s for u, s in zip(idxs.tolist(), sgn.tolist())} == {
                 u: s for u, (_, s) in word.items()
             }, label
-        # the per-orbit blocks regrouped by character
+        # the plan's orbits, in orbit order and regrouped by character
+        plan = dec.sectors()
+        blocks = _per_orbit(plan)
+        assert [idxs.tolist() for idxs, _, _ in blocks] == [o.tolist() for o in dec.orbits], label
+        assert np.array_equal(plan.index, np.concatenate(dec.orbits)), label
+        assert np.array_equal(plan.chi, np.concatenate([chis for _, chis, _ in blocks])), label
+        lengths = [idxs.shape[1] for _, idxs, _, _ in plan.groups]
+        assert lengths == sorted(set(lengths)), label
         got = {}
-        for idxs, chis, coefs in dec.sectors():
+        for idxs, chis, coefs in blocks:
             assert idxs.dtype == chis.dtype == coefs.dtype == np.int64, label
             for chi, row in zip(chis.tolist(), coefs):
                 got.setdefault(chi, []).append((idxs, row))

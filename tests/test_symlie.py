@@ -5,14 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqforms import spmat
 from cqforms import symlie as SY
 from cqforms.classify import exceptional_g_dim, expected_sharp, predict, pure_over_c
 from cqforms.quartic import quartic_values
-from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, verify_relations
+from cqforms.repkit import CliffordRep, InvalidInputError, rep_build, swap_pq, verify_relations
 from cqforms.rng import integer_points
-from cqforms.spmat import SectorDecomposition, perm_sign_of
+from cqforms.spmat import SectorDecomposition, _admitted_characters, perm_sign_of
 from cqforms.suite import enumerate_cases
 
 
@@ -256,18 +258,38 @@ def _sharp_constraint_matrix(rep, w):
     return rows.reshape(w.shape[1], rep.n * len(pa))
 
 
-def _transform(a, blocks):
+def _transform(a, plan):
     """Orbit-transform the whole system ``a`` in place; returns its max |entry|."""
     amax = float(np.abs(a).max())
-    SY._orbit_transform(a, blocks, amax)
+    SY._orbit_transform(a, plan, amax)
     return amax
 
 
-def _nullity(a, blocks, sectors):
+def _nullity(a, plan, sectors):
     """``_sector_nullity`` of the whole float64 system ``a``, one copy with
     unit row values (consumed)."""
-    amax = _transform(a, blocks)
+    amax = _transform(a, plan)
     return SY._sector_nullity(a.T, np.ones((1, 1)), amax, sectors)
+
+
+def _sectors(plan, masks=(0,)):
+    """Oracle ``(chi, width, pos)`` of ``len(masks)`` copies of the plan's
+    N columns, one sector at a time: sector chi holds, copy by copy, the
+    columns ``i * N + u`` whose plan character is ``chi ^ masks[i]``, in
+    orbit order."""
+    n = len(plan.index)
+    chis = sorted({int(mask ^ c) for mask in masks for c in plan.chi})
+    pos = [
+        np.concatenate([i * n + plan.index[(mask ^ plan.chi) == c] for i, mask in enumerate(masks)])
+        for c in chis
+    ]
+    return np.array(chis), np.array([len(p) for p in pos]), np.concatenate(pos)
+
+
+def _sector_list(sectors):
+    """``(chi, width, pos)`` as one ``(chi, pos)`` pair per sector."""
+    chi, width, pos = sectors
+    return list(zip(chi.tolist(), np.split(pos, np.cumsum(width)[:-1])))
 
 
 def _recorded_batches(monkeypatch):
@@ -285,8 +307,9 @@ def _recorded_batches(monkeypatch):
         stacks.clear()
         result = sector_nullity(cols, vals, amax, sectors)
         # the sectors are ranked width by width, each width in sector order
-        order = sorted(range(len(sectors)), key=lambda t: len(sectors[t][1]))
-        matrices = {sectors[t][0]: mat for t, mat in zip(order, stacks, strict=True)}
+        chi, width, _ = sectors
+        order = sorted(range(len(chi)), key=lambda t: width[t])
+        matrices = {int(chi[t]): mat for t, mat in zip(order, stacks, strict=True)}
         batches.append((amax, matrices, result[1]))
         return result
 
@@ -295,10 +318,18 @@ def _recorded_batches(monkeypatch):
     return batches
 
 
-def _columns(blocks):
+def _per_orbit(plan):
+    """The plan as one ``(idxs, chi, coefs)`` block per orbit, in orbit order."""
+    blocks = {}
+    for orbit, idxs, chis, coefs in plan.groups:
+        blocks.update(zip(orbit.tolist(), zip(idxs, chis, coefs)))
+    return [blocks[o] for o in range(len(blocks))]
+
+
+def _columns(plan):
     """{chi: [(idxs, coefs)]}: each sector's columns, one per orbit, in order."""
     cols = {}
-    for idxs, chis, coefs in blocks:
+    for idxs, chis, coefs in _per_orbit(plan):
         for chi, row in zip(chis.tolist(), coefs):
             cols.setdefault(chi, []).append((idxs, row))
     return cols
@@ -309,25 +340,25 @@ def _per_column(a, cols):
     return np.stack([a[:, idxs] @ coefs for idxs, coefs in cols], axis=1)
 
 
-def _batch_rows(blocks):
+def _batch_rows(plan):
     """Rows per sampled batch: the largest sector's column count plus 64."""
-    return max(len(cols) for cols in _columns(blocks).values()) + 64
+    return int(np.unique(plan.chi, return_counts=True)[1].max()) + 64
 
 
 def _sharp_oracle(rep, stream_index=11):
-    """(sector blocks, float64 system) of the n-copy sharp system, batch 1
+    """(sector plan, float64 system) of the n-copy sharp system, batch 1
     by default (stream 11)."""
-    blocks = SectorDecomposition(*_sharp_generators(rep)).sectors()
-    w = integer_points(0, _batch_rows(blocks), rep.m, stream_index)
-    return blocks, _sharp_constraint_matrix(rep, w)
+    plan = SectorDecomposition(*_sharp_generators(rep)).sectors()
+    w = integer_points(0, _batch_rows(plan), rep.m, stream_index)
+    return plan, _sharp_constraint_matrix(rep, w)
 
 
 def _sampled_systems(rep):
-    """(sector blocks, batch-1 float64 system) of the g and of the n-copy
+    """(sector plan, batch-1 float64 system) of the g and of the n-copy
     sharp system."""
-    g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-    g_rows, _ = SY._g_block(rep, integer_points(0, _batch_rows(g_blocks), rep.m, 1))
-    return [(g_blocks, g_rows), _sharp_oracle(rep)]
+    g_plan = SectorDecomposition(*SY._g_generators(rep)).sectors()
+    g_rows, _ = SY._g_block(rep, integer_points(0, _batch_rows(g_plan), rep.m, 1))
+    return [(g_plan, g_rows), _sharp_oracle(rep)]
 
 
 def _sharp_family(rep):
@@ -336,9 +367,49 @@ def _sharp_family(rep):
 
 
 def _sharp_sectors(rep):
-    """(Sym^2 blocks, sectors) of the factored sharp system."""
-    blocks = SectorDecomposition(*SY._sym2_generators(rep)).sectors()
-    return blocks, SY._sector_columns(blocks, SY._sharp_masks(rep))
+    """(Sym^2 plan, sectors) of the factored sharp system."""
+    plan = SectorDecomposition(*SY._sym2_generators(rep)).sectors()
+    return plan, _sectors(plan, SY._sharp_masks(rep))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-orbit path of the flat plan's predecessor, one
+# (idxs, chi, coefs) tuple per orbit, sectors as (chi, pos) lists and one
+# product per orbit
+# ---------------------------------------------------------------------------
+
+
+def _old_blocks(generators):
+    """One ``(idxs, chi, coefs)`` block per orbit, built orbit by orbit."""
+    dec = SectorDecomposition(*generators)
+    par = np.array([bin(x).count("1") & 1 for x in range(1 << dec.r)], dtype=np.int64)
+    rel, cut = dec._relations
+    blocks = []
+    for o, idxs in enumerate(dec.orbits):
+        chi = _admitted_characters(rel[cut[o] : cut[o + 1]][None], len(idxs), par)[0]
+        coefs = dec.sign[idxs] * (1 - 2 * par[dec.word[idxs] & chi[:, None]])
+        blocks.append((idxs, chi, coefs))
+    return blocks
+
+
+def _old_sector_columns(blocks, masks=(0,)):
+    """Each sector as ``(chi, pos)``, in ascending order of ``chi``, copy by
+    copy, then orbit by orbit."""
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    chi = (masks ^ np.concatenate([c for _, c, _ in blocks])).ravel()
+    pos = np.concatenate([idxs for idxs, _, _ in blocks])
+    pos = (len(pos) * np.arange(len(masks))[:, None] + pos).ravel()
+    keys, inv = np.unique(chi, return_inverse=True)
+    cols = np.split(pos[np.argsort(inv, kind="stable")], np.cumsum(np.bincount(inv))[:-1])
+    return list(zip(keys.tolist(), cols))
+
+
+def _old_orbit_transform(a, blocks, amax):
+    """Column ``idxs[k]`` of each orbit block becomes ``a[:, idxs] @ coefs[k]``."""
+    if amax * max(len(idxs) for idxs, _, _ in blocks) >= 2**53:
+        raise OverflowError("sampled system too large for exact float64 sector sums")
+    for idxs, _, coefs in blocks:
+        a[:, idxs] = a[:, idxs] @ coefs.T
 
 
 SMALL_CASES = enumerate_cases(max_pq=6, max_m=16)
@@ -380,13 +451,13 @@ def test_every_batch_has_largest_sector_plus_64_rows(monkeypatch):
     single = 0
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
         rep = rep_build(p, q, mults)
-        g_blocks = SectorDecomposition(*SY._g_generators(rep)).sectors()
-        sharp_blocks = SectorDecomposition(*_sharp_generators(rep)).sectors()
-        for run, blocks in ((SY.g_kernel_dim, g_blocks), (SY.sharp_solution_dim, sharp_blocks)):
+        g_plan = SectorDecomposition(*SY._g_generators(rep)).sectors()
+        sharp_plan = SectorDecomposition(*_sharp_generators(rep)).sectors()
+        for run, plan in ((SY.g_kernel_dim, g_plan), (SY.sharp_solution_dim, sharp_plan)):
             rows.clear()
             kernels.clear()
             run(rep)
-            assert rows == [_batch_rows(blocks)] * (1 + kernels[0]), (p, q, mults, run)
+            assert rows == [_batch_rows(plan)] * (1 + kernels[0]), (p, q, mults, run)
             single += not kernels[0]
     assert single  # some run draws one batch only
 
@@ -397,9 +468,9 @@ def test_sampled_systems_are_f_ordered_float64(monkeypatch):
     seen = []
     orbit_transform = SY._orbit_transform
 
-    def recording(a, blocks, amax):
+    def recording(a, plan, amax, held=None):
         seen.append((a.dtype, a.flags.f_contiguous, a.shape))
-        return orbit_transform(a, blocks, amax)
+        return orbit_transform(a, plan, amax, held)
 
     monkeypatch.setattr(SY, "_orbit_transform", recording)
     for pq, mults in [((3, 2), (1,)), ((5, 0), (2, 0)), ((6, 2), (1,)), ((3, 1), (1, 1))]:
@@ -418,14 +489,14 @@ def test_sector_matrices_match_per_column_assembly():
     for p, q, mults in SMALL_CASES:
         rep = rep_build(p, q, mults)
         assert rep.m <= 16
-        for blocks, a in _sampled_systems(rep):
+        for plan, a in _sampled_systems(rep):
             assert a.dtype == np.float64
             a_int = a.astype(np.int64)
             assert np.array_equal(a_int, a)  # the system holds integers
-            want = {chi: _per_column(a_int, cols) for chi, cols in _columns(blocks).items()}
-            sectors = SY._sector_columns(blocks)
+            want = {chi: _per_column(a_int, cols) for chi, cols in _columns(plan).items()}
+            sectors = _sector_list(_sectors(plan))
             assert [chi for chi, _ in sectors] == sorted(want)
-            _transform(a, blocks)
+            _transform(a, plan)
             for chi, pos in sectors:
                 got = a[:, pos]
                 assert np.array_equal(got.astype(np.int64), want[chi]), (p, q, mults, chi)
@@ -451,11 +522,11 @@ def test_factored_sharp_sectors_match_the_n_copy_system(monkeypatch):
         kernel = [chi for chi, n in batches[0][2].items() if n]
         assert len(batches) == 1 + bool(kernel), (p, q, mults)
         for k, (amax, matrices, _), ranked in zip((11, 12), batches, ([*batches[0][2]], kernel)):
-            full_blocks, a = _sharp_oracle(rep, k)
-            full = SY._sector_columns(full_blocks)
-            widths = [(chi, len(pos)) for chi, pos in sectors]
+            full_plan, a = _sharp_oracle(rep, k)
+            full = _sector_list(_sectors(full_plan))
+            widths = [(chi, len(pos)) for chi, pos in _sector_list(sectors)]
             assert [(chi, len(pos)) for chi, pos in full] == widths, (p, q, mults)
-            assert amax == _transform(a, full_blocks), (p, q, mults)  # the whole system's max
+            assert amax == _transform(a, full_plan), (p, q, mults)  # the whole system's max
             assert sorted(matrices) == ranked, (p, q, mults, k)
             for chi, want in full:
                 if chi not in ranked:
@@ -467,15 +538,17 @@ def test_factored_sharp_sectors_match_the_n_copy_system(monkeypatch):
 
 def test_batch_2_transforms_only_the_orbits_of_kernel_sectors(monkeypatch):
     # batch 1 transforms every orbit; batch 2 those that hold a column of a
-    # sector where batch 1 found a kernel, no more and no fewer
-    transformed = []
+    # sector where batch 1 found a kernel, no more and no fewer: the orbits
+    # left alone keep their sampled columns, byte for byte
+    held_masks = []
     orbit_transform = SY._orbit_transform
 
-    def recording(a, blocks, amax):
-        transformed.append([idxs.tolist() for idxs, _, _ in blocks])
-        return orbit_transform(a, blocks, amax)
+    def recording(a, plan, amax, held=None):
+        held_masks.append(held)
+        return orbit_transform(a, plan, amax, held)
 
     monkeypatch.setattr(SY, "_orbit_transform", recording)
+    rng = np.random.default_rng(7)
     fewer = 0
     for p, q, mults in FACTORED_CASES[::4]:
         rep = rep_build(p, q, mults)
@@ -483,48 +556,76 @@ def test_batch_2_transforms_only_the_orbits_of_kernel_sectors(monkeypatch):
             (SY._g_generators(rep), (0,), SY._g_block, (1, 2)),
             (*_sharp_family(rep), SY._sharp_block, (11, 12)),
         ]:
-            blocks = SectorDecomposition(*generators).sectors()
-            size = sum(len(idxs) for idxs, _, _ in blocks)
-            transformed.clear()
+            plan = SectorDecomposition(*generators).sectors()
+            blocks = _old_blocks(generators)
+            size = len(plan.index)
+            held_masks.clear()
             _, by_chi, _ = SY._sampled_kernel(rep, generators, masks, block, 0, streams, "x")
-            assert transformed[0] == [idxs.tolist() for idxs, _, _ in blocks], (p, q, mults)
-            read = {int(u) % size for chi, pos in SY._sector_columns(blocks, masks) if by_chi[chi] for u in pos}
-            want = [idxs.tolist() for idxs, _, _ in blocks if read & set(idxs.tolist())]
-            assert transformed[1:] == ([want] if read else []), (p, q, mults)
+            assert held_masks[0] is None, (p, q, mults)
+            read = {int(u) % size for chi, pos in _sector_list(_sectors(plan, masks)) if by_chi[chi] for u in pos}
+            want = [b for b in blocks if read & set(b[0].tolist())]
+            assert len(held_masks) == 1 + bool(read), (p, q, mults)
+            if not read:
+                continue
+            held = held_masks[1]
+            assert held.shape == (size,) and set(np.flatnonzero(held).tolist()) == read, (p, q, mults)
+            a = rng.integers(-99, 100, size=(5, size)).astype(float)
+            got, ref = a.copy(order="F"), a.copy(order="F")
+            orbit_transform(got, plan, 99.0, held)
+            _old_orbit_transform(ref, want, 99.0)
+            assert got.tobytes() == ref.tobytes(), (p, q, mults)
             fewer += 0 < len(want) < len(blocks)
     assert fewer
 
 
 def test_orbit_transform_refuses_inexact_float_sums():
     # one orbit of length 2, e_0 <-> e_1: characters 0 and 1, sums of 2 entries
-    blocks = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
-    sectors = SY._sector_columns(blocks)
+    plan = SectorDecomposition(np.array([[1, 0]]), np.array([[1, 1]])).sectors()
     ok = np.full((3, 2), 2.0**52 - 1)
-    total, per_sector, _ = _nullity(ok, blocks, sectors)
+    total, per_sector, _ = _nullity(ok, plan, _sectors(plan))
     assert total == 1 and per_sector == {0: 0, 1: 1}
     assert ok[:, 0].tolist() == [2.0**53 - 2] * 3 and not ok[:, 1].any()
     for big in (2.0**52, -(2.0**52)):
         a = np.ones((3, 2))
         a[1, 0] = big
         with pytest.raises(OverflowError):
-            _transform(a, blocks)
+            _transform(a, plan)
     # the bound is the one given, the largest entry of the whole system
     with pytest.raises(OverflowError):
-        SY._orbit_transform(np.ones((3, 2)), blocks, 2.0**52)
+        SY._orbit_transform(np.ones((3, 2)), plan, 2.0**52)
 
 
 def test_sharp_guard_uses_the_whole_systems_largest_entry():
     # (11,0)x1 at m = 64 with points scaled by 2^10: the orbit sums of the
     # pair block alone stay exact, those of the whole system would not
     rep = rep_build(11, 0, (1,))
-    blocks, sectors = _sharp_sectors(rep)
-    w = integer_points(0, max(len(pos) for _, pos in sectors) + 64, rep.m, 11) << 10
+    plan, (_, width, _) = _sharp_sectors(rep)
+    w = integer_points(0, width.max() + 64, rep.m, 11) << 10
     pa, pb = np.triu_indices(rep.m)
-    longest = max(len(idxs) for idxs, _, _ in blocks)
+    longest = max(idxs.shape[1] for _, idxs, _, _ in plan.groups)
     assert 2 * np.abs(w[pa] * w[pb]).max() * longest < 2**53
     scaled = lambda rep, w: SY._sharp_block(rep, w << 10)  # noqa: E731
     with pytest.raises(OverflowError):
         SY._sampled_kernel(rep, *_sharp_family(rep), scaled, 0, (11, 12), "sharp")
+
+
+@pytest.mark.parametrize(
+    "run,name,rows,unknowns",
+    [(SY.g_kernel_dim, "g", 10064, 40000), (SY.sharp_solution_dim, "sharp", 10164, 20100)],
+    ids=["g", "sharp"],
+)
+def test_sampled_system_too_large_to_hold_is_refused_before_any_batch(monkeypatch, run, name, rows, unknowns):
+    # (2,0)x100, m = 200: the block of g has m^2 unknowns, that of sharp the
+    # m(m+1)/2 pairs, and either at its rows is past 2^27 float64 entries
+    drawn = []
+    monkeypatch.setattr(SY, "integer_points", lambda *args: drawn.append(args))
+    assert rows * unknowns > SY.SYSTEM_LIMIT == 1 << 27
+    with pytest.raises(InvalidInputError) as err:
+        run(rep_build(2, 0, (100,)))
+    assert str(err.value) == (
+        f"{name} system too large to sample: {rows} rows of {unknowns} unknowns exceed {1 << 27} entries"
+    )
+    assert drawn == []
 
 
 def test_g_per_sector_nullities_sum_to_dimension():
@@ -533,7 +634,7 @@ def test_g_per_sector_nullities_sum_to_dimension():
         report = SY.g_kernel_dim(rep, seed=1)
         assert report.per_sector, pq
         assert sum(report.per_sector.values()) == report.dimension
-        n_sectors = len(SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors()))
+        n_sectors = len(np.unique(SectorDecomposition(*SY._g_generators(rep)).sectors().chi))
         assert len(report.per_sector) == n_sectors
 
 
@@ -619,7 +720,7 @@ def _per_system_g(rep, blocks, w):
     rows = quartic_values(rep, w, grad=True)[1].T.astype(float)[:, :, None] * w.T[:, None, :]
     a = rows.reshape(w.shape[1], rep.m * rep.m)
     amax = float(max(a.max(), -a.min()))
-    SY._orbit_transform(a, blocks, amax)
+    _old_orbit_transform(a, blocks, amax)
     cols = a.T
     return (lambda pos: cols[pos]), amax
 
@@ -632,7 +733,7 @@ def _per_system_sharp(rep, blocks, w):
     forms = rep.forms(w)
     amax = float((np.abs(forms).max(axis=0) * np.abs(pairs).max(axis=0)).max())
     block = pairs.T.astype(float)
-    SY._orbit_transform(block, blocks, amax)
+    _old_orbit_transform(block, blocks, amax)
     vals, cols = forms.astype(float), block.T
 
     def gather(pos):
@@ -647,9 +748,10 @@ def _per_system_sharp(rep, blocks, w):
 def _per_system_batches(rep, generators, masks, system, streams):
     """Oracle: ``(total, per_sector, residual)`` of each seed-0 batch of
     ``system``, one SVD per sector: batch 1 on every sector, batch 2 on
-    those where batch 1 found a kernel, if any."""
-    blocks = SectorDecomposition(*generators).sectors()
-    sectors = SY._sector_columns(blocks, masks)
+    those where batch 1 found a kernel, if any.  It takes the per-orbit
+    path whole, and batch 2 transforms every orbit."""
+    blocks = _old_blocks(generators)
+    sectors = _old_sector_columns(blocks, masks)
     count = max(len(pos) for _, pos in sectors) + 64
     out = []
     for k in streams:
@@ -672,9 +774,9 @@ SUITE_LARGE_CASES = enumerate_cases(max_pq=8, max_m=32, max_total_mult=1)
 
 
 def test_sampled_kernels_match_the_per_system_builders(monkeypatch):
-    # both batches of g and sharp (batch 2 on batch 1's kernel sectors):
-    # dimensions, per-sector nullities and residuals bit for bit, on the
-    # suite-large modules and one at m = 64
+    # both batches of g and sharp (batch 2 on batch 1's kernel sectors)
+    # against the per-orbit path: dimensions, per-sector nullities and
+    # residuals bit for bit, on the suite-large modules and two at m = 64
     assert len(SUITE_LARGE_CASES) == 40
     batches = []
     sector_nullity = SY._sector_nullity
@@ -684,7 +786,7 @@ def test_sampled_kernels_match_the_per_system_builders(monkeypatch):
         return batches[-1]
 
     monkeypatch.setattr(SY, "_sector_nullity", recording)
-    for p, q, mults in SUITE_LARGE_CASES + [(6, 2, (2,))]:
+    for p, q, mults in SUITE_LARGE_CASES + [(6, 2, (2,)), (11, 0, (1,))]:
         rep = rep_build(p, q, mults)
         batches.clear()
         g = SY.g_kernel_dim(rep)
@@ -692,9 +794,9 @@ def test_sampled_kernels_match_the_per_system_builders(monkeypatch):
         assert batches == want, (p, q, mults)
         assert (g.dimension, g.per_sector, g.residual) == want[0], (p, q, mults)
         batches.clear()
-        dim, _ = SY.sharp_solution_dim(rep)
+        sharp = SY.sharp_solution_dim(rep)
         want = _per_system_batches(rep, *_sharp_family(rep), _per_system_sharp, (11, 12))
-        assert batches == want and dim == want[0][0], (p, q, mults)
+        assert batches == want and sharp == (want[0][0], rep.n * (rep.n - 1) // 2), (p, q, mults)
 
 
 def _tampered_modules():
@@ -718,11 +820,11 @@ def test_module_failing_its_relations_is_refused():
             assert str(err.value) == f"module fails {', '.join(failed)} (see verify_relations)"
 
 
-def _per_sector_svd(a, blocks, sectors):
+def _per_sector_svd(a, plan, sectors):
     """Reference float path: one ``np.linalg.svd`` per sector matrix."""
-    scale = max(1.0, _transform(a, blocks))
+    scale = max(1.0, _transform(a, plan))
     total, per_sector, residual = 0, {}, 0.0
-    for chi, pos in sectors:
+    for chi, pos in _sector_list(sectors):
         sv = np.linalg.svd(a[:, pos], compute_uv=False)
         nullity = int((sv <= SY.FLOAT_RANK_TOL * max(sv[0], 1.0)).sum())
         if nullity:
@@ -732,10 +834,10 @@ def _per_sector_svd(a, blocks, sectors):
     return total, per_sector, residual
 
 
-def _assert_matches_per_sector_svd(blocks, a, label):
-    sectors = SY._sector_columns(blocks)
-    total, per_sector, residual = _nullity(a.copy(order="F"), blocks, sectors)
-    want_total, want_per_sector, want_residual = _per_sector_svd(a.copy(order="F"), blocks, sectors)
+def _assert_matches_per_sector_svd(plan, a, label):
+    sectors = _sectors(plan)
+    total, per_sector, residual = _nullity(a.copy(order="F"), plan, sectors)
+    want_total, want_per_sector, want_residual = _per_sector_svd(a.copy(order="F"), plan, sectors)
     assert total == want_total, label
     assert list(per_sector.items()) == list(want_per_sector.items()), label
     assert residual == want_residual, label  # the same float, bit for bit
@@ -744,9 +846,9 @@ def _assert_matches_per_sector_svd(blocks, a, label):
 def test_stacked_svd_matches_per_sector_oracle():
     residuals = 0
     for p, q, mults in SMALL_CASES + [(6, 2, (1,))]:
-        for blocks, a in _sampled_systems(rep_build(p, q, mults)):
-            _assert_matches_per_sector_svd(blocks, a, (p, q, mults))
-            residuals += _per_sector_svd(a, blocks, SY._sector_columns(blocks))[2] > 0
+        for plan, a in _sampled_systems(rep_build(p, q, mults)):
+            _assert_matches_per_sector_svd(plan, a, (p, q, mults))
+            residuals += _per_sector_svd(a, plan, _sectors(plan))[2] > 0
     assert residuals > 50  # the residual comparison is not vacuous
 
 
@@ -754,12 +856,12 @@ def test_stacked_svd_threshold_is_relative_to_the_largest_value():
     # two orbits {0, 1}, {2, 3}; after the transform both sectors are
     # [[1e6, 1e6 + 1], [1e6 - 1, 1e6], [0, 0]]: determinant 1, so the small
     # singular value is about 5e-7, below 1e-8 times the large one
-    blocks = SectorDecomposition(np.array([[1, 0, 3, 2]]), np.array([[1, 1, 1, 1]])).sectors()
+    plan = SectorDecomposition(np.array([[1, 0, 3, 2]]), np.array([[1, 1, 1, 1]])).sectors()
     a = np.zeros((3, 4), order="F")
     a[:2, 0] = [1e6, 1e6 - 1]
     a[:2, 2] = [1e6 + 1, 1e6]
-    _assert_matches_per_sector_svd(blocks, a, "near-singular")
-    total, per_sector, residual = _nullity(a, blocks, SY._sector_columns(blocks))
+    _assert_matches_per_sector_svd(plan, a, "near-singular")
+    total, per_sector, residual = _nullity(a, plan, _sectors(plan))
     assert total == 2 and per_sector == {0: 1, 1: 1}
     assert 1e-14 < residual < 1e-12  # about 5e-7 / (1e6 + 1)
 
@@ -768,30 +870,40 @@ def test_stacked_svd_slice_edges(monkeypatch):
     for pq, mults in [((3, 2), (1,)), ((5, 0), (2, 0)), ((6, 2), (1,))]:
         rep = rep_build(*pq, mults)
         families = [SY._g_generators(rep), _sharp_generators(rep)]
-        for (blocks, a), family in zip(_sampled_systems(rep), families):
-            sectors = SY._sector_columns(blocks)
-            widths = np.bincount([len(pos) for _, pos in sectors])
+        for (plan, a), family in zip(_sampled_systems(rep), families):
+            rows = a.shape[0]
+            widths = np.bincount(_sectors(plan)[1])
             c = int(widths.argmax())  # the width shared by most sectors
             assert widths[c] >= 3, pq
-            # one sector per slice, then slices of widths[c] - 1 sectors of
-            # width c: a full slice and a slice of one
-            for budget in (1, int(widths[c] - 1) * a.shape[0] * c):
+            # the orbit length shared by most orbits, of G orbits
+            _, idxs, _, _ = max(plan.groups, key=lambda g: len(g[0]))
+            n_orbits, length = idxs.shape
+            assert n_orbits >= 3, pq
+            # one sector and one orbit per slice; SVD slices of widths[c] - 1
+            # sectors of width c, and transform slices of G - 1 orbits of
+            # that length: a full slice and a slice of one
+            budgets = (1, int(widths[c] - 1) * rows * c, 8 * (n_orbits - 1) * rows * length)
+            old = a.copy(order="F")
+            _old_orbit_transform(old, _old_blocks(family), float(np.abs(a).max()))
+            for budget in budgets:
                 monkeypatch.setattr(spmat, "SECTOR_BLOCK", budget)
                 sliced = SectorDecomposition(*family).sectors()
-                _assert_matches_per_sector_svd(blocks, a, (pq, budget))
+                _assert_matches_per_sector_svd(plan, a, (pq, budget))
+                got = a.copy(order="F")
+                _transform(got, plan)
                 monkeypatch.undo()
-                assert len(sliced) == len(blocks), (pq, budget)
-                for got, want in zip(sliced, blocks):
-                    assert all(np.array_equal(x, y) for x, y in zip(got, want)), (pq, budget)
+                assert got.tobytes() == old.tobytes(), (pq, budget)
+                assert len(sliced.groups) == len(plan.groups), (pq, budget)
+                for got_group, want_group in zip(sliced.groups, plan.groups):
+                    assert all(np.array_equal(x, y) for x, y in zip(got_group, want_group)), (pq, budget)
+                assert np.array_equal(sliced.index, plan.index) and np.array_equal(sliced.chi, plan.chi)
 
 
 def test_unstable_dimension_names_each_sector(monkeypatch):
     rep = rep_build(3, 2, (1,))
     stable = SY.g_kernel_dim(rep, seed=0)
-    widths = {
-        chi: len(pos)
-        for chi, pos in SY._sector_columns(SectorDecomposition(*SY._g_generators(rep)).sectors())
-    }
+    chi, width, _ = _sectors(SectorDecomposition(*SY._g_generators(rep)).sectors())
+    widths = dict(zip(chi.tolist(), width.tolist()))
 
     def zero_second_batch(seed, count, dim, index=0):
         w = integer_points(seed, count, dim, index)
@@ -837,13 +949,15 @@ def test_second_batch_ranks_exactly_the_first_batchs_kernel_sectors(monkeypatch)
         ):
             calls.clear()
             run(rep)
-            every = SY._sector_columns(SectorDecomposition(*generators).sectors(), masks)
+            want = _sectors(SectorDecomposition(*generators).sectors(), masks)
+            every = _sector_list(want)
             (first, by_chi), *rest = calls
-            assert [chi for chi, _ in first] == [chi for chi, _ in every], (p, q, mults, run)
+            # batch 1 ranks every sector, with the oracle's columns in its order
+            assert all(np.array_equal(x, y) for x, y in zip(first, want, strict=True)), (p, q, mults, run)
             kernel = [(chi, pos) for chi, pos in every if by_chi[chi]]
             assert len(rest) == (1 if kernel else 0), (p, q, mults, run)
             if kernel:
-                ranked = rest[0][0]
+                ranked = _sector_list(rest[0][0])
                 assert [chi for chi, _ in ranked] == [chi for chi, _ in kernel], (p, q, mults)
                 for (_, got), (_, want) in zip(ranked, kernel):
                     assert np.array_equal(got, want), (p, q, mults, run)
@@ -870,3 +984,55 @@ def test_no_second_batch_without_a_first_batch_kernel(monkeypatch):
     calls.clear()
     assert SY.sharp_solution_dim(rep) == (0, 0)
     assert streams == [11] and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Properties at total multiplicity <= 3
+# ---------------------------------------------------------------------------
+
+
+PROPERTY_CASES = enumerate_cases(max_pq=6, max_m=32, max_total_mult=3)
+
+
+class _Ranked(Exception):
+    """Raised in place of ranking batch 1, with the sectors it was given."""
+
+
+def _batch_1_sectors(rep, generators, masks, block, streams):
+    """The ``(chi, width, pos)`` that ``_sampled_kernel`` ranks in batch 1."""
+
+    def stop(cols, vals, amax, sectors):
+        raise _Ranked(sectors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SY, "_sector_nullity", stop)
+        with pytest.raises(_Ranked) as ranked:
+            SY._sampled_kernel(rep, generators, masks, block, 0, streams, "x")
+    return ranked.value.args[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PROPERTY_CASES), st.integers(0, 2**32 - 1))
+def test_sector_columns_and_quartic_sign_properties(case, seed):
+    assert len(PROPERTY_CASES) == 141
+    rep = rep_build(*case)
+    for generators, masks, block, streams in [
+        (SY._g_generators(rep), (0,), SY._g_block, (1, 2)),
+        (*_sharp_family(rep), SY._sharp_block, (11, 12)),
+    ]:
+        dec = SectorDecomposition(*generators)
+        size = dec.n
+        chi, width, pos = _batch_1_sectors(rep, generators, masks, block, streams)
+        # every column of every copy once, in sectors that add up to them
+        assert np.array_equal(np.sort(pos), np.arange(len(masks) * size)), case
+        assert width.sum() == len(pos) == len(masks) * size and np.all(width > 0), case
+        # ascending keys, and at most one column per orbit and copy in a sector
+        assert np.all(np.diff(chi) > 0), case
+        orbit = np.empty(size, dtype=np.int64)
+        orbit[np.concatenate(dec.orbits)] = np.repeat(np.arange(len(dec.orbits)), [len(o) for o in dec.orbits])
+        sector = np.repeat(np.arange(len(chi)), width)
+        held = sector * (len(masks) * len(dec.orbits)) + (pos // size) * len(dec.orbits) + orbit[pos % size]
+        assert len(np.unique(held)) == len(pos), case
+    # the quartic of the swapped module is the negative, at integer points
+    w = integer_points(seed, 8, rep.m)
+    assert np.array_equal(quartic_values(swap_pq(rep), w), -quartic_values(rep, w)), case

@@ -180,6 +180,21 @@ def test_gamma_signatures_match_exact_elimination():
     assert checked > 100
 
 
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (Z.gamma_quartic, (-1, -1, 8, 0.3)),
+        (Z.fe_involution_check, (-1, -1, 8, 0.3)),
+        (Z.gamma_laurent, (0, 0, 8)),
+    ],
+    ids=["gamma_quartic", "fe_involution_check", "gamma_laurent"],
+)
+def test_gamma_layer_refuses_a_signature_that_does_not_exist(call, args):
+    # the condition and message of gamma_quadratic
+    with pytest.raises(InvalidInputError, match=r"^need p >= q >= 0 with p \+ q >= 1$"):
+        call(*args)
+
+
 def test_gamma_constants_reject_degenerate():
     with pytest.raises(Z.InvalidInputError):
         Z.gamma_constants(rep_build(2, 2, (1,)))
